@@ -178,7 +178,7 @@ def _report_doc(cfg):
     state = config.thermal_state(cfg)
     report = trapanalysis.characterize_trap(fieldobj, cfg.seed, state)
     sens = trapanalysis.tau_sensitivity(config.field_builder(cfg), cfg.tau,
-                                        cfg.seed, state)
+                                        cfg.seed, state, base=report.base)
     return report, sens
 
 

@@ -384,117 +384,92 @@ def _phase(sol, z_nm, t):
     return np.exp(1j * (sol.omega * t - sol.beta_per_nm * np.asarray(z_nm, dtype=float)))
 
 
+def _side_fields(sol, r, phi, want_h, outside):
+    """E or H cylindrical components (three arrays) on one side of the core.
+
+    Inside, the fields are built from J_nu(h r) with the axial constants
+    (Az, Bz); outside, from K_nu(q r) with those constants scaled by
+    J_nu(u)/K_nu(w) so the axial fields are continuous at r = a. The
+    transverse components follow from the axial ones through 1/h^2 inside
+    and -1/q^2 outside; sgn and pre carry that sign flip.
+    """
+    nu = sol.mode.nu
+    omega = sol.omega
+    beta_m = sol.beta_per_m
+    if outside:
+        x = sol.q_per_nm * r
+        # K_{nu-1}, K_nu and K_{nu+1} serve both K and K'
+        ks = numerics._k_orders(x, nu + 1)
+        k_m = sol.q_per_nm * 1e9
+        eps = _EPS0 * sol.fiber.n_clad ** 2
+        sgn, pre = 1.0, 1j
+        j_u, k_w = numerics.bessel_j(nu, sol.u), numerics.bessel_k(nu, sol.w)
+    else:
+        x = sol.h_per_nm * r
+        k_m = sol.h_per_nm * 1e9
+        eps = _EPS0 * sol.fiber.n_core ** 2
+        sgn, pre = -1.0, -1j
+
+    if nu == 0:
+        if outside:
+            f0, f1 = ks
+            amp = sol.amplitude * (j_u / k_w)
+        else:
+            f0, f1 = numerics.bessel_j(0, x), numerics.bessel_j(1, x)
+            amp = sol.amplitude
+        zero = np.zeros_like(f1)
+        if sol.mode.family == "TE":
+            e = (zero, (-sgn * (omega * _MU0 / k_m)) * amp * f1, zero)
+            h = ((sgn * (beta_m / k_m)) * amp * f1, zero, 1j * amp * f0)
+        else:
+            e = ((sgn * (beta_m / k_m)) * amp * f1, zero, 1j * amp * f0)
+            h = (zero, (sgn * (omega * eps / k_m)) * amp * f1, zero)
+        return h if want_h else e
+
+    az, bz, psi = _z_amplitudes(sol)
+    if outside:
+        f = ks[nu]
+        fd = -0.5 * (ks[nu - 1] + ks[nu + 1])
+        az, bz = az * j_u / k_w, bz * j_u / k_w
+    else:
+        f = numerics.bessel_j(nu, x)
+        fd = numerics.bessel_j_deriv(nu, x)
+    fox = f / x
+    chi = nu * phi + psi
+    cc, ss = np.cos(chi), np.sin(chi)
+    if want_h:
+        return (pre * ((beta_m / k_m) * bz * fd
+                       + (omega * eps / k_m) * nu * az * fox) * ss,
+                pre * ((beta_m / k_m) * nu * bz * fox
+                       + (omega * eps / k_m) * az * fd) * cc,
+                bz * f * ss)
+    return (pre * ((beta_m / k_m) * az * fd
+                   + (omega * _MU0 / k_m) * nu * bz * fox) * cc,
+            -pre * ((beta_m / k_m) * nu * az * fox
+                    + (omega * _MU0 / k_m) * bz * fd) * ss,
+            az * f * cc)
+
+
 def _fields_cyl(sol, r_nm, phi, z_nm, t, want_h):
     """Shared evaluator for e_field / h_field, vectorized over broadcastable inputs."""
     r = np.maximum(np.asarray(r_nm, dtype=float), _R_FLOOR_NM)
     phi = np.asarray(phi, dtype=float)
     z = np.asarray(z_nm, dtype=float)
     r, phi, z = np.broadcast_arrays(r, phi, z)
-    shape = r.shape
-
-    a = sol.fiber.radius_nm
-    inner = r <= a
-    outer = ~inner
-
-    omega = sol.omega
-    beta_m = sol.beta_per_m
-    h_m = sol.h_per_nm * 1e9
-    q_m = sol.q_per_nm * 1e9
-    eps1 = _EPS0 * sol.fiber.n_core ** 2
-    eps2 = _EPS0 * sol.fiber.n_clad ** 2
-
-    out = np.zeros(shape + (3,), dtype=complex)
-    nu = sol.mode.nu
-    az, bz, psi = _z_amplitudes(sol)
-
-    if sol.mode.family in ("TE", "TM"):
-        rho = (numerics.bessel_j(0, sol.u) / numerics.bessel_k(0, sol.w))
-        amp = sol.amplitude
-        if np.any(inner):
-            x = sol.h_per_nm * r[inner]
-            j0, j1 = numerics.bessel_j(0, x), numerics.bessel_j(1, x)
-            if sol.mode.family == "TE":
-                ephi = (omega * _MU0 / h_m) * amp * j1
-                hr = -(beta_m / h_m) * amp * j1
-                hz = 1j * amp * j0
-                er = np.zeros_like(j1)
-                ez = np.zeros_like(j1)
-                hphi = np.zeros_like(j1)
-            else:
-                er = -(beta_m / h_m) * amp * j1
-                ez = 1j * amp * j0
-                hphi = -(omega * eps1 / h_m) * amp * j1
-                ephi = np.zeros_like(j1)
-                hr = np.zeros_like(j1)
-                hz = np.zeros_like(j1)
-            vals = (hr, hphi, hz) if want_h else (er, ephi, ez)
+    phase = _phase(sol, z, t)[..., np.newaxis]
+    inner = r <= sol.fiber.radius_nm
+    if not inner.any():
+        # all-exterior batches (escape fans, the outer power quadrature)
+        # need no boolean gathers and scatters
+        return np.stack(_side_fields(sol, r, phi, want_h, True),
+                        axis=-1) * phase
+    out = np.zeros(r.shape + (3,), dtype=complex)
+    for side, outside in ((inner, False), (~inner, True)):
+        if side.any():
+            vals = _side_fields(sol, r[side], phi[side], want_h, outside)
             for k in range(3):
-                out[inner, k] = vals[k]
-        if np.any(outer):
-            y = sol.q_per_nm * r[outer]
-            k0_, k1_ = numerics.bessel_k(0, y), numerics.bessel_k(1, y)
-            amp_o = sol.amplitude * rho
-            if sol.mode.family == "TE":
-                ephi = -(omega * _MU0 / q_m) * amp_o * k1_
-                hr = (beta_m / q_m) * amp_o * k1_
-                hz = 1j * amp_o * k0_
-                er = np.zeros_like(k1_)
-                ez = np.zeros_like(k1_)
-                hphi = np.zeros_like(k1_)
-            else:
-                er = (beta_m / q_m) * amp_o * k1_
-                ez = 1j * amp_o * k0_
-                hphi = (omega * eps2 / q_m) * amp_o * k1_
-                ephi = np.zeros_like(k1_)
-                hr = np.zeros_like(k1_)
-                hz = np.zeros_like(k1_)
-            vals = (hr, hphi, hz) if want_h else (er, ephi, ez)
-            for k in range(3):
-                out[outer, k] = vals[k]
-        return out * _phase(sol, z, t)[..., np.newaxis]
-
-    # hybrid families
-    chi = nu * phi + psi
-    cosx, sinx = np.cos(chi), np.sin(chi)
-    cz = az * numerics.bessel_j(nu, sol.u) / numerics.bessel_k(nu, sol.w)
-    dz = bz * numerics.bessel_j(nu, sol.u) / numerics.bessel_k(nu, sol.w)
-    if np.any(inner):
-        x = sol.h_per_nm * r[inner]
-        jn = numerics.bessel_j(nu, x)
-        jd = numerics.bessel_j_deriv(nu, x)
-        jox = jn / x
-        cc, ss = cosx[inner], sinx[inner]
-        if want_h:
-            out[inner, 0] = -1j * ((beta_m / h_m) * bz * jd
-                                   + (omega * eps1 / h_m) * nu * az * jox) * ss
-            out[inner, 1] = -1j * ((beta_m / h_m) * nu * bz * jox
-                                   + (omega * eps1 / h_m) * az * jd) * cc
-            out[inner, 2] = bz * jn * ss
-        else:
-            out[inner, 0] = -1j * ((beta_m / h_m) * az * jd
-                                   + (omega * _MU0 / h_m) * nu * bz * jox) * cc
-            out[inner, 1] = 1j * ((beta_m / h_m) * nu * az * jox
-                                  + (omega * _MU0 / h_m) * bz * jd) * ss
-            out[inner, 2] = az * jn * cc
-    if np.any(outer):
-        y = sol.q_per_nm * r[outer]
-        kn = numerics.bessel_k(nu, y)
-        kd = numerics.bessel_k_deriv(nu, y)
-        koy = kn / y
-        cc, ss = cosx[outer], sinx[outer]
-        if want_h:
-            out[outer, 0] = 1j * ((beta_m / q_m) * dz * kd
-                                  + (omega * eps2 / q_m) * nu * cz * koy) * ss
-            out[outer, 1] = 1j * ((beta_m / q_m) * nu * dz * koy
-                                  + (omega * eps2 / q_m) * cz * kd) * cc
-            out[outer, 2] = dz * kn * ss
-        else:
-            out[outer, 0] = 1j * ((beta_m / q_m) * cz * kd
-                                  + (omega * _MU0 / q_m) * nu * dz * koy) * cc
-            out[outer, 1] = -1j * ((beta_m / q_m) * nu * cz * koy
-                                   + (omega * _MU0 / q_m) * dz * kd) * ss
-            out[outer, 2] = cz * kn * cc
-    return out * _phase(sol, z, t)[..., np.newaxis]
+                out[side, k] = vals[k]
+    return out * phase
 
 
 def e_field(sol, r_nm, phi, z_nm, t=0.0):
@@ -642,6 +617,13 @@ def mode_power(sol):
     return weight * (inner + outer) * 1e-18
 
 
+@lru_cache(maxsize=64)
+def _unit_power(sol):
+    """mode_power of an amplitude-1 solution; every power split of the same
+    mode (orientation, fiber, wavelength) shares it."""
+    return mode_power(sol)
+
+
 def normalize_power(sol, power_mw):
     """Rescale the mode amplitude so its Poynting flux equals power_mw.
 
@@ -651,8 +633,7 @@ def normalize_power(sol, power_mw):
         raise ValueError("power must be non-negative")
     if power_mw == 0.0:
         return replace(sol, amplitude=0.0, power_mw=0.0)
-    base = replace(sol, amplitude=1.0)
-    p_unit = mode_power(base)
+    p_unit = _unit_power(replace(sol, amplitude=1.0, power_mw=None))
     if p_unit <= 0.0:
         raise ConvergenceError("mode power integral is not positive")
     amp = np.sqrt(power_mw * 1e-3 / p_unit)

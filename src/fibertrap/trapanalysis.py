@@ -81,7 +81,9 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
 
     Returns (r_nm, phi, z_nm). Raises NoTrapError when the region holds no
     interior minimum (all candidate columns run monotonically into the
-    surface or out of the evanescent field).
+    surface or out of the evanescent field), and when the Newton polish
+    meets a singular Hessian, steps into the surface, does not converge or
+    ends outside the seed region.
     """
     a = field_.fiber.radius_nm
     r_lo = max(seed.r_nm[0], a + 2.0)
@@ -122,8 +124,9 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
         h = _local_hessian(field_, r, p, z)
         try:
             step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            break
+        except np.linalg.LinAlgError as exc:
+            raise NoTrapError(
+                "singular Hessian during the minimum search") from exc
         n = float(np.linalg.norm(step))
         if n > _NEWTON_STEP_CAP_NM:
             step *= _NEWTON_STEP_CAP_NM / n
@@ -131,7 +134,7 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
         p_new = p + float(step[1]) / r
         z_new = z + float(step[2])
         if r_new <= a + 1.0:
-            break
+            raise NoTrapError("minimum search ran into the fiber surface")
         if _potential_on(field_, r_new, p_new, z_new) > \
                 _potential_on(field_, r, p, z) and n > tol_nm:
             # Newton overshot into a rising region; halve until it helps
@@ -143,8 +146,11 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
     else:
         raise NoTrapError("minimum search did not converge")
 
-    if not (r_lo <= r <= seed.r_nm[1]):
-        raise NoTrapError("refined minimum left the seed region radially")
+    for axis, value, (lo, hi) in (("radially", r, (r_lo, seed.r_nm[1])),
+                                  ("in phi", p, seed.phi),
+                                  ("in z", z, seed.z_nm)):
+        if not lo <= value <= hi:
+            raise NoTrapError(f"refined minimum left the seed region {axis}")
     return r, p, z
 
 
@@ -263,8 +269,9 @@ def _fib_sphere(n):
 
 
 def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
-    """Barrier height along straight rays; rays that enter the fiber are
-    reported separately as surface channels."""
+    """Barrier height along straight rays, infinite for rays that come
+    within the surface pad of the fiber: those are surface channels, not
+    escape paths, so the potential is evaluated only along the others."""
     r, p, z = minimum
     a = field_.fiber.radius_nm
     frame = np.array([[np.cos(p), np.sin(p), 0.0],
@@ -275,15 +282,13 @@ def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
     t = np.arange(1, int(reach_nm / step_nm) + 1) * step_nm
     pts = p0[None, None, :] + t[None, :, None] * d_cart[:, None, :]
     rr = np.hypot(pts[..., 0], pts[..., 1])
-    pp = np.arctan2(pts[..., 1], pts[..., 0])
-    uu = _potential_on(field_, np.maximum(rr, a + 2.0 * _SURFACE_PAD_NM), pp,
-                       pts[..., 2])
-    inside = rr <= a + _SURFACE_PAD_NM
-    hit = inside.any(axis=1)
-    first = np.where(hit, inside.argmax(axis=1), t.size)
-    blocked = np.arange(t.size)[None, :] >= first[:, None]
-    barrier = np.where(blocked, -np.inf, uu).max(axis=1) - umin
-    return barrier, hit
+    free = ~(rr <= a + _SURFACE_PAD_NM).any(axis=1)
+    pts, rr = pts[free], rr[free]
+    uu = _potential_on(field_, np.maximum(rr, a + 2.0 * _SURFACE_PAD_NM),
+                       np.arctan2(pts[..., 1], pts[..., 0]), pts[..., 2])
+    barrier = np.full(d_local.shape[0], np.inf)
+    barrier[free] = uu.max(axis=1) - umin
+    return barrier
 
 
 def _refine_cap(center, half_deg, step_deg):
@@ -322,17 +327,14 @@ def escape_barrier(field_, minimum):
     ndir = max(int(np.ceil(4.0 * np.pi / np.radians(_FAN_COARSE_DEG) ** 2)),
                16)
     dirs = _fib_sphere(ndir)
-    barrier, hit = _march(field_, minimum, umin, dirs, _FAN_REACH_NM,
-                          _FAN_STEP_NM)
-    escape = np.where(hit, np.inf, barrier)
+    escape = _march(field_, minimum, umin, dirs, _FAN_REACH_NM, _FAN_STEP_NM)
     if not np.isfinite(escape).any():
         raise NoTrapError("every sampled direction runs into the surface")
     k = int(np.argmin(escape))
     best_d, best_b = dirs[k], float(escape[k])
     cap = _refine_cap(best_d, 2.0 * _FAN_COARSE_DEG, _FAN_REFINE_DEG)
-    fb, fh = _march(field_, minimum, umin, cap, _FAN_REACH_NM,
-                    _FAN_REFINE_STEP_NM)
-    fesc = np.where(fh, np.inf, fb)
+    fesc = _march(field_, minimum, umin, cap, _FAN_REACH_NM,
+                  _FAN_REFINE_STEP_NM)
     kk = int(np.argmin(fesc))
     if float(fesc[kk]) < best_b:
         best_d, best_b = cap[kk], float(fesc[kk])
@@ -348,9 +350,11 @@ def escape_barrier(field_, minimum):
 def _inner_barrier(field_, minimum, umin, probe_e=None):
     """Height and width of the light wall between the minimum and the surface.
 
-    The width is measured at U_min + probe_e (default: the barrier midpoint
-    energy is not used; the caller passes the thermal energy), i.e. the
-    thickness an atom at that energy would have to tunnel through.
+    The potential is sampled on the radial line from the surface pad out to
+    the minimum. The height is its maximum above U_min; the width is the
+    radial extent where it lies at or above U_min + probe_e, the thickness
+    an atom of that energy would have to tunnel through. probe_e defaults
+    to k_B * 100 uK; characterize_trap passes the thermal energy.
     """
     r, p, z = minimum
     a = field_.fiber.radius_nm
@@ -432,11 +436,14 @@ class TrapReport:
     extents_nm: tuple       # (radial, azimuthal arc, axial)
     harmonic_extents_nm: tuple
     scattering_rate: float  # photons/s
-    lifetime_s: float       # math.inf encodes "exceeds cap"
+    lifetime_s: float       # math.inf when the scattering rate is <= 0
     t_ref_uk: float
     min_intensity_w_m2: float
     cancellation: float     # I_min / (I_a + I_b) at the minimum
     recoil_energy_j: float
+    # (unfolded minimum, EscapeResult) the report was built from; not
+    # serialized, tau_sensitivity(base=...) reuses it for the tau0 row
+    base: tuple
 
     @property
     def frequencies_hz(self):
@@ -525,15 +532,19 @@ def characterize_trap(field_, seed, state=None):
         t_ref_uk=state.t_init_uk,
         min_intensity_w_m2=i_min,
         cancellation=i_min / (i_a + i_b),
-        recoil_energy_j=e_rec)
+        recoil_energy_j=e_rec,
+        base=((r, p, z), esc))
 
 
-def tau_sensitivity(build_field, tau0, seed, state=None):
+def tau_sensitivity(build_field, tau0, seed, state=None, base=None):
     """Depth and position response to the power-split precision sigma.
 
     build_field(tau) must return the PotentialField of the configuration at
     that split. Rows cover tau0 - sigma, tau0, tau0 + sigma; a perturbed
     split where the trap vanishes yields a flagged row instead of an error.
+    base, when given, is the (unfolded minimum, EscapeResult) already found
+    at tau0 (TrapReport.base); the tau0 row then reuses it instead of
+    building and searching the same field again.
     """
     state = state if state is not None else ThermalState()
     sigma = power_split_sigma(tau0)
@@ -541,9 +552,12 @@ def tau_sensitivity(build_field, tau0, seed, state=None):
     base_depth = None
     for tau in (tau0 - sigma, tau0, tau0 + sigma):
         try:
-            field_ = build_field(tau)
-            m = find_minimum(field_, seed)
-            esc = escape_barrier(field_, m)
+            if tau == tau0 and base is not None:
+                m, esc = base
+            else:
+                field_ = build_field(tau)
+                m = find_minimum(field_, seed)
+                esc = escape_barrier(field_, m)
             row = {"tau": tau, "trap": True,
                    "depth_mk": potential.as_millikelvin(esc.depth_j),
                    "minimum": {"r_nm": m[0], "phi_rad": m[1], "z_nm": m[2]}}

@@ -1,15 +1,17 @@
 """Independent cross-checks shared by the test suite.
 
-Everything here is built from first principles on top of scipy.special and
-scipy.integrate only.  None of it goes through the package's own dispersion
-relation or power normalization, so tests that compare against these helpers
-are not circular.
+The mode helpers are built from first principles on top of scipy.special
+and scipy.integrate only.  None of them goes through the package's own
+dispersion relation or power normalization, so tests that compare against
+them are not circular.  The escape-fan reference keeps the package's
+potential and ray geometry but evaluates every sample of every ray, so it
+checks that skipping the rays that hit the surface changes nothing.
 """
 
 import numpy as np
 from scipy import integrate, special
 
-from fibertrap import modes
+from fibertrap import modes, potential, trapanalysis
 
 
 def boundary_determinant(fiber, wavelength_nm, nu, neff):
@@ -72,3 +74,57 @@ def mode_power_quadrature(sol):
     clad, _ = integrate.quad(ring, a, outer, epsabs=0.0, epsrel=1e-12, limit=200)
     # fields are V/m and A/m on an nm^2 area element
     return (core + clad) * 1e-18 * 1e3
+
+
+def dense_march(field_, minimum, umin, d_local, reach_nm, step_nm):
+    """Barrier height along straight rays with every sample evaluated.
+
+    Samples at and beyond a ray's first contact with the surface pad are
+    masked out of its barrier; the hit flags are returned separately.
+    """
+    ta = trapanalysis
+    r, p, z = minimum
+    a = field_.fiber.radius_nm
+    frame = np.array([[np.cos(p), np.sin(p), 0.0],
+                      [-np.sin(p), np.cos(p), 0.0],
+                      [0.0, 0.0, 1.0]])
+    d_cart = d_local @ frame
+    p0 = np.array([r * np.cos(p), r * np.sin(p), z])
+    t = np.arange(1, int(reach_nm / step_nm) + 1) * step_nm
+    pts = p0[None, None, :] + t[None, :, None] * d_cart[:, None, :]
+    rr = np.hypot(pts[..., 0], pts[..., 1])
+    pp = np.arctan2(pts[..., 1], pts[..., 0])
+    uu = potential.total_potential(
+        field_, np.maximum(rr, a + 2.0 * ta._SURFACE_PAD_NM), pp, pts[..., 2])
+    inside = rr <= a + ta._SURFACE_PAD_NM
+    hit = inside.any(axis=1)
+    first = np.where(hit, inside.argmax(axis=1), t.size)
+    blocked = np.arange(t.size)[None, :] >= first[:, None]
+    barrier = np.where(blocked, -np.inf, uu).max(axis=1) - umin
+    return barrier, hit
+
+
+def dense_escape_barrier(field_, minimum):
+    """escape_barrier with every fan sample evaluated (see dense_march)."""
+    ta = trapanalysis
+    umin = potential.total_potential(field_, *minimum)
+    ndir = max(int(np.ceil(4.0 * np.pi / np.radians(ta._FAN_COARSE_DEG) ** 2)),
+               16)
+    dirs = ta._fib_sphere(ndir)
+    barrier, hit = dense_march(field_, minimum, umin, dirs, ta._FAN_REACH_NM,
+                               ta._FAN_STEP_NM)
+    escape = np.where(hit, np.inf, barrier)
+    k = int(np.argmin(escape))
+    best_d, best_b = dirs[k], float(escape[k])
+    cap = ta._refine_cap(best_d, 2.0 * ta._FAN_COARSE_DEG, ta._FAN_REFINE_DEG)
+    fb, fh = dense_march(field_, minimum, umin, cap, ta._FAN_REACH_NM,
+                         ta._FAN_REFINE_STEP_NM)
+    fesc = np.where(fh, np.inf, fb)
+    kk = int(np.argmin(fesc))
+    if float(fesc[kk]) < best_b:
+        best_d, best_b = cap[kk], float(fesc[kk])
+    inner_h, inner_w = ta._inner_barrier(field_, minimum, umin)
+    return ta.EscapeResult(depth_j=best_b,
+                           direction=tuple(float(x) for x in best_d),
+                           inner_barrier_j=inner_h,
+                           inner_barrier_width_nm=inner_w)

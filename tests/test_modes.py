@@ -242,6 +242,23 @@ class TestExteriorProfiles:
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-18)
 
 
+class TestExteriorFastPath:
+    def test_all_exterior_batch_matches_mixed_batch(self, solved):
+        # an all-exterior batch skips the interior/exterior split; its values
+        # must be the exterior entries of a mixed batch, bit for bit
+        rng = np.random.default_rng(7)
+        r = rng.uniform(0.0, 3.0 * FIBER.radius_nm, 400)
+        phi = rng.uniform(-math.pi, math.pi, 400)
+        z = rng.uniform(-2000.0, 2000.0, 400)
+        out = r > FIBER.radius_nm
+        assert 0 < out.sum() < out.size
+        for sol in solved.values():
+            for fn in (modes.e_field, modes.h_field):
+                mixed = fn(sol, r, phi, z)
+                assert np.array_equal(fn(sol, r[out], phi[out], z[out]),
+                                      mixed[out])
+
+
 class TestBoundaryContinuity:
     def test_tangential_components_continuous(self, solved):
         rng = np.random.default_rng(20260822)

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from fibertrap import config, potential, trapanalysis
+import oracles
+from fibertrap import cli, config, modes, potential, trapanalysis
 from fibertrap.errors import NoTrapError, SaddleError
 
 KB = 1.380649e-23
@@ -73,6 +74,16 @@ class TestFindMinimum:
             phi=(math.pi / 2 - 0.1, math.pi / 2 + 0.1),
             z_nm=(800.0, 1500.0))
         with pytest.raises(NoTrapError):
+            trapanalysis.find_minimum(field1, seed)
+
+    def test_minimum_outside_the_seed_box_rejected(self, field1, suite):
+        # the box holds no minimum of its own; the polish would walk to the
+        # trap at phi = pi/2 outside it
+        seed = trapanalysis.SeedRegion(
+            r_nm=suite.cfg("he11-te01").seed.r_nm,
+            phi=(math.pi / 2 + 0.05, math.pi / 2 + 0.4),
+            z_nm=suite.cfg("he11-te01").seed.z_nm)
+        with pytest.raises(NoTrapError, match="in phi"):
             trapanalysis.find_minimum(field1, seed)
 
     def test_no_minimum_at_extreme_split(self, suite):
@@ -147,6 +158,13 @@ class TestEscapeBarrier:
         direction = np.asarray(esc.direction)
         assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-9)
         assert direction[0] > 0.999  # escape is radial here
+
+    def test_matches_dense_fan(self, suite, field1):
+        # rays that hit the surface are never evaluated; the dense reference
+        # evaluates them and masks them out afterwards
+        m = suite.minimum("he11-te01")
+        assert trapanalysis.escape_barrier(field1, m) == \
+            oracles.dense_escape_barrier(field1, m)
 
     def test_inner_barrier_dwarfs_escape_depth(self, suite, field1):
         esc = trapanalysis.escape_barrier(field1, suite.minimum("he11-te01"))
@@ -293,3 +311,35 @@ class TestTauSensitivity:
             assert row["trap"] is False
             assert "reason" in row
             assert "depth_change_pct" not in row
+
+    def test_base_row_reuse_changes_nothing(self, suite, report1):
+        cfg = suite.cfg("he11-te01")
+        sens = trapanalysis.tau_sensitivity(
+            config.field_builder(cfg), cfg.tau, cfg.seed,
+            config.thermal_state(cfg), base=report1.base)
+        assert sens == suite.sens("he11-te01")
+
+    def test_report_runs_three_fans_and_two_quadratures(self, monkeypatch,
+                                                        tmp_path):
+        counts = {}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(trapanalysis, "escape_barrier")
+        count(config, "make_field")
+        count(modes, "mode_power")
+        modes._unit_power.cache_clear()
+        out = tmp_path / "report.json"
+        assert cli.main(["report", "--preset", "he11-te01",
+                         "--out", str(out)]) == 0
+        # the tau0 row reuses the characterization; the tau +- sigma rows
+        # share the amplitude-1 powers of the two modes
+        assert counts == {"escape_barrier": 3, "make_field": 3,
+                          "mode_power": 2}
