@@ -9,6 +9,12 @@ turning points at the reference thermal energy, and by a spherical fan of
 straight escape rays whose lowest barrier defines the trap depth and the
 escape direction l. Heating is modeled as two recoil energies per scattered
 photon at the orbit-averaged scattering rate.
+
+The fan is searched by bound and prune. The maximum of the potential over
+every 25th sample of a ray is a lower bound on that ray's barrier, so rays
+are marched in full in increasing order of bound, and the search stops once
+every unmarched bound lies above the lowest barrier found. The depth and
+direction are the same, bit for bit, as those of marching every ray.
 """
 
 import math
@@ -35,6 +41,10 @@ _FAN_REFINE_STEP_NM = 1.0
 # Straight rays that get this close to the surface are surface channels, not
 # escape paths.
 _SURFACE_PAD_NM = 0.5
+# Bound and prune: every _BOUND_STRIDE-th sample of a ray bounds its barrier
+# from below; rays are then marched in full _MARCH_BATCH at a time.
+_BOUND_STRIDE = 25
+_MARCH_BATCH = 16
 # Newton polish: positional tolerance and step cap.
 _POSITION_TOL_NM = 0.1
 _NEWTON_STEP_CAP_NM = 5.0
@@ -269,9 +279,19 @@ def _fib_sphere(n):
 
 
 def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
-    """Barrier height along straight rays, infinite for rays that come
-    within the surface pad of the fiber: those are surface channels, not
-    escape paths, so the potential is evaluated only along the others."""
+    """Index and height of the lowest barrier over a fan of straight rays.
+
+    A ray's barrier is its highest potential above umin, or infinite when
+    the ray comes within the surface pad of the fiber (a surface channel,
+    not an escape path). Bound and prune: the maximum over every
+    _BOUND_STRIDE-th sample of a ray, taken with no surface test, bounds
+    its barrier from below; rays are marched in full in increasing order
+    of bound, _MARCH_BATCH at a time, until no unmarched bound is at or
+    below the lowest barrier found. Every ray that ties the minimum is
+    thus marched and every unmarched ray lies above it, so the index
+    (first of a tie) and the height are those of marching every ray. If
+    every ray hits the surface, all are marched and the height is inf.
+    """
     r, p, z = minimum
     a = field_.fiber.radius_nm
     frame = np.array([[np.cos(p), np.sin(p), 0.0],
@@ -280,15 +300,31 @@ def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
     d_cart = d_local @ frame
     p0 = np.array([r * np.cos(p), r * np.sin(p), z])
     t = np.arange(1, int(reach_nm / step_nm) + 1) * step_nm
-    pts = p0[None, None, :] + t[None, :, None] * d_cart[:, None, :]
-    rr = np.hypot(pts[..., 0], pts[..., 1])
-    free = ~(rr <= a + _SURFACE_PAD_NM).any(axis=1)
-    pts, rr = pts[free], rr[free]
-    uu = _potential_on(field_, np.maximum(rr, a + 2.0 * _SURFACE_PAD_NM),
-                       np.arctan2(pts[..., 1], pts[..., 0]), pts[..., 2])
-    barrier = np.full(d_local.shape[0], np.inf)
-    barrier[free] = uu.max(axis=1) - umin
-    return barrier
+
+    def samples(rays, ts):
+        pts = p0[None, None, :] + ts[None, :, None] * d_cart[rays, None, :]
+        return pts, np.hypot(pts[..., 0], pts[..., 1])
+
+    def peak(pts, rr):
+        uu = _potential_on(field_, np.maximum(rr, a + 2.0 * _SURFACE_PAD_NM),
+                           np.arctan2(pts[..., 1], pts[..., 0]), pts[..., 2])
+        return uu.max(axis=1) - umin
+
+    # the bound of a ray stays its entry until the ray is marched in full
+    barrier = peak(*samples(slice(None), t[_BOUND_STRIDE - 1::_BOUND_STRIDE]))
+    order = np.argsort(barrier, kind="stable")
+    best = np.inf
+    for start in range(0, order.size, _MARCH_BATCH):
+        rays = order[start:start + _MARCH_BATCH]
+        if barrier[rays[0]] > best:
+            break
+        pts, rr = samples(rays, t)
+        free = ~(rr <= a + _SURFACE_PAD_NM).any(axis=1)
+        barrier[rays] = np.inf
+        barrier[rays[free]] = peak(pts[free], rr[free])
+        best = min(best, float(barrier[rays].min()))
+    k = int(np.argmin(barrier))
+    return k, float(barrier[k])
 
 
 def _refine_cap(center, half_deg, step_deg):
@@ -311,50 +347,44 @@ def _refine_cap(center, half_deg, step_deg):
 class EscapeResult:
     depth_j: float
     direction: tuple
-    inner_barrier_j: float
-    inner_barrier_width_nm: float
 
 
 def escape_barrier(field_, minimum):
     """Trap depth as the lowest barrier over a fan of straight escape rays.
 
-    Returns an EscapeResult with the depth U_barrier - U_min, the local-frame
-    unit escape direction l, and the height and thermal-level width of the
-    inner (surface-side) barrier that an escaping atom would instead have to
-    tunnel through.
+    Returns an EscapeResult with the depth U_barrier - U_min and the
+    local-frame unit escape direction l. A coarse full-sphere fan picks the
+    exit and a finer cap of rays around it refines it; both are searched
+    by bound and prune (see _march), which marches in full only the rays
+    whose sampled bound does not already exceed the lowest barrier found.
     """
     umin = _potential_on(field_, *minimum)
     ndir = max(int(np.ceil(4.0 * np.pi / np.radians(_FAN_COARSE_DEG) ** 2)),
                16)
     dirs = _fib_sphere(ndir)
-    escape = _march(field_, minimum, umin, dirs, _FAN_REACH_NM, _FAN_STEP_NM)
-    if not np.isfinite(escape).any():
+    k, best_b = _march(field_, minimum, umin, dirs, _FAN_REACH_NM,
+                       _FAN_STEP_NM)
+    if not np.isfinite(best_b):
         raise NoTrapError("every sampled direction runs into the surface")
-    k = int(np.argmin(escape))
-    best_d, best_b = dirs[k], float(escape[k])
+    best_d = dirs[k]
     cap = _refine_cap(best_d, 2.0 * _FAN_COARSE_DEG, _FAN_REFINE_DEG)
-    fesc = _march(field_, minimum, umin, cap, _FAN_REACH_NM,
-                  _FAN_REFINE_STEP_NM)
-    kk = int(np.argmin(fesc))
-    if float(fesc[kk]) < best_b:
-        best_d, best_b = cap[kk], float(fesc[kk])
+    kk, fine_b = _march(field_, minimum, umin, cap, _FAN_REACH_NM,
+                        _FAN_REFINE_STEP_NM)
+    if fine_b < best_b:
+        best_d, best_b = cap[kk], fine_b
     if best_b <= 0.0:
         raise NoTrapError("no positive escape barrier around the minimum")
-    inner_h, inner_w = _inner_barrier(field_, minimum, umin)
     return EscapeResult(depth_j=best_b,
-                        direction=tuple(float(x) for x in best_d),
-                        inner_barrier_j=inner_h,
-                        inner_barrier_width_nm=inner_w)
+                        direction=tuple(float(x) for x in best_d))
 
 
-def _inner_barrier(field_, minimum, umin, probe_e=None):
+def _inner_barrier(field_, minimum, umin, probe_e):
     """Height and width of the light wall between the minimum and the surface.
 
     The potential is sampled on the radial line from the surface pad out to
     the minimum. The height is its maximum above U_min; the width is the
     radial extent where it lies at or above U_min + probe_e, the thickness
-    an atom of that energy would have to tunnel through. probe_e defaults
-    to k_B * 100 uK; characterize_trap passes the thermal energy.
+    an atom of that energy would have to tunnel through.
     """
     r, p, z = minimum
     a = field_.fiber.radius_nm
@@ -362,7 +392,7 @@ def _inner_barrier(field_, minimum, umin, probe_e=None):
     u = _potential_on(field_, s, p, z)
     k = int(np.argmax(u))
     height = float(u[k] - umin)
-    level = umin + (probe_e if probe_e is not None else _KB * 1e-4)
+    level = umin + probe_e
     above = u >= level
     if not above.any() or height <= 0.0:
         return height, 0.0
@@ -504,7 +534,8 @@ def characterize_trap(field_, seed, state=None):
     rate = orbit_averaged_scattering(field_, (r, p, z), turns, state)
     e_rec = field_.atom.recoil_energy(pair.wavelength_nm)
     life = lifetime(esc.depth_j, state, rate, e_rec)
-    _, inner_w = _inner_barrier(field_, (r, p, z), umin, probe_e=state.e_init)
+    inner_h, inner_w = _inner_barrier(field_, (r, p, z), umin,
+                                      probe_e=state.e_init)
     z0 = superposition.beat_length(pair)
     z_fold = z % z0
     if z0 - z_fold < 1e-6 * z0:
@@ -521,7 +552,7 @@ def characterize_trap(field_, seed, state=None):
         u_min_mk=potential.as_millikelvin(umin),
         depth_mk=potential.as_millikelvin(esc.depth_j),
         barrier_direction=esc.direction,
-        inner_barrier_mk=potential.as_millikelvin(esc.inner_barrier_j),
+        inner_barrier_mk=potential.as_millikelvin(inner_h),
         inner_barrier_width_nm=inner_w,
         omega=omega,
         extents_nm=exts,

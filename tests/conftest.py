@@ -1,10 +1,11 @@
 """Session-wide fixtures.
 
-The three standard configurations are expensive to analyze (seconds each for
-the minimum search, tens of seconds for a full report), so a lazy cache hands
-each test the product it needs while paying every build cost at most once per
-session.  Build times are recorded so acceptance tests can assert runtime
-budgets around whatever work they actually triggered.
+The three standard configurations are analyzed by many tests (a field build,
+a minimum search or a full characterization takes a few tenths of a second
+each, a report with its tau sensitivity rows about a second), so a lazy
+cache hands each test the product it needs while paying every build cost at
+most once per session.  Build times are recorded so acceptance tests can
+assert runtime budgets around whatever work they actually triggered.
 """
 
 import sys

@@ -5,7 +5,8 @@ and scipy.integrate only.  None of them goes through the package's own
 dispersion relation or power normalization, so tests that compare against
 them are not circular.  The escape-fan reference keeps the package's
 potential and ray geometry but evaluates every sample of every ray, so it
-checks that skipping the rays that hit the surface changes nothing.
+checks that neither skipping the rays that hit the surface nor pruning the
+rays whose sampled bound exceeds the lowest barrier changes anything.
 """
 
 import numpy as np
@@ -123,8 +124,5 @@ def dense_escape_barrier(field_, minimum):
     kk = int(np.argmin(fesc))
     if float(fesc[kk]) < best_b:
         best_d, best_b = cap[kk], float(fesc[kk])
-    inner_h, inner_w = ta._inner_barrier(field_, minimum, umin)
     return ta.EscapeResult(depth_j=best_b,
-                           direction=tuple(float(x) for x in best_d),
-                           inner_barrier_j=inner_h,
-                           inner_barrier_width_nm=inner_w)
+                           direction=tuple(float(x) for x in best_d))

@@ -8,6 +8,7 @@ drifting for the wrong reason.
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,17 +160,69 @@ class TestEscapeBarrier:
         assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-9)
         assert direction[0] > 0.999  # escape is radial here
 
-    def test_matches_dense_fan(self, suite, field1):
-        # rays that hit the surface are never evaluated; the dense reference
-        # evaluates them and masks them out afterwards
-        m = suite.minimum("he11-te01")
-        assert trapanalysis.escape_barrier(field1, m) == \
-            oracles.dense_escape_barrier(field1, m)
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_matches_dense_fan(self, suite, name):
+        # hit rays and rays whose sampled bound exceeds the lowest barrier
+        # are never marched in full; the dense reference evaluates every
+        # sample of every ray and masks the hit rays out afterwards
+        field_, m = suite.field(name), suite.minimum(name)
+        assert trapanalysis.escape_barrier(field_, m) == \
+            oracles.dense_escape_barrier(field_, m)
 
-    def test_inner_barrier_dwarfs_escape_depth(self, suite, field1):
-        esc = trapanalysis.escape_barrier(field1, suite.minimum("he11-te01"))
-        assert esc.inner_barrier_j > 4.0 * esc.depth_j
-        assert esc.inner_barrier_width_nm == pytest.approx(94.35, rel=1e-3)
+    def test_pruning_survives_a_spike_between_bound_samples(self, monkeypatch):
+        # the smooth barrier peaks at 1 on the ray along u, 1000 nm out, on
+        # a bound sample of both passes; a 6 nm spike at 1010 nm, between
+        # bound samples, lifts every ray within 10 degrees of u by 5, so
+        # the lowest bound belongs to a ray that cannot be the exit
+        a, minimum = 250.0, (500.0, math.pi / 2, 0.0)
+        x0 = np.array([0.0, minimum[0], 0.0])
+        u = np.array([0.6, 0.8, 0.0])
+        cone = math.cos(math.radians(10.0))
+
+        def synthetic(field_, r_nm, phi, z_nm):
+            x, y, z = np.broadcast_arrays(r_nm * np.cos(phi) - x0[0],
+                                          r_nm * np.sin(phi) - x0[1],
+                                          z_nm - x0[2])
+            s = np.sqrt(x * x + y * y + z * z)
+            c = (x * u[0] + y * u[1] + z * u[2]) / np.maximum(s, 1e-9)
+            smooth = (2.0 - c) * np.exp(-((s - 1000.0) / 100.0) ** 2)
+            spike = np.where((c > cone) & (np.abs(s - 1010.0) < 3.0), 5.0, 0.0)
+            return smooth + spike
+
+        monkeypatch.setattr(potential, "total_potential", synthetic)
+        field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=a))
+        esc = trapanalysis.escape_barrier(field_, minimum)
+        assert esc == oracles.dense_escape_barrier(field_, minimum)
+        # the exit lies just outside the spiked cone, not on the ray
+        # with the lowest bound
+        frame = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.asarray(esc.direction) @ frame @ u < cone
+        assert esc.depth_j < 1.1
+
+    def test_fan_from_inside_the_fiber_raises(self, monkeypatch):
+        # every ray starts inside the surface pad, so every ray is marched
+        # before the search can tell that none escapes
+        monkeypatch.setattr(potential, "total_potential",
+                            lambda field_, r_nm, phi, z_nm: np.zeros(
+                                np.broadcast(r_nm, phi, z_nm).shape))
+        field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=250.0))
+        with pytest.raises(NoTrapError, match="runs into the surface"):
+            trapanalysis.escape_barrier(field_, (1.0, 0.0, 0.0))
+
+    def test_marches_under_a_tenth_of_the_dense_fan(self, suite, field1,
+                                                    monkeypatch):
+        total = potential.total_potential
+        points = []
+
+        def counted(field_, r_nm, phi, z_nm):
+            points.append(np.broadcast(r_nm, phi, z_nm).size)
+            return total(field_, r_nm, phi, z_nm)
+
+        monkeypatch.setattr(potential, "total_potential", counted)
+        trapanalysis.escape_barrier(field1, suite.minimum("he11-te01"))
+        # the dense fan: 4583 coarse rays of 500 samples, 289 refine rays
+        # of 2000 samples
+        assert sum(points) < 0.1 * (4583 * 500 + 289 * 2000)
 
     def test_depth_bounded_by_axis_barriers(self, suite, field1):
         # the full directional scan can only find a barrier at or below
@@ -235,6 +288,10 @@ class TestLifetime:
 
 
 class TestCharacterizeTrap:
+    def test_inner_barrier_dwarfs_escape_depth(self, report1):
+        assert report1.inner_barrier_mk > 4.0 * report1.depth_mk
+        assert report1.inner_barrier_width_nm == pytest.approx(94.35, rel=1e-3)
+
     def test_report_reference_values(self, report1):
         assert report1.minimum[0] == pytest.approx(T1_MIN[0], rel=1e-6)
         assert report1.minimum[2] == 0.0
