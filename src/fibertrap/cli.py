@@ -3,9 +3,7 @@
 One command per process. CSV output uses comma separators, dot decimals,
 a header row and LF line ends; reports are JSON (with --out) or a terminal
 table (without). Files are written atomically: a temp file in the target
-directory is renamed over the destination. The FIBERTRAP_THREADS variable
-sets how many worker threads fill grids; every split yields bit-identical
-output because grid evaluation is elementwise.
+directory is renamed over the destination.
 
 Exit codes: 0 success, 1 I/O failure, 2 configuration or validation error,
 3 no usable trap in the seeded region.
@@ -19,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -29,19 +26,6 @@ from .errors import (ConfigError, CutoffError, FibertrapError, NoTrapError,
                      SaddleError)
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _worker_count():
-    raw = os.environ.get("FIBERTRAP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"FIBERTRAP_THREADS = {raw!r} is not an integer",
-                          key="FIBERTRAP_THREADS") from exc
-    if n < 1:
-        raise ConfigError("FIBERTRAP_THREADS must be at least 1",
-                          key="FIBERTRAP_THREADS")
-    return n
 
 
 def _fmt(x):
@@ -155,22 +139,10 @@ def cmd_grid(cfg, args):
     """CSV grid of potential, intensity or the vector field on one plane."""
     fieldobj = config.make_field(cfg)
     x, y, z = _plane_points(cfg, fieldobj)
-    workers = _worker_count()
-    if workers == 1 or x.size < 2 * workers:
-        cols = _grid_values(cfg, fieldobj, x, y, z)
-    else:
-        chunks = np.array_split(np.arange(x.size), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda idx: _grid_values(cfg, fieldobj, x[idx], y[idx], z[idx]),
-                chunks))
-        cols = [np.concatenate([p[i] for p in parts])
-                for i in range(len(parts[0]))]
-    rows = []
-    for i in range(x.size):
-        rows.append([_fmt(x[i]), _fmt(y[i]), _fmt(z[i])]
-                    + [_fmt(c[i]) for c in cols])
-    return _csv_text(_GRID_HEADERS[cfg.quantity], rows)
+    cols = _grid_values(cfg, fieldobj, x, y, z)
+    # the text _fmt gives per cell, formatted a column at a time
+    text = [list(map(repr, c.tolist())) for c in (x, y, z, *cols)]
+    return _csv_text(_GRID_HEADERS[cfg.quantity], zip(*text))
 
 
 def _report_doc(cfg):
@@ -332,9 +304,10 @@ def main(argv=None):
         try:
             text = args.func(cfg, args)
         except NoTrapError as err:
-            raise NoTrapError(
-                f"{err} (power split tau = {cfg.tau}; presets use "
-                "0.72 / 0.84 / 0.68)") from err
+            splits = " / ".join(str(config.preset(name).tau)
+                                for name in config.PRESET_NAMES)
+            raise NoTrapError(f"{err} (power split tau = {cfg.tau}; "
+                              f"presets use {splits})") from err
         _emit(text, args.out)
     except (NoTrapError, SaddleError) as err:
         print(f"fibertrap: no trap: {err}", file=sys.stderr)

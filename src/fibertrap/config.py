@@ -6,14 +6,14 @@ The config format is a flat list of dotted keys, one assignment per line:
     light.wavelength_nm = 850.5
     pair.tau = 0.72
 
-Keys are typed against a fixed schema; unknown or duplicate keys and
+Keys are typed against one table (_KEYS); unknown or duplicate keys and
 malformed values are rejected with the offending line number. Every key has
 a default, so a config file only states what it overrides; the defaults are
 exactly the he11-te01 preset. All lengths are in nm, angles in rad.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from . import modes, potential, superposition, trapanalysis
 from .errors import ConfigError
@@ -21,34 +21,42 @@ from .errors import ConfigError
 _QUANTITIES = ("potential", "intensity", "field")
 _PLANE_AXES = ("x", "y", "z", "d")
 
-# key -> (type tag, default). Insertion order is the save order.
-_SCHEMA = {
-    "fiber.radius_nm": ("float", 400.0),
-    "fiber.n_core": ("float", 1.452),
-    "fiber.n_clad": ("float", 1.0),
-    "light.wavelength_nm": ("float", 850.5),
-    "light.power_mw": ("float", 50.0),
-    "pair.mode_a": ("str", "HE11"),
-    "pair.mode_b": ("str", "TE01"),
-    "pair.tau": ("float", 0.72),
-    "pair.orientation_a_rad": ("float", 0.0),
-    "pair.orientation_b_rad": ("float", 0.0),
-    "pair.delta_rad": ("float", 0.0),
-    "atom.c3": ("float", 5.6e-49),
-    "atom.t_init_uk": ("float", 100.0),
-    "grid.plane": ("str", "z=trap"),
-    "grid.resolution": ("int", 201),
-    "grid.quantity": ("str", "potential"),
-    "grid.halfwidth_nm": ("float", 1000.0),
-    "dispersion.v_lo": ("float", 0.05),
-    "dispersion.v_hi": ("float", 5.0),
-    "seed.r_lo_nm": ("float", 430.0),
-    "seed.r_hi_nm": ("float", 880.0),
-    "seed.phi_lo_rad": ("float", math.pi / 2.0 - 0.6),
-    "seed.phi_hi_rad": ("float", math.pi / 2.0 + 0.6),
-    "seed.z_lo_nm": ("float", -2075.9),
-    "seed.z_hi_nm": ("float", 2075.9),
-}
+# One row per key: (key, type, default, RunConfig attribute path). Row order
+# is the save order. An int in a path indexes a (lo, hi) bound pair.
+_KEYS = (
+    ("fiber.radius_nm", float, 400.0, ("fiber", "radius_nm")),
+    ("fiber.n_core", float, 1.452, ("fiber", "n_core")),
+    ("fiber.n_clad", float, 1.0, ("fiber", "n_clad")),
+    ("light.wavelength_nm", float, 850.5, ("light", "wavelength_nm")),
+    ("light.power_mw", float, 50.0, ("light", "power_mw")),
+    ("pair.mode_a", str, "HE11", ("mode_a",)),
+    ("pair.mode_b", str, "TE01", ("mode_b",)),
+    ("pair.tau", float, 0.72, ("tau",)),
+    ("pair.orientation_a_rad", float, 0.0, ("orientation_a",)),
+    ("pair.orientation_b_rad", float, 0.0, ("orientation_b",)),
+    ("pair.delta_rad", float, 0.0, ("delta",)),
+    ("atom.c3", float, 5.6e-49, ("c3",)),
+    ("atom.t_init_uk", float, 100.0, ("t_init_uk",)),
+    ("grid.plane", str, "z=trap", ("plane",)),
+    ("grid.resolution", int, 201, ("resolution",)),
+    ("grid.quantity", str, "potential", ("quantity",)),
+    ("grid.halfwidth_nm", float, 1000.0, ("halfwidth_nm",)),
+    ("dispersion.v_lo", float, 0.05, ("v_lo",)),
+    ("dispersion.v_hi", float, 5.0, ("v_hi",)),
+    ("seed.r_lo_nm", float, 430.0, ("seed", "r_nm", 0)),
+    ("seed.r_hi_nm", float, 880.0, ("seed", "r_nm", 1)),
+    ("seed.phi_lo_rad", float, math.pi / 2.0 - 0.6, ("seed", "phi", 0)),
+    ("seed.phi_hi_rad", float, math.pi / 2.0 + 0.6, ("seed", "phi", 1)),
+    ("seed.z_lo_nm", float, -2075.9, ("seed", "z_nm", 0)),
+    ("seed.z_hi_nm", float, 2075.9, ("seed", "z_nm", 1)),
+)
+_TYPES = {key: kind for key, kind, _, _ in _KEYS}
+_DEFAULTS = {key: default for key, _, default, _ in _KEYS}
+
+# RunConfig attributes assembled from several keys; a ValueError raised by
+# their constructor is reported under the attribute's name.
+_PARTS = {"fiber": modes.FiberSpec, "light": modes.LightSpec,
+          "seed": trapanalysis.SeedRegion}
 
 # The three built-in trap configurations. Each entry only lists where it
 # departs from the defaults; the seed boxes span +-0.6 rad around the trap
@@ -110,35 +118,30 @@ def parse_plane(token):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one run: fiber, light, pair, atom, grid, seed."""
+    """Validated parameters of one run: fiber, light, pair, atom, grid, seed.
 
-    fiber: modes.FiberSpec = field(default_factory=modes.FiberSpec)
-    light: modes.LightSpec = None
-    mode_a: str = "HE11"
-    mode_b: str = "TE01"
-    tau: float = 0.72
-    orientation_a: float = 0.0
-    orientation_b: float = 0.0
-    delta: float = 0.0
-    c3: float = 5.6e-49
-    t_init_uk: float = 100.0
-    plane: str = "z=trap"
-    resolution: int = 201
-    quantity: str = "potential"
-    halfwidth_nm: float = 1000.0
-    v_lo: float = 0.05
-    v_hi: float = 5.0
-    seed: trapanalysis.SeedRegion = None
+    preset("he11-te01") and parse_config("") give the default configuration.
+    """
+
+    fiber: modes.FiberSpec
+    light: modes.LightSpec
+    mode_a: str
+    mode_b: str
+    tau: float
+    orientation_a: float
+    orientation_b: float
+    delta: float
+    c3: float
+    t_init_uk: float
+    plane: str
+    resolution: int
+    quantity: str
+    halfwidth_nm: float
+    v_lo: float
+    v_hi: float
+    seed: trapanalysis.SeedRegion
 
     def __post_init__(self):
-        if self.light is None:
-            object.__setattr__(self, "light",
-                               modes.LightSpec(850.5, 50.0))
-        if self.seed is None:
-            object.__setattr__(self, "seed", trapanalysis.SeedRegion(
-                r_nm=(430.0, 880.0),
-                phi=(math.pi / 2.0 - 0.6, math.pi / 2.0 + 0.6),
-                z_nm=(-2075.9, 2075.9)))
         for attr, key in (("mode_a", "pair.mode_a"), ("mode_b", "pair.mode_b")):
             try:
                 mode = modes.parse_mode_name(getattr(self, attr))
@@ -178,40 +181,21 @@ class RunConfig:
 
 def _build(values):
     """Assemble a RunConfig from a complete key -> value mapping."""
-    def get(key):
-        return values[key]
-
-    try:
-        fiber = modes.FiberSpec(radius_nm=get("fiber.radius_nm"),
-                                n_core=get("fiber.n_core"),
-                                n_clad=get("fiber.n_clad"))
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="fiber") from exc
-    try:
-        light = modes.LightSpec(wavelength_nm=get("light.wavelength_nm"),
-                                power_mw=get("light.power_mw"))
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="light") from exc
-    try:
-        seed = trapanalysis.SeedRegion(
-            r_nm=(get("seed.r_lo_nm"), get("seed.r_hi_nm")),
-            phi=(get("seed.phi_lo_rad"), get("seed.phi_hi_rad")),
-            z_nm=(get("seed.z_lo_nm"), get("seed.z_hi_nm")))
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="seed") from exc
-    return RunConfig(
-        fiber=fiber, light=light,
-        mode_a=get("pair.mode_a"), mode_b=get("pair.mode_b"),
-        tau=get("pair.tau"),
-        orientation_a=get("pair.orientation_a_rad"),
-        orientation_b=get("pair.orientation_b_rad"),
-        delta=get("pair.delta_rad"),
-        c3=get("atom.c3"), t_init_uk=get("atom.t_init_uk"),
-        plane=get("grid.plane"), resolution=get("grid.resolution"),
-        quantity=get("grid.quantity"),
-        halfwidth_nm=get("grid.halfwidth_nm"),
-        v_lo=get("dispersion.v_lo"), v_hi=get("dispersion.v_hi"),
-        seed=seed)
+    attrs = {}
+    for key, _, _, path in _KEYS:
+        *outer, last = path
+        slot = attrs
+        for name in outer:
+            slot = slot.setdefault(name, {})
+        slot[last] = values[key]
+    for name, cls in _PARTS.items():
+        args = {k: (v[0], v[1]) if isinstance(v, dict) else v
+                for k, v in attrs[name].items()}
+        try:
+            attrs[name] = cls(**args)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=name) from exc
+    return RunConfig(**attrs)
 
 
 def preset(name):
@@ -219,24 +203,20 @@ def preset(name):
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}, expected one of "
                           f"{', '.join(PRESET_NAMES)}", key="preset")
-    values = {key: default for key, (_, default) in _SCHEMA.items()}
-    values.update(_PRESETS[name])
-    return _build(values)
+    return _build({**_DEFAULTS, **_PRESETS[name]})
 
 
 def _parse_value(kind, text, lineno, key):
-    if kind == "str":
-        return text
     try:
-        return int(text) if kind == "int" else float(text)
+        return kind(text)
     except ValueError as exc:
-        raise ConfigError(f"value {text!r} for {key} is not a valid {kind}",
-                          line=lineno, key=key) from exc
+        raise ConfigError(f"value {text!r} for {key} is not a valid "
+                          f"{kind.__name__}", line=lineno, key=key) from exc
 
 
 def parse_config(text):
     """Parse config text into a RunConfig; see the module docstring for grammar."""
-    values = {key: default for key, (_, default) in _SCHEMA.items()}
+    values = dict(_DEFAULTS)
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -247,14 +227,14 @@ def parse_config(text):
         if not sep or not key:
             raise ConfigError(f"expected key = value, got {raw.strip()!r}",
                               line=lineno, key=key or None)
-        if key not in _SCHEMA:
+        if key not in _TYPES:
             raise ConfigError(f"unknown key {key!r}", line=lineno, key=key)
         if key in seen:
             raise ConfigError(f"duplicate key {key!r}", line=lineno, key=key)
         if not value:
             raise ConfigError(f"empty value for {key!r}", line=lineno, key=key)
         seen.add(key)
-        values[key] = _parse_value(_SCHEMA[key][0], value, lineno, key)
+        values[key] = _parse_value(_TYPES[key], value, lineno, key)
     return _build(values)
 
 
@@ -265,40 +245,21 @@ def load_config(path):
 
 
 def as_values(cfg):
-    """Flatten a RunConfig back into the schema's key -> value mapping."""
-    return {
-        "fiber.radius_nm": cfg.fiber.radius_nm,
-        "fiber.n_core": cfg.fiber.n_core,
-        "fiber.n_clad": cfg.fiber.n_clad,
-        "light.wavelength_nm": cfg.light.wavelength_nm,
-        "light.power_mw": cfg.light.power_mw,
-        "pair.mode_a": cfg.mode_a,
-        "pair.mode_b": cfg.mode_b,
-        "pair.tau": cfg.tau,
-        "pair.orientation_a_rad": cfg.orientation_a,
-        "pair.orientation_b_rad": cfg.orientation_b,
-        "pair.delta_rad": cfg.delta,
-        "atom.c3": cfg.c3,
-        "atom.t_init_uk": cfg.t_init_uk,
-        "grid.plane": cfg.plane,
-        "grid.resolution": cfg.resolution,
-        "grid.quantity": cfg.quantity,
-        "grid.halfwidth_nm": cfg.halfwidth_nm,
-        "dispersion.v_lo": cfg.v_lo,
-        "dispersion.v_hi": cfg.v_hi,
-        "seed.r_lo_nm": cfg.seed.r_nm[0],
-        "seed.r_hi_nm": cfg.seed.r_nm[1],
-        "seed.phi_lo_rad": cfg.seed.phi[0],
-        "seed.phi_hi_rad": cfg.seed.phi[1],
-        "seed.z_lo_nm": cfg.seed.z_nm[0],
-        "seed.z_hi_nm": cfg.seed.z_nm[1],
-    }
+    """Flatten a RunConfig back into the key -> value mapping, in save order."""
+    values = {}
+    for key, _, _, path in _KEYS:
+        value = cfg
+        for step in path:
+            value = value[step] if isinstance(step, int) else getattr(value, step)
+        values[key] = value
+    return values
 
 
 def format_config(cfg):
     """Render a RunConfig as config text that parses back to an equal config.
 
-    Floats are written with repr, which round-trips exactly.
+    Float keys are written as repr(float(value)), which round-trips
+    exactly, numpy scalars included.
     """
     lines = ["# fibertrap run configuration"]
     section = None
@@ -307,8 +268,8 @@ def format_config(cfg):
         if head != section:
             lines.append("")
             section = head
-        if isinstance(value, float):
-            value = repr(value)
+        if _TYPES[key] is float:
+            value = repr(float(value))
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 

@@ -5,8 +5,8 @@ period z0 = 2 pi / |beta_a - beta_b|, producing a z-stationary intensity
 pattern in the evanescent region. The pair carries the power split tau
 (fraction in mode a) and the relative phase delta between the modes at z = 0.
 
-All evaluators are pure functions of immutable inputs and broadcast over
-numpy arrays, so grid evaluation can be split across workers freely.
+All evaluators are pure functions of immutable inputs and broadcast
+elementwise over numpy arrays: each value depends only on its own point.
 """
 
 from dataclasses import dataclass, replace

@@ -572,7 +572,8 @@ def tau_sensitivity(build_field, tau0, seed, state=None, base=None):
 
     build_field(tau) must return the PotentialField of the configuration at
     that split. Rows cover tau0 - sigma, tau0, tau0 + sigma; a perturbed
-    split where the trap vanishes yields a flagged row instead of an error.
+    split where the trap vanishes, or that falls outside [0, 1] for tau0
+    near 0 or 1, yields a flagged row instead of an error.
     base, when given, is the (unfolded minimum, EscapeResult) already found
     at tau0 (TrapReport.base); the tau0 row then reuses it instead of
     building and searching the same field again.
@@ -582,6 +583,10 @@ def tau_sensitivity(build_field, tau0, seed, state=None, base=None):
     rows = []
     base_depth = None
     for tau in (tau0 - sigma, tau0, tau0 + sigma):
+        if not 0.0 <= tau <= 1.0:
+            rows.append({"tau": tau, "trap": False,
+                         "reason": f"power split tau = {tau} outside [0, 1]"})
+            continue
         try:
             if tau == tau0 and base is not None:
                 m, esc = base

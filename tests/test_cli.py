@@ -4,21 +4,16 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args, env_extra=None):
-    env = os.environ.copy()
-    env.pop("FIBERTRAP_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "fibertrap.cli", *args],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, timeout=300)
 
 
 def parse_csv(text):
@@ -147,21 +142,6 @@ class TestGrid:
         a = run_cli(*args)
         b = run_cli(*args)
         assert a.stdout == b.stdout
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        args = ("grid", "--preset", "he11-te01", "--plane", "z=0",
-                "--resolution", "31")
-        serial = run_cli(*args, env_extra={"FIBERTRAP_THREADS": "1"})
-        threaded = run_cli(*args, env_extra={"FIBERTRAP_THREADS": "3"})
-        assert serial.returncode == 0 and threaded.returncode == 0
-        assert serial.stdout == threaded.stdout
-
-    def test_invalid_thread_count(self):
-        res = run_cli("grid", "--preset", "he11-te01", "--plane", "z=0",
-                      "--resolution", "5",
-                      env_extra={"FIBERTRAP_THREADS": "zero"})
-        assert res.returncode == 2
-        assert "FIBERTRAP_THREADS" in res.stderr
 
 
 class TestReport:

@@ -1,7 +1,9 @@
 """Unit tests for run configuration parsing, presets and validation."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fibertrap import config
@@ -103,6 +105,48 @@ class TestRoundTrip:
         assert text.startswith("# fibertrap run configuration")
         assert "pair.tau = 0.72" in text
         assert config.parse_config(text) == config.preset("he11-te01")
+
+
+    def test_every_key_maps_to_its_own_attribute(self):
+        # distinct non-default values, so a swapped or shared attribute
+        # path (orientation a/b, seed lo/hi) changes the flattened values
+        expected = {
+            "fiber.radius_nm": 410.0,
+            "fiber.n_core": 1.45,
+            "fiber.n_clad": 1.01,
+            "light.wavelength_nm": 852.0,
+            "light.power_mw": 40.0,
+            "pair.mode_a": "HE21",
+            "pair.mode_b": "HE11",
+            "pair.tau": 0.6,
+            "pair.orientation_a_rad": 0.1,
+            "pair.orientation_b_rad": 0.2,
+            "pair.delta_rad": 0.3,
+            "atom.c3": 5e-49,
+            "atom.t_init_uk": 50.0,
+            "grid.plane": "x=10.5",
+            "grid.resolution": 51,
+            "grid.quantity": "field",
+            "grid.halfwidth_nm": 800.0,
+            "dispersion.v_lo": 0.5,
+            "dispersion.v_hi": 4.0,
+            "seed.r_lo_nm": 420.0,
+            "seed.r_hi_nm": 900.0,
+            "seed.phi_lo_rad": 0.4,
+            "seed.phi_hi_rad": 0.7,
+            "seed.z_lo_nm": -1000.0,
+            "seed.z_hi_nm": 1100.0,
+        }
+        cfg = config.parse_config(
+            "".join(f"{key} = {value}\n" for key, value in expected.items()))
+        assert list(config.as_values(cfg).items()) == list(expected.items())
+        assert config.parse_config(config.format_config(cfg)) == cfg
+
+
+    def test_numpy_scalars_round_trip(self):
+        cfg = replace(config.preset("he11-te01"), tau=np.float64(0.5),
+                      halfwidth_nm=np.float64(750.0))
+        assert config.parse_config(config.format_config(cfg)) == cfg
 
 
 class TestValidation:

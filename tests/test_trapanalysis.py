@@ -369,6 +369,22 @@ class TestTauSensitivity:
             assert "reason" in row
             assert "depth_change_pct" not in row
 
+    def test_split_outside_unit_interval_is_flagged_unbuilt(self, suite):
+        # at tau0 = 0.001 the tau0 - sigma row lies below 0
+        built = []
+
+        def build_field(tau):
+            built.append(tau)
+            raise NoTrapError("stub field")
+
+        sens = trapanalysis.tau_sensitivity(
+            build_field, 0.001, suite.cfg("he11-te01").seed)
+        low, base, high = sens["rows"]
+        assert low["tau"] < 0.0
+        assert low["trap"] is False
+        assert "outside [0, 1]" in low["reason"]
+        assert built == [base["tau"], high["tau"]]
+
     def test_base_row_reuse_changes_nothing(self, suite, report1):
         cfg = suite.cfg("he11-te01")
         sens = trapanalysis.tau_sensitivity(
