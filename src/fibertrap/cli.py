@@ -150,7 +150,7 @@ def _report_doc(cfg):
     state = config.thermal_state(cfg)
     report = trapanalysis.characterize_trap(fieldobj, cfg.seed, state)
     sens = trapanalysis.tau_sensitivity(config.field_builder(cfg), cfg.tau,
-                                        cfg.seed, state, base=report.base)
+                                        cfg.seed, base=report.base)
     return report, sens
 
 
@@ -221,7 +221,7 @@ def cmd_report(cfg, args):
 def cmd_sweep_tau(cfg, args):
     """CSV table of trap depth and position at tau0 and tau0 +- sigma."""
     sens = trapanalysis.tau_sensitivity(config.field_builder(cfg), cfg.tau,
-                                        cfg.seed, config.thermal_state(cfg))
+                                        cfg.seed)
     rows = []
     for row in sens["rows"]:
         if row["trap"]:

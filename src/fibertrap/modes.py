@@ -4,7 +4,9 @@ Solves the exact vectorial eigenvalue problem for the propagation constant,
 censuses which modes propagate at a given V parameter, and evaluates the full
 complex E and H fields inside and outside the core. Conventions:
 
-* harmonic dependence exp(i(omega t - beta z)), fields in V/m and A/m;
+* harmonic dependence exp(i(omega t - beta z)), fields in V/m and A/m,
+  evaluated at t = 0: only time-averaged quantities (intensity, Poynting
+  flux) are built from them, and those do not depend on t;
 * lengths at the interface in nm, propagation constants available per nm
   and per m;
 * each solution carries one real normalization constant ("amplitude"); power
@@ -51,9 +53,9 @@ _R_FLOOR_NM = 1e-12
 class FiberSpec:
     """Step-index fiber geometry and materials."""
 
-    radius_nm: float = 400.0
-    n_core: float = 1.452
-    n_clad: float = 1.0
+    radius_nm: float
+    n_core: float
+    n_clad: float
 
     def __post_init__(self):
         if self.radius_nm <= 0.0:
@@ -135,14 +137,6 @@ def _uw(v, n1, n2, neff):
     return u, w
 
 
-def _jp(nu, x):
-    return numerics.bessel_j_deriv(nu, x)
-
-
-def _kp(nu, x):
-    return numerics.bessel_k_deriv(nu, x)
-
-
 def _char_te(v, n1, n2, neff):
     """Rationalized TE0m characteristic function (pole-free in neff)."""
     u, w = _uw(v, n1, n2, neff)
@@ -168,8 +162,8 @@ def _char_hybrid(nu, v, n1, n2, neff):
     u, w = _uw(v, n1, n2, neff)
     jn = numerics.bessel_j(nu, u)
     kn = numerics.bessel_k(nu, w)
-    jd = _jp(nu, u)
-    kd = _kp(nu, w)
+    jd = numerics.bessel_j_deriv(nu, u)
+    kd = numerics.bessel_k_deriv(nu, w)
     t1 = jd * w * kn + kd * u * jn
     t2 = n1 * n1 * jd * w * kn + n2 * n2 * kd * u * jn
     rhs = (nu * neff * v * v * jn * kn) ** 2 / (u * w) ** 2
@@ -178,16 +172,16 @@ def _char_hybrid(nu, v, n1, n2, neff):
 
 def _hybrid_s(nu, u, w):
     """Hybrid polarization parameter s for a solved (u, w) pair."""
-    jterm = _jp(nu, u) / (u * numerics.bessel_j(nu, u))
-    kterm = _kp(nu, w) / (w * numerics.bessel_k(nu, w))
+    jterm = numerics.bessel_j_deriv(nu, u) / (u * numerics.bessel_j(nu, u))
+    kterm = numerics.bessel_k_deriv(nu, w) / (w * numerics.bessel_k(nu, w))
     return (1.0 / u ** 2 + 1.0 / w ** 2) / (jterm + kterm)
 
 
 def _classify_hybrid(nu, v, n1, n2, neff):
     """Label a hybrid root HE or EH via the completed-square branch sign."""
     u, w = _uw(v, n1, n2, neff)
-    jterm = _jp(nu, u) / (u * numerics.bessel_j(nu, u))
-    kterm = _kp(nu, w) / (w * numerics.bessel_k(nu, w))
+    jterm = numerics.bessel_j_deriv(nu, u) / (u * numerics.bessel_j(nu, u))
+    kterm = numerics.bessel_k_deriv(nu, w) / (w * numerics.bessel_k(nu, w))
     g = jterm + kterm * (n1 * n1 + n2 * n2) / (2.0 * n1 * n1)
     return "HE" if g < 0.0 else "EH"
 
@@ -380,11 +374,11 @@ def _z_amplitudes(sol):
     return az, bz, psi
 
 
-def _phase(sol, z_nm, t):
-    return np.exp(1j * (sol.omega * t - sol.beta_per_nm * np.asarray(z_nm, dtype=float)))
+def _phase(sol, z_nm):
+    return np.exp(-1j * sol.beta_per_nm * np.asarray(z_nm, dtype=float))
 
 
-def _side_fields(sol, r, phi, want_h, outside):
+def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
     """E or H cylindrical components (three arrays) on one side of the core.
 
     Inside, the fields are built from J_nu(h r) with the axial constants
@@ -392,14 +386,20 @@ def _side_fields(sol, r, phi, want_h, outside):
     J_nu(u)/K_nu(w) so the axial fields are continuous at r = a. The
     transverse components follow from the axial ones through 1/h^2 inside
     and -1/q^2 outside; sgn and pre carry that sign flip.
+
+    With jacobian (E outside the core only) the result is (e, de_dr,
+    de_dphi): the three components and their derivatives per nm of r and
+    per rad of phi, from the same K values, constants and cos/sin of
+    chi = nu phi + psi; K'' follows from the modified Bessel equation.
     """
     nu = sol.mode.nu
     omega = sol.omega
     beta_m = sol.beta_per_m
     if outside:
         x = sol.q_per_nm * r
-        # K_{nu-1}, K_nu and K_{nu+1} serve both K and K'
-        ks = numerics._k_orders(x, nu + 1)
+        # K_{nu-1}, K_nu and K_{nu+1} serve both K and K'; the TE/TM
+        # derivative K'_1 takes K_2 as well
+        ks = numerics._k_orders(x, nu + 1 + (jacobian and nu == 0))
         k_m = sol.q_per_nm * 1e9
         eps = _EPS0 * sol.fiber.n_clad ** 2
         sgn, pre = 1.0, 1j
@@ -412,19 +412,29 @@ def _side_fields(sol, r, phi, want_h, outside):
 
     if nu == 0:
         if outside:
-            f0, f1 = ks
+            f0, f1 = ks[0], ks[1]
             amp = sol.amplitude * (j_u / k_w)
         else:
             f0, f1 = numerics.bessel_j(0, x), numerics.bessel_j(1, x)
             amp = sol.amplitude
         zero = np.zeros_like(f1)
         if sol.mode.family == "TE":
-            e = (zero, (-sgn * (omega * _MU0 / k_m)) * amp * f1, zero)
+            c = (-sgn * (omega * _MU0 / k_m)) * amp
+            e = (zero, c * f1, zero)
             h = ((sgn * (beta_m / k_m)) * amp * f1, zero, 1j * amp * f0)
         else:
-            e = ((sgn * (beta_m / k_m)) * amp * f1, zero, 1j * amp * f0)
+            c = (sgn * (beta_m / k_m)) * amp
+            e = (c * f1, zero, 1j * amp * f0)
             h = (zero, (sgn * (omega * eps / k_m)) * amp * f1, zero)
-        return h if want_h else e
+        if not jacobian:
+            return h if want_h else e
+        q = sol.q_per_nm
+        dk1 = q * c * (-0.5 * (ks[0] + ks[2]))
+        if sol.mode.family == "TE":
+            de_dr = (zero, dk1, zero)
+        else:
+            de_dr = (dk1, zero, -q * 1j * amp * f1)
+        return e, de_dr, (zero, zero, zero)
 
     az, bz, psi = _z_amplitudes(sol)
     if outside:
@@ -443,20 +453,40 @@ def _side_fields(sol, r, phi, want_h, outside):
                 pre * ((beta_m / k_m) * nu * bz * fox
                        + (omega * eps / k_m) * az * fd) * cc,
                 bz * f * ss)
-    return (pre * ((beta_m / k_m) * az * fd
-                   + (omega * _MU0 / k_m) * nu * bz * fox) * cc,
-            -pre * ((beta_m / k_m) * nu * az * fox
-                    + (omega * _MU0 / k_m) * bz * fd) * ss,
-            az * f * cc)
+    e = (pre * ((beta_m / k_m) * az * fd
+                + (omega * _MU0 / k_m) * nu * bz * fox) * cc,
+         -pre * ((beta_m / k_m) * nu * az * fox
+                 + (omega * _MU0 / k_m) * bz * fd) * ss,
+         az * f * cc)
+    if not jacobian:
+        return e
+    q = sol.q_per_nm
+    # E_r = (c1 K' + c2 K/x) cos chi and E_phi = (d1 K/x + d2 K') sin chi;
+    # the derivatives keep this factor order, on which the last digits of
+    # the Newton-polished minimum depend
+    c1 = 1j * (beta_m / k_m) * az
+    c2 = 1j * (omega * _MU0 * nu / k_m) * bz
+    d1 = -1j * (beta_m * nu / k_m) * az
+    d2 = -1j * (omega * _MU0 / k_m) * bz
+    # modified Bessel equation: K'' = (1 + nu^2/x^2) K - K'/x
+    fdd = (1.0 + (nu / x) ** 2) * f - fd / x
+    fox_d = fd / x - f / x ** 2
+    de_dr = (q * (c1 * fdd + c2 * fox_d) * cc,
+             q * (d1 * fox_d + d2 * fdd) * ss,
+             q * az * fd * cc)
+    de_dphi = (-nu * (c1 * fd + c2 * fox) * ss,
+               nu * (d1 * fox + d2 * fd) * cc,
+               -nu * az * f * ss)
+    return e, de_dr, de_dphi
 
 
-def _fields_cyl(sol, r_nm, phi, z_nm, t, want_h):
+def _fields_cyl(sol, r_nm, phi, z_nm, want_h):
     """Shared evaluator for e_field / h_field, vectorized over broadcastable inputs."""
     r = np.maximum(np.asarray(r_nm, dtype=float), _R_FLOOR_NM)
     phi = np.asarray(phi, dtype=float)
     z = np.asarray(z_nm, dtype=float)
     r, phi, z = np.broadcast_arrays(r, phi, z)
-    phase = _phase(sol, z, t)[..., np.newaxis]
+    phase = _phase(sol, z)[..., np.newaxis]
     inner = r <= sol.fiber.radius_nm
     if not inner.any():
         # all-exterior batches (escape fans, the outer power quadrature)
@@ -472,102 +502,37 @@ def _fields_cyl(sol, r_nm, phi, z_nm, t, want_h):
     return out * phase
 
 
-def e_field(sol, r_nm, phi, z_nm, t=0.0):
+def e_field(sol, r_nm, phi, z_nm):
     """Complex electric field in cylindrical components (E_r, E_phi, E_z), V/m.
 
     Inputs broadcast; the result has one trailing axis of length 3. Valid on
     both sides of the core boundary; on-axis points return the finite limit.
     """
-    return _fields_cyl(sol, r_nm, phi, z_nm, t, want_h=False)
+    return _fields_cyl(sol, r_nm, phi, z_nm, want_h=False)
 
 
-def h_field(sol, r_nm, phi, z_nm, t=0.0):
+def h_field(sol, r_nm, phi, z_nm):
     """Complex magnetic field in cylindrical components (H_r, H_phi, H_z), A/m."""
-    return _fields_cyl(sol, r_nm, phi, z_nm, t, want_h=True)
+    return _fields_cyl(sol, r_nm, phi, z_nm, want_h=True)
 
 
-def e_field_exterior_jacobian(sol, r_nm, phi, z_nm, t=0.0):
+def e_field_exterior_jacobian(sol, r_nm, phi, z_nm):
     """Electric field and its first derivatives outside the core.
 
     Returns (e, de_dr, de_dphi, de_dz): each an array with a trailing axis of
     3 cylindrical components. Radial and axial derivatives are per nm, the
-    azimuthal one per rad. Analytic, using K'' from the modified Bessel
-    equation; valid only for r > a (raises ValueError otherwise).
+    azimuthal one per rad. e is e_field's value, from the same exterior
+    kernel; valid only for r > a (raises ValueError otherwise).
     """
     r = np.asarray(r_nm, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    z = np.asarray(z_nm, dtype=float)
     if np.any(r <= sol.fiber.radius_nm):
         raise ValueError("exterior jacobian requires r > fiber radius")
-    r, phi, z = np.broadcast_arrays(r, phi, z)
-    shape = r.shape
-
-    nu = sol.mode.nu
-    q_nm = sol.q_per_nm
-    q_m = q_nm * 1e9
-    beta_nm = sol.beta_per_nm
-    beta_m = sol.beta_per_m
-    omega = sol.omega
-    y = q_nm * r
-    ph = _phase(sol, z, t)
-
-    e = np.zeros(shape + (3,), dtype=complex)
-    de_dr = np.zeros(shape + (3,), dtype=complex)
-    de_dphi = np.zeros(shape + (3,), dtype=complex)
-
-    if sol.mode.family in ("TE", "TM"):
-        rho = numerics.bessel_j(0, sol.u) / numerics.bessel_k(0, sol.w)
-        amp_o = sol.amplitude * rho
-        k0_, k1_ = numerics.bessel_k(0, y), numerics.bessel_k(1, y)
-        k1p = numerics.bessel_k_deriv(1, y)
-        if sol.mode.family == "TE":
-            c = -(omega * _MU0 / q_m) * amp_o
-            e[..., 1] = c * k1_
-            de_dr[..., 1] = q_nm * c * k1p
-        else:
-            cr = (beta_m / q_m) * amp_o
-            e[..., 0] = cr * k1_
-            de_dr[..., 0] = q_nm * cr * k1p
-            e[..., 2] = 1j * amp_o * k0_
-            de_dr[..., 2] = -q_nm * 1j * amp_o * k1_
-        e = e * ph[..., np.newaxis]
-        de_dr = de_dr * ph[..., np.newaxis]
-        de_dz = -1j * beta_nm * e
-        return e, de_dr, de_dphi, de_dz
-
-    az, bz, psi = _z_amplitudes(sol)
-    cz = az * numerics.bessel_j(nu, sol.u) / numerics.bessel_k(nu, sol.w)
-    dz = bz * numerics.bessel_j(nu, sol.u) / numerics.bessel_k(nu, sol.w)
-    chi = nu * phi + psi
-    cosx, sinx = np.cos(chi), np.sin(chi)
-
-    kn = numerics.bessel_k(nu, y)
-    kd = numerics.bessel_k_deriv(nu, y)
-    # modified Bessel equation: K'' = (1 + nu^2/y^2) K - K'/y
-    kdd = (1.0 + (nu / y) ** 2) * kn - kd / y
-    koy = kn / y
-    koy_d = kd / y - kn / y ** 2
-
-    c1 = 1j * (beta_m / q_m) * cz
-    c2 = 1j * (omega * _MU0 * nu / q_m) * dz
-    d1 = -1j * (beta_m * nu / q_m) * cz
-    d2 = -1j * (omega * _MU0 / q_m) * dz
-
-    e[..., 0] = (c1 * kd + c2 * koy) * cosx
-    e[..., 1] = (d1 * koy + d2 * kd) * sinx
-    e[..., 2] = cz * kn * cosx
-    de_dr[..., 0] = q_nm * (c1 * kdd + c2 * koy_d) * cosx
-    de_dr[..., 1] = q_nm * (d1 * koy_d + d2 * kdd) * sinx
-    de_dr[..., 2] = q_nm * cz * kd * cosx
-    de_dphi[..., 0] = -nu * (c1 * kd + c2 * koy) * sinx
-    de_dphi[..., 1] = nu * (d1 * koy + d2 * kd) * cosx
-    de_dphi[..., 2] = -nu * cz * kn * sinx
-
-    e = e * ph[..., np.newaxis]
-    de_dr = de_dr * ph[..., np.newaxis]
-    de_dphi = de_dphi * ph[..., np.newaxis]
-    de_dz = -1j * beta_nm * e
-    return e, de_dr, de_dphi, de_dz
+    r, phi, z = np.broadcast_arrays(r, np.asarray(phi, dtype=float),
+                                    np.asarray(z_nm, dtype=float))
+    phase = _phase(sol, z)[..., np.newaxis]
+    e, de_dr, de_dphi = (np.stack(vals, axis=-1) * phase for vals in
+                         _side_fields(sol, r, phi, False, True, jacobian=True))
+    return e, de_dr, de_dphi, -1j * sol.beta_per_nm * e
 
 
 def cartesian_components(field_cyl, phi):

@@ -90,15 +90,6 @@ def bessel_k_deriv(order, x):
     return -0.5 * (ks[order - 1] + ks[order + 1])
 
 
-def bessel_deriv(kind, order, x):
-    """Derivative of a Bessel function; kind is "J" or "K"."""
-    if kind == "J":
-        return bessel_j_deriv(order, x)
-    if kind == "K":
-        return bessel_k_deriv(order, x)
-    raise ValueError(f"unknown Bessel kind {kind!r}; expected 'J' or 'K'")
-
-
 def find_root(f, lo, hi, tol=1e-12):
     """Locate a root of f inside the bracket [lo, hi].
 

@@ -110,14 +110,17 @@ def make_pair(fiber, wavelength_nm, name_a, name_b, power_mw, tau, delta=0.0,
                     power_mw=float(power_mw), delta=float(delta))
 
 
-def total_e_field(pair, r_nm, phi, z_nm, t=0.0):
-    """Total complex electric field e^{i delta} E_a + E_b, cylindrical components.
+def total_e_field(pair, r_nm, phi, z_nm):
+    """Total complex electric field e^{i delta} E_a + E_b at t = 0.
 
-    Each mode contributes with its own propagation constant in the z-phase;
-    the relative phase delta is applied to mode a at z = 0.
+    Cylindrical components, as modes.e_field. Each mode contributes with
+    its own propagation constant in the z-phase; the relative phase delta is
+    applied to mode a at z = 0. Both modes share one optical frequency, so
+    the common factor e^{i omega t} drops out of every time-averaged
+    quantity built from this field.
     """
-    ea = modes.e_field(pair.sol_a, r_nm, phi, z_nm, t)
-    eb = modes.e_field(pair.sol_b, r_nm, phi, z_nm, t)
+    ea = modes.e_field(pair.sol_a, r_nm, phi, z_nm)
+    eb = modes.e_field(pair.sol_b, r_nm, phi, z_nm)
     return np.exp(1j * pair.delta) * ea + eb
 
 
@@ -127,7 +130,7 @@ def mean_intensity(pair, r_nm, phi, z_nm):
     Stationary in t because both modes share one optical frequency; periodic
     in z with the beat length.
     """
-    e = total_e_field(pair, r_nm, phi, z_nm, 0.0)
+    e = total_e_field(pair, r_nm, phi, z_nm)
     return 0.5 * _C0 * _EPS0 * np.sum(np.abs(e) ** 2, axis=-1)
 
 

@@ -57,7 +57,7 @@ _ORBIT_SEED = 20260822
 class ThermalState:
     """Reference atomic energy: initial kinetic energy k_B * T_init."""
 
-    t_init_uk: float = 100.0
+    t_init_uk: float
 
     def __post_init__(self):
         if self.t_init_uk <= 0.0:
@@ -82,10 +82,6 @@ class SeedRegion:
                 raise ValueError("seed region bounds must satisfy lo < hi")
 
 
-def _potential_on(field_, r, phi, z):
-    return potential.total_potential(field_, r, phi, z)
-
-
 def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
     """Locate the potential minimum inside the seed region.
 
@@ -101,7 +97,7 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
     pp = np.linspace(seed.phi[0], seed.phi[1], _GRID_PHI)
     zz = np.linspace(seed.z_nm[0], seed.z_nm[1], _GRID_Z)
     R, P, Z = np.meshgrid(rr, pp, zz, indexing="ij")
-    u = _potential_on(field_, R, P, Z)
+    u = potential.total_potential(field_, R, P, Z)
     # keep only radial interior local minima so the monotone van der Waals
     # descent toward the surface can never seed the search
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
@@ -116,15 +112,15 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
     dz = float(zz[1] - zz[0])
     for _ in range(4):
         r = minimize_scalar(
-            lambda x: _potential_on(field_, x, p, z),
+            lambda x: potential.total_potential(field_, x, p, z),
             bounds=(max(a + 1.0, r - 2.0 * dr), r + 2.0 * dr),
             method="bounded", options=dict(xatol=1e-6)).x
         p = minimize_scalar(
-            lambda x: _potential_on(field_, r, x, z),
+            lambda x: potential.total_potential(field_, r, x, z),
             bounds=(p - 2.0 * dp, p + 2.0 * dp),
             method="bounded", options=dict(xatol=1e-8)).x
         z = minimize_scalar(
-            lambda x: _potential_on(field_, r, p, x),
+            lambda x: potential.total_potential(field_, r, p, x),
             bounds=(z - 2.0 * dz, z + 2.0 * dz),
             method="bounded", options=dict(xatol=1e-6)).x
 
@@ -145,8 +141,8 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
         z_new = z + float(step[2])
         if r_new <= a + 1.0:
             raise NoTrapError("minimum search ran into the fiber surface")
-        if _potential_on(field_, r_new, p_new, z_new) > \
-                _potential_on(field_, r, p, z) and n > tol_nm:
+        if potential.total_potential(field_, r_new, p_new, z_new) > \
+                potential.total_potential(field_, r, p, z) and n > tol_nm:
             # Newton overshot into a rising region; halve until it helps
             step *= 0.5
             r_new, p_new, z_new = r + step[0], p + step[1] / r, z + step[2]
@@ -168,7 +164,8 @@ def _local_hessian(field_, r, p, z, step_nm=1.0):
     """Hessian of the potential in (r-hat, arc, z-hat) displacements, J/nm^2."""
 
     def f(q):
-        return _potential_on(field_, q[0], p + (q[1] - 1000.0) / r, q[2])
+        return potential.total_potential(field_, q[0],
+                                         p + (q[1] - 1000.0) / r, q[2])
 
     # the arc coordinate is offset so all three components are O(100..1000) nm
     # and the shared step size is meaningful on each axis
@@ -207,12 +204,13 @@ def _axis_1d(field_, minimum, axis):
     r, p, z = minimum
     a = field_.fiber.radius_nm
     if axis == 0:
-        return (lambda s: _potential_on(field_, r + s, p, z),
+        return (lambda s: potential.total_potential(field_, r + s, p, z),
                 a + 0.8 - r, 900.0)
     if axis == 1:
-        return (lambda s: _potential_on(field_, r, p + s / r, z),
+        return (lambda s: potential.total_potential(field_, r, p + s / r, z),
                 -1.4 * r, 1.4 * r)
-    return (lambda s: _potential_on(field_, r, p, z + s), -9000.0, 9000.0)
+    return (lambda s: potential.total_potential(field_, r, p, z + s),
+            -9000.0, 9000.0)
 
 
 def _crossing(f1d, target, lo_lim, hi_lim, sign):
@@ -241,7 +239,7 @@ def turning_points(field_, minimum, energy_j):
     pair is asymmetric because the inner light wall is much steeper than the
     evanescent tail outside.
     """
-    u0 = _potential_on(field_, *minimum)
+    u0 = potential.total_potential(field_, *minimum)
     target = u0 + energy_j
     out = np.empty((3, 2))
     for axis in range(3):
@@ -306,8 +304,9 @@ def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
         return pts, np.hypot(pts[..., 0], pts[..., 1])
 
     def peak(pts, rr):
-        uu = _potential_on(field_, np.maximum(rr, a + 2.0 * _SURFACE_PAD_NM),
-                           np.arctan2(pts[..., 1], pts[..., 0]), pts[..., 2])
+        uu = potential.total_potential(
+            field_, np.maximum(rr, a + 2.0 * _SURFACE_PAD_NM),
+            np.arctan2(pts[..., 1], pts[..., 0]), pts[..., 2])
         return uu.max(axis=1) - umin
 
     # the bound of a ray stays its entry until the ray is marched in full
@@ -358,7 +357,7 @@ def escape_barrier(field_, minimum):
     by bound and prune (see _march), which marches in full only the rays
     whose sampled bound does not already exceed the lowest barrier found.
     """
-    umin = _potential_on(field_, *minimum)
+    umin = potential.total_potential(field_, *minimum)
     ndir = max(int(np.ceil(4.0 * np.pi / np.radians(_FAN_COARSE_DEG) ** 2)),
                16)
     dirs = _fib_sphere(ndir)
@@ -389,7 +388,7 @@ def _inner_barrier(field_, minimum, umin, probe_e):
     r, p, z = minimum
     a = field_.fiber.radius_nm
     s = np.linspace(a + _SURFACE_PAD_NM, r, 2048)
-    u = _potential_on(field_, s, p, z)
+    u = potential.total_potential(field_, s, p, z)
     k = int(np.argmax(u))
     height = float(u[k] - umin)
     level = umin + probe_e
@@ -519,12 +518,11 @@ def power_split_sigma(tau):
     return 0.05 * math.sqrt(tau * (1.0 - tau))
 
 
-def characterize_trap(field_, seed, state=None):
+def characterize_trap(field_, seed, state):
     """Full trap characterization; the one-stop entry behind the CLI report."""
-    state = state if state is not None else ThermalState()
     pair = field_.pair
     r, p, z = find_minimum(field_, seed)
-    umin = _potential_on(field_, r, p, z)
+    umin = potential.total_potential(field_, r, p, z)
     esc = escape_barrier(field_, (r, p, z))
     if state.e_init >= esc.depth_j:
         raise NoTrapError("reference thermal energy exceeds the trap depth")
@@ -567,43 +565,47 @@ def characterize_trap(field_, seed, state=None):
         base=((r, p, z), esc))
 
 
-def tau_sensitivity(build_field, tau0, seed, state=None, base=None):
+def tau_sensitivity(build_field, tau0, seed, base=None):
     """Depth and position response to the power-split precision sigma.
 
     build_field(tau) must return the PotentialField of the configuration at
     that split. Rows cover tau0 - sigma, tau0, tau0 + sigma; a perturbed
     split where the trap vanishes, or that falls outside [0, 1] for tau0
-    near 0 or 1, yields a flagged row instead of an error.
+    near 0 or 1, yields a flagged row instead of an error. Each distinct
+    split is built and searched once, so at sigma = 0 (tau0 = 0 or 1) the
+    three rows share one search.
     base, when given, is the (unfolded minimum, EscapeResult) already found
     at tau0 (TrapReport.base); the tau0 row then reuses it instead of
     building and searching the same field again.
     """
-    state = state if state is not None else ThermalState()
     sigma = power_split_sigma(tau0)
+    # split -> (minimum, EscapeResult), or the error that flags its rows
+    found = {} if base is None else {tau0: base}
     rows = []
-    base_depth = None
     for tau in (tau0 - sigma, tau0, tau0 + sigma):
         if not 0.0 <= tau <= 1.0:
             rows.append({"tau": tau, "trap": False,
                          "reason": f"power split tau = {tau} outside [0, 1]"})
             continue
-        try:
-            if tau == tau0 and base is not None:
-                m, esc = base
-            else:
+        if tau not in found:
+            try:
                 field_ = build_field(tau)
                 m = find_minimum(field_, seed)
-                esc = escape_barrier(field_, m)
-            row = {"tau": tau, "trap": True,
-                   "depth_mk": potential.as_millikelvin(esc.depth_j),
-                   "minimum": {"r_nm": m[0], "phi_rad": m[1], "z_nm": m[2]}}
-            if tau == tau0:
-                base_depth = esc.depth_j
-        except (NoTrapError, SaddleError) as err:
-            row = {"tau": tau, "trap": False, "reason": str(err)}
-        rows.append(row)
-    for row in rows:
-        if row["trap"] and base_depth:
-            row["depth_change_pct"] = 100.0 * (
-                row["depth_mk"] / potential.as_millikelvin(base_depth) - 1.0)
+                found[tau] = (m, escape_barrier(field_, m))
+            except (NoTrapError, SaddleError) as err:
+                found[tau] = err
+        if isinstance(found[tau], Exception):
+            rows.append({"tau": tau, "trap": False,
+                         "reason": str(found[tau])})
+            continue
+        m, esc = found[tau]
+        rows.append({"tau": tau, "trap": True,
+                     "depth_mk": potential.as_millikelvin(esc.depth_j),
+                     "minimum": {"r_nm": m[0], "phi_rad": m[1], "z_nm": m[2]}})
+    if not isinstance(found[tau0], Exception):
+        base_mk = potential.as_millikelvin(found[tau0][1].depth_j)
+        for row in rows:
+            if row["trap"]:
+                row["depth_change_pct"] = 100.0 * (
+                    row["depth_mk"] / base_mk - 1.0)
     return {"tau0": tau0, "sigma": sigma, "rows": rows}

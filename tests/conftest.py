@@ -58,8 +58,7 @@ class TrapSuite:
     def sens(self, name):
         cfg = self.cfg(name)
         return self._get(("sens", name), lambda: trapanalysis.tau_sensitivity(
-            config.field_builder(cfg), cfg.tau, cfg.seed,
-            config.thermal_state(cfg)))
+            config.field_builder(cfg), cfg.tau, cfg.seed))
 
     def sens_all(self):
         # the three sweeps are independent; the heavy array evaluations

@@ -16,7 +16,7 @@ import pytest
 import oracles
 from fibertrap import config, modes, potential, superposition, trapanalysis
 
-FIBER = modes.FiberSpec()
+FIBER = config.preset("he11-te01").fiber
 NA = math.sqrt(FIBER.n_core ** 2 - FIBER.n_clad ** 2)
 
 NAMES = ("he11-te01", "he11-he21", "te01-he21")

@@ -7,16 +7,17 @@ against a direct Poynting quadrature.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import special
 
 import oracles
-from fibertrap import modes
+from fibertrap import config, modes
 from fibertrap.errors import ConfigError, CutoffError
 
-FIBER = modes.FiberSpec()
+FIBER = config.preset("he11-te01").fiber
 WL = 850.0
 
 
@@ -328,12 +329,18 @@ class TestFieldEvaluation:
         for sol in solved.values():
             assert np.all(np.isfinite(modes.e_field(sol, 0.0, 0.0, 0.0)))
 
-    def test_exterior_jacobian_matches_fd(self, solved):
-        sol = solved["HE21"]
+    @pytest.mark.parametrize("name", ["HE11", "TE01", "TM01", "HE21"])
+    def test_exterior_jacobian_matches_fd(self, solved, name):
+        sol = solved[name]
         r, phi, z = 620.0, 0.9, 40.0
         e, de_dr, de_dphi, de_dz = modes.e_field_exterior_jacobian(
             sol, r, phi, z)
-        assert np.allclose(e, modes.e_field(sol, r, phi, z), rtol=1e-12)
+        assert np.array_equal(e, modes.e_field(sol, r, phi, z))
+        rs = np.linspace(410.0, 1400.0, 9)[:, None]
+        phis = np.linspace(-np.pi, np.pi, 5)
+        batch = modes.e_field_exterior_jacobian(sol, rs, phis, z)[0]
+        assert batch.shape == (9, 5, 3)
+        assert np.array_equal(batch, modes.e_field(sol, rs, phis, z))
         h = 1e-4
         fd_r = (modes.e_field(sol, r + h, phi, z)
                 - modes.e_field(sol, r - h, phi, z)) / (2 * h)
@@ -341,9 +348,11 @@ class TestFieldEvaluation:
                   - modes.e_field(sol, r, phi - h, z)) / (2 * h)
         fd_z = (modes.e_field(sol, r, phi, z + h)
                 - modes.e_field(sol, r, phi, z - h)) / (2 * h)
-        assert np.allclose(de_dr, fd_r, rtol=1e-6, atol=1e-3)
-        assert np.allclose(de_dphi, fd_phi, rtol=1e-6, atol=1e-3)
-        assert np.allclose(de_dz, fd_z, rtol=1e-6, atol=1e-3)
+        # unit-amplitude derivatives are ~1e-3 per nm, so the absolute
+        # slack scales with each derivative instead of being fixed
+        for exact, fd in ((de_dr, fd_r), (de_dphi, fd_phi), (de_dz, fd_z)):
+            assert np.allclose(exact, fd, rtol=1e-6,
+                               atol=1e-6 * np.abs(fd).max())
 
     def test_jacobian_requires_exterior_point(self, solved):
         with pytest.raises(ValueError):
@@ -353,9 +362,9 @@ class TestFieldEvaluation:
 class TestSpecValidation:
     def test_fiber_spec_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            modes.FiberSpec(radius_nm=-1.0)
+            replace(FIBER, radius_nm=-1.0)
         with pytest.raises(ValueError):
-            modes.FiberSpec(n_core=1.0, n_clad=1.452)
+            replace(FIBER, n_core=1.0, n_clad=1.452)
 
     def test_light_spec_rejects_negative_power(self):
         with pytest.raises(ValueError):

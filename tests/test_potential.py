@@ -1,14 +1,15 @@
 """Unit tests for the optical potential and surface interaction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fibertrap import modes, potential, superposition
+from fibertrap import config, modes, potential, superposition
 from fibertrap.errors import ConfigError
 
-FIBER = modes.FiberSpec()
+FIBER = config.preset("he11-te01").fiber
 KB = 1.380649e-23
 H = 6.62607015e-34
 AMU = 1.66053906892e-27
@@ -110,7 +111,7 @@ class TestPotentialField:
         assert total == pytest.approx(light + vdw, rel=1e-12)
 
     def test_mismatched_fiber_rejected(self, suite):
-        other = modes.FiberSpec(radius_nm=410.0)
+        other = replace(FIBER, radius_nm=410.0)
         with pytest.raises(ConfigError) as err:
             potential.PotentialField(pair=suite.pair("he11-te01"),
                                      atom=potential.cesium(), fiber=other)

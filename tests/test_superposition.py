@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from fibertrap import modes, superposition
+from fibertrap import config, modes, superposition
 from fibertrap.errors import ConfigError
 
-FIBER = modes.FiberSpec()
+FIBER = config.preset("he11-te01").fiber
 
 SAMPLES = [(452.0, 0.0, 0.0), (520.0, 1.2, 310.0), (650.0, 2.9, 870.0),
            (480.0, 4.4, 55.0), (820.0, 5.7, 1040.0)]

@@ -362,8 +362,7 @@ class TestTauSensitivity:
     def test_trapless_splits_are_flagged(self, suite):
         cfg = suite.cfg("he11-te01")
         sens = trapanalysis.tau_sensitivity(
-            config.field_builder(cfg), 0.985, cfg.seed,
-            config.thermal_state(cfg))
+            config.field_builder(cfg), 0.985, cfg.seed)
         for row in sens["rows"]:
             assert row["trap"] is False
             assert "reason" in row
@@ -385,11 +384,26 @@ class TestTauSensitivity:
         assert "outside [0, 1]" in low["reason"]
         assert built == [base["tau"], high["tau"]]
 
+    @pytest.mark.parametrize("tau0", [0.0, 1.0])
+    def test_zero_sigma_builds_one_field(self, suite, tau0):
+        # at tau0 = 0 or 1 sigma is 0 and the three rows share one split
+        built = []
+
+        def build_field(tau):
+            built.append(tau)
+            raise NoTrapError("stub field")
+
+        sens = trapanalysis.tau_sensitivity(
+            build_field, tau0, suite.cfg("he11-te01").seed)
+        assert built == [tau0]
+        assert [row["tau"] for row in sens["rows"]] == [tau0] * 3
+        assert all(row == {"tau": tau0, "trap": False, "reason": "stub field"}
+                   for row in sens["rows"])
+
     def test_base_row_reuse_changes_nothing(self, suite, report1):
         cfg = suite.cfg("he11-te01")
         sens = trapanalysis.tau_sensitivity(
-            config.field_builder(cfg), cfg.tau, cfg.seed,
-            config.thermal_state(cfg), base=report1.base)
+            config.field_builder(cfg), cfg.tau, cfg.seed, base=report1.base)
         assert sens == suite.sens("he11-te01")
 
     def test_report_runs_three_fans_and_two_quadratures(self, monkeypatch,
