@@ -137,18 +137,15 @@ def _uw(v, n1, n2, neff):
     return u, w
 
 
-def _char_te(v, n1, n2, neff):
-    """Rationalized TE0m characteristic function (pole-free in neff)."""
-    u, w = _uw(v, n1, n2, neff)
-    return (w * numerics.bessel_j(1, u) * numerics.bessel_k(0, w)
-            + u * numerics.bessel_j(0, u) * numerics.bessel_k(1, w))
+def _char_te_tm(v, n1, n2, neff, eps1, eps2):
+    """Rationalized TE0m / TM0m characteristic function (pole-free in neff).
 
-
-def _char_tm(v, n1, n2, neff):
-    """Rationalized TM0m characteristic function."""
+    The relative permittivity weights (eps1, eps2) are (1, 1) for TE and
+    (n1^2, n2^2) for TM.
+    """
     u, w = _uw(v, n1, n2, neff)
-    return (n1 * n1 * w * numerics.bessel_j(1, u) * numerics.bessel_k(0, w)
-            + n2 * n2 * u * numerics.bessel_j(0, u) * numerics.bessel_k(1, w))
+    return (eps1 * w * numerics.bessel_j(1, u) * numerics.bessel_k(0, w)
+            + eps2 * u * numerics.bessel_j(0, u) * numerics.bessel_k(1, w))
 
 
 def _char_hybrid(nu, v, n1, n2, neff):
@@ -170,18 +167,21 @@ def _char_hybrid(nu, v, n1, n2, neff):
     return t1 * t2 - rhs
 
 
+def _bessel_ratios(nu, u, w):
+    """J'_nu(u) / (u J_nu(u)) and K'_nu(w) / (w K_nu(w))."""
+    return (numerics.bessel_j_deriv(nu, u) / (u * numerics.bessel_j(nu, u)),
+            numerics.bessel_k_deriv(nu, w) / (w * numerics.bessel_k(nu, w)))
+
+
 def _hybrid_s(nu, u, w):
     """Hybrid polarization parameter s for a solved (u, w) pair."""
-    jterm = numerics.bessel_j_deriv(nu, u) / (u * numerics.bessel_j(nu, u))
-    kterm = numerics.bessel_k_deriv(nu, w) / (w * numerics.bessel_k(nu, w))
+    jterm, kterm = _bessel_ratios(nu, u, w)
     return (1.0 / u ** 2 + 1.0 / w ** 2) / (jterm + kterm)
 
 
 def _classify_hybrid(nu, v, n1, n2, neff):
     """Label a hybrid root HE or EH via the completed-square branch sign."""
-    u, w = _uw(v, n1, n2, neff)
-    jterm = numerics.bessel_j_deriv(nu, u) / (u * numerics.bessel_j(nu, u))
-    kterm = numerics.bessel_k_deriv(nu, w) / (w * numerics.bessel_k(nu, w))
+    jterm, kterm = _bessel_ratios(nu, *_uw(v, n1, n2, neff))
     g = jterm + kterm * (n1 * n1 + n2 * n2) / (2.0 * n1 * n1)
     return "HE" if g < 0.0 else "EH"
 
@@ -194,24 +194,20 @@ def _family_roots(v, n1, n2, family, nu):
     refinement; the rationalized characteristic functions are continuous, so
     every sign change brackets a genuine eigenvalue.
     """
-    if family == "TE":
-        f = lambda ne: _char_te(v, n1, n2, ne)
-    elif family == "TM":
-        f = lambda ne: _char_tm(v, n1, n2, ne)
+    if family in ("TE", "TM"):
+        eps1, eps2 = (1.0, 1.0) if family == "TE" else (n1 * n1, n2 * n2)
+        f = lambda ne: _char_te_tm(v, n1, n2, ne, eps1, eps2)
     else:
         f = lambda ne: _char_hybrid(nu, v, n1, n2, ne)
     grid = np.linspace(n2 + _NEFF_MARGIN, n1 - _NEFF_MARGIN, _SCAN_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = f(grid)
-    roots = []
-    for i in range(_SCAN_POINTS - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            roots.append(grid[i])
-        elif a * b < 0.0:
-            roots.append(numerics.find_root(f, grid[i], grid[i + 1], tol=1e-15))
+        change = vals[:-1] * vals[1:] < 0.0
+    finite = np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
+    zero = finite & (vals[:-1] == 0.0)
+    roots = [grid[i] if zero[i] else
+             numerics.find_root(f, grid[i], grid[i + 1], tol=1e-15)
+             for i in np.flatnonzero(zero | (finite & change))]
     roots.sort(reverse=True)
     if family in ("HE", "EH"):
         roots = [r for r in roots if _classify_hybrid(nu, v, n1, n2, r) == family]
@@ -418,19 +414,22 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
             f0, f1 = numerics.bessel_j(0, x), numerics.bessel_j(1, x)
             amp = sol.amplitude
         zero = np.zeros_like(f1)
-        if sol.mode.family == "TE":
+        te = sol.mode.family == "TE"
+        if want_h:
+            if te:
+                return ((sgn * (beta_m / k_m)) * amp * f1, zero, 1j * amp * f0)
+            return (zero, (sgn * (omega * eps / k_m)) * amp * f1, zero)
+        if te:
             c = (-sgn * (omega * _MU0 / k_m)) * amp
             e = (zero, c * f1, zero)
-            h = ((sgn * (beta_m / k_m)) * amp * f1, zero, 1j * amp * f0)
         else:
             c = (sgn * (beta_m / k_m)) * amp
             e = (c * f1, zero, 1j * amp * f0)
-            h = (zero, (sgn * (omega * eps / k_m)) * amp * f1, zero)
         if not jacobian:
-            return h if want_h else e
+            return e
         q = sol.q_per_nm
         dk1 = q * c * (-0.5 * (ks[0] + ks[2]))
-        if sol.mode.family == "TE":
+        if te:
             de_dr = (zero, dk1, zero)
         else:
             de_dr = (dk1, zero, -q * 1j * amp * f1)

@@ -15,7 +15,7 @@ two-line rotating-wave form
 with Delta_i = omega_laser - omega_i > 0 enforced for every line.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import atomic_mass as _AMU
@@ -156,16 +156,14 @@ class PotentialField:
 
     pair: superposition.ModePair
     atom: AtomSpec
-    fiber: modes.FiberSpec = field(default=None)
 
     def __post_init__(self):
-        if self.fiber is None:
-            object.__setattr__(self, "fiber", self.pair.fiber)
-        elif self.fiber != self.pair.fiber:
-            raise ConfigError("field fiber differs from the pair's fiber",
-                              key="fiber")
         # fail early on red detuning instead of at first evaluation
         _detunings(self.atom, self.pair.wavelength_nm)
+
+    @property
+    def fiber(self):
+        return self.pair.fiber
 
 
 def intensity(field_, r_nm, phi, z_nm):

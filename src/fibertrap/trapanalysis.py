@@ -1,9 +1,10 @@
 """Locate and characterize the interference microtraps of a two-mode field.
 
 The trap minimum is found by a coarse grid scan over a seed region (keeping
-only radial interior local minima, so the attractive surface run never wins),
-followed by per-axis golden-section descent and a Newton polish with the
-analytic gradient. Around the minimum the potential is characterized by its
+only radial interior local minima, so the attractive surface run never wins)
+and a Newton polish from the best seed cell with the analytic gradient; the
+polished point counts as a minimum only when its local Hessian has three
+positive eigenvalues. Around the minimum the potential is characterized by its
 Hessian in the local orthonormal frame (r-hat, arc length, z-hat), by 1-D
 turning points at the reference thermal energy, and by a spherical fan of
 straight escape rays whose lowest barrier defines the trap depth and the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import k as _KB
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from . import numerics, potential, superposition
 from .errors import NoTrapError, SaddleError
@@ -85,11 +86,14 @@ class SeedRegion:
 def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
     """Locate the potential minimum inside the seed region.
 
-    Returns (r_nm, phi, z_nm). Raises NoTrapError when the region holds no
-    interior minimum (all candidate columns run monotonically into the
-    surface or out of the evanescent field), and when the Newton polish
-    meets a singular Hessian, steps into the surface, does not converge or
-    ends outside the seed region.
+    The best interior cell of a coarse seed scan starts a Newton polish in
+    the local (r-hat, arc, z-hat) frame: analytic gradient, finite-difference
+    Hessian, steps capped at 5 nm. Returns (r_nm, phi, z_nm), at which the
+    Hessian has three positive eigenvalues. Raises NoTrapError when the
+    region holds no interior minimum (all candidate columns run
+    monotonically into the surface or out of the evanescent field), and when
+    the polish meets a singular Hessian, steps into the surface, does not
+    converge, converges to a saddle or ends outside the seed region.
     """
     a = field_.fiber.radius_nm
     r_lo = max(seed.r_nm[0], a + 2.0)
@@ -106,23 +110,6 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
         raise NoTrapError("no interior potential minimum in the seed region")
     i, j, k = np.unravel_index(np.argmin(masked), masked.shape)
     r, p, z = float(rr[i + 1]), float(pp[j]), float(zz[k])
-
-    dr = float(rr[1] - rr[0])
-    dp = float(pp[1] - pp[0]) if pp.size > 1 else 0.2
-    dz = float(zz[1] - zz[0])
-    for _ in range(4):
-        r = minimize_scalar(
-            lambda x: potential.total_potential(field_, x, p, z),
-            bounds=(max(a + 1.0, r - 2.0 * dr), r + 2.0 * dr),
-            method="bounded", options=dict(xatol=1e-6)).x
-        p = minimize_scalar(
-            lambda x: potential.total_potential(field_, r, x, z),
-            bounds=(p - 2.0 * dp, p + 2.0 * dp),
-            method="bounded", options=dict(xatol=1e-8)).x
-        z = minimize_scalar(
-            lambda x: potential.total_potential(field_, r, p, x),
-            bounds=(z - 2.0 * dz, z + 2.0 * dz),
-            method="bounded", options=dict(xatol=1e-6)).x
 
     # Newton polish in the local orthonormal frame, analytic gradient
     for _ in range(40):
@@ -143,7 +130,8 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
             raise NoTrapError("minimum search ran into the fiber surface")
         if potential.total_potential(field_, r_new, p_new, z_new) > \
                 potential.total_potential(field_, r, p, z) and n > tol_nm:
-            # Newton overshot into a rising region; halve until it helps
+            # Newton overshot into a rising region: take half the step
+            # once; only the curvature check below certifies the result
             step *= 0.5
             r_new, p_new, z_new = r + step[0], p + step[1] / r, z + step[2]
         r, p, z = float(r_new), float(p_new), float(z_new)
@@ -151,6 +139,9 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
             break
     else:
         raise NoTrapError("minimum search did not converge")
+    # h was taken at most 0.2 * tol_nm from the returned point
+    if not np.all(np.linalg.eigvalsh(h) > 0.0):
+        raise NoTrapError("minimum search converged to a saddle")
 
     for axis, value, (lo, hi) in (("radially", r, (r_lo, seed.r_nm[1])),
                                   ("in phi", p, seed.phi),
@@ -164,8 +155,9 @@ def _local_hessian(field_, r, p, z, step_nm=1.0):
     """Hessian of the potential in (r-hat, arc, z-hat) displacements, J/nm^2."""
 
     def f(q):
-        return potential.total_potential(field_, q[0],
-                                         p + (q[1] - 1000.0) / r, q[2])
+        return potential.total_potential(field_, q[..., 0],
+                                         p + (q[..., 1] - 1000.0) / r,
+                                         q[..., 2])
 
     # the arc coordinate is offset so all three components are O(100..1000) nm
     # and the shared step size is meaningful on each axis

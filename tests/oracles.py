@@ -6,7 +6,9 @@ dispersion relation or power normalization, so tests that compare against
 them are not circular.  The escape-fan reference keeps the package's
 potential and ray geometry but evaluates every sample of every ray, so it
 checks that neither skipping the rays that hit the surface nor pruning the
-rays whose sampled bound exceeds the lowest barrier changes anything.
+rays whose sampled bound exceeds the lowest barrier changes anything.  The
+scalar Hessian is the stencil of numerics.hessian evaluated one point per
+call, so the batched version can be checked bit for bit.
 """
 
 import numpy as np
@@ -126,3 +128,30 @@ def dense_escape_barrier(field_, minimum):
         best_d, best_b = cap[kk], float(fesc[kk])
     return ta.EscapeResult(depth_j=best_b,
                            direction=tuple(float(x) for x in best_d))
+
+
+def scalar_hessian(f, point, steps):
+    """Central-difference Hessian of a scalar f, one call per stencil point."""
+    p = np.asarray(point, dtype=float)
+    d = np.asarray(steps, dtype=float)
+
+    def at(off):
+        return float(f(p + off))
+
+    h = np.empty((3, 3), dtype=float)
+    f0 = at(np.zeros(3))
+    for i in range(3):
+        ei = np.zeros(3)
+        ei[i] = d[i]
+        h[i, i] = (at(ei) - 2.0 * f0 + at(-ei)) / d[i] ** 2
+    for i in range(3):
+        for j in range(i + 1, 3):
+            ei = np.zeros(3)
+            ej = np.zeros(3)
+            ei[i] = d[i]
+            ej[j] = d[j]
+            hij = (at(ei + ej) - at(ei - ej) - at(-ei + ej)
+                   + at(-ei - ej)) / (4.0 * d[i] * d[j])
+            h[i, j] = hij
+            h[j, i] = hij
+    return h

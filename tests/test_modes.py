@@ -292,12 +292,22 @@ class TestBoundaryContinuity:
             assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
 
+def near_cutoff(name, dv=0.02):
+    """Solution of a mode at V = cutoff + dv, where its field decays slowly."""
+    v = modes.cutoff_v(FIBER, name) + dv
+    na = math.sqrt(FIBER.n_core ** 2 - FIBER.n_clad ** 2)
+    return modes.solve_mode(FIBER, 2.0 * math.pi * FIBER.radius_nm * na / v,
+                            name)
+
+
 class TestPower:
     def test_normalized_power_matches_quadrature(self, solved):
-        for sol in solved.values():
+        sols = list(solved.values()) + [near_cutoff(name) for name in
+                                        ("HE21", "TE01", "TM01")]
+        for sol in sols:
             norm = modes.normalize_power(sol, 10.0)
             assert oracles.mode_power_quadrature(norm) == pytest.approx(
-                10.0, rel=1e-6)
+                10.0, rel=1e-10)
 
     def test_amplitude_scales_as_sqrt_power(self, solved):
         sol = solved["HE11"]

@@ -170,14 +170,15 @@ class TestHessian:
 
         def f(p):
             p = np.asarray(p)
-            return 0.5 * p @ a @ p + p @ np.array([1.0, -2.0, 0.3])
+            return (0.5 * np.einsum("...i,ij,...j->...", p, a, p)
+                    + p @ np.array([1.0, -2.0, 0.3]))
 
         h = numerics.hessian(f, np.array([0.3, -0.7, 1.1]),
                              np.array([1e-3, 1e-3, 1e-3]))
         assert np.allclose(h, a, rtol=1e-6, atol=1e-6)
 
     def test_symmetric_by_construction(self):
-        f = lambda p: math.sin(p[0]) * math.cos(p[1]) + p[2] ** 4
+        f = lambda p: np.sin(p[..., 0]) * np.cos(p[..., 1]) + p[..., 2] ** 4
         h = numerics.hessian(f, np.array([0.2, 0.4, 0.6]),
                              np.array([1e-4, 1e-4, 1e-4]))
         assert np.array_equal(h, h.T)
@@ -194,5 +195,10 @@ class TestHessian:
 
     def test_non_finite_value(self):
         with pytest.raises(ConvergenceError):
-            numerics.hessian(lambda p: math.nan, np.zeros(3),
+            numerics.hessian(lambda p: np.full(len(p), math.nan), np.zeros(3),
+                             np.array([1e-3, 1e-3, 1e-3]))
+
+    def test_f_must_return_one_value_per_stencil_point(self):
+        with pytest.raises(ValueError):
+            numerics.hessian(lambda p: 0.0, np.zeros(3),
                              np.array([1e-3, 1e-3, 1e-3]))

@@ -1,7 +1,6 @@
 """Unit tests for the optical potential and surface interaction."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,13 +108,6 @@ class TestPotentialField:
             potential.intensity(f, r, phi, z), f.atom, 850.5)
         vdw = potential.vdw_potential(r, FIBER, f.atom)
         assert total == pytest.approx(light + vdw, rel=1e-12)
-
-    def test_mismatched_fiber_rejected(self, suite):
-        other = replace(FIBER, radius_nm=410.0)
-        with pytest.raises(ConfigError) as err:
-            potential.PotentialField(pair=suite.pair("he11-te01"),
-                                     atom=potential.cesium(), fiber=other)
-        assert err.value.key == "fiber"
 
     def test_red_detuned_pair_rejected(self):
         pair = superposition.make_pair(FIBER, 900.0, "HE11", "TE01",

@@ -93,6 +93,14 @@ class TestFindMinimum:
         with pytest.raises(NoTrapError):
             trapanalysis.find_minimum(f99, cfg.seed)
 
+    def test_saddle_is_not_a_trap(self, suite):
+        # the Newton polish converges here, but to a stationary point with
+        # one negative curvature
+        cfg = suite.cfg("he11-he21")
+        with pytest.raises(NoTrapError, match="saddle"):
+            trapanalysis.find_minimum(config.make_field(cfg, tau=0.62),
+                                      cfg.seed)
+
 
 class TestTrapFrequencies:
     def test_reference_frequencies(self, report1):
@@ -109,6 +117,24 @@ class TestTrapFrequencies:
             trapanalysis.trap_frequencies(
                 field1, (T1_MIN[0], T1_MIN[1], T1_Z0 / 2.0),
                 field1.atom.mass_kg)
+
+    @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21",
+                                      "saddle"])
+    def test_batched_hessian_equals_scalar_stencil(self, suite, name):
+        if name == "saddle":
+            field_ = suite.field("he11-te01")
+            r, p, z = T1_MIN[0], math.pi / 2, T1_Z0 / 2.0
+        else:
+            field_ = suite.field(name)
+            r, p, z = suite.minimum(name)
+
+        def f(q):
+            return potential.total_potential(field_, q[0],
+                                             p + (q[1] - 1000.0) / r, q[2])
+
+        want = oracles.scalar_hessian(f, (r, 1000.0, z), (1.0, 1.0, 1.0))
+        assert np.array_equal(trapanalysis._local_hessian(field_, r, p, z),
+                              want)
 
 
 class TestTurningPoints:
