@@ -11,8 +11,7 @@ cover the common workflow; the submodules stay importable for the rest.
 from .config import (RunConfig, load_config, make_field, preset,
                      PRESET_NAMES, save_config)
 from .errors import (ConfigError, ConvergenceError, CutoffError,
-                     FibertrapError, IntegrationError, NoTrapError,
-                     SaddleError)
+                     FibertrapError, NoTrapError, SaddleError)
 from .modes import (FiberSpec, LightSpec, ModeId, ModeSolution, cutoff_v,
                     dispersion_sweep, e_field, h_field, mode_power,
                     normalize_power, parse_mode_name, solve_mode,
@@ -27,16 +26,15 @@ from .trapanalysis import (EscapeResult, SeedRegion, ThermalState, TrapReport,
                            characterize_trap, escape_barrier, find_minimum,
                            harmonic_extents, lifetime,
                            orbit_averaged_scattering, power_split_sigma,
-                           tau_sensitivity, thermal_extents,
-                           trap_frequencies, turning_points)
+                           tau_sensitivity, trap_frequencies, turning_points)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomSpec", "ConfigError", "ConvergenceError", "CutoffError",
-    "EscapeResult", "FiberSpec", "FibertrapError", "IntegrationError",
-    "LightSpec", "ModeId", "ModePair", "ModeSolution", "NoTrapError",
-    "PRESET_NAMES", "PotentialField", "RunConfig", "SaddleError",
+    "EscapeResult", "FiberSpec", "FibertrapError", "LightSpec", "ModeId",
+    "ModePair", "ModeSolution", "NoTrapError", "PRESET_NAMES",
+    "PotentialField", "RunConfig", "SaddleError",
     "SeedRegion", "SpectralLine", "ThermalState", "TrapReport",
     "as_millikelvin", "beat_length", "cesium", "characterize_trap",
     "cutoff_v", "dipole_potential", "dispersion_sweep", "e_field",
@@ -46,6 +44,6 @@ __all__ = [
     "mode_power", "normalize_power", "orbit_averaged_scattering",
     "parse_mode_name", "potential_gradient", "power_split_sigma", "preset",
     "save_config", "solve_mode", "supported_modes", "tau_sensitivity",
-    "thermal_extents", "total_e_field", "total_potential", "trap_frequencies",
+    "total_e_field", "total_potential", "trap_frequencies",
     "turning_points", "v_parameter", "vdw_potential", "__version__",
 ]

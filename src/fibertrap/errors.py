@@ -32,14 +32,6 @@ class ConvergenceError(FibertrapError):
     """An iterative numerical routine failed to converge."""
 
 
-class IntegrationError(ConvergenceError):
-    """Quadrature failed to reach the requested tolerance; carries the best estimate."""
-
-    def __init__(self, message, best_estimate):
-        super().__init__(f"{message} (best estimate {best_estimate!r})")
-        self.best_estimate = best_estimate
-
-
 class NoTrapError(FibertrapError):
     """No interior potential minimum exists in the seeded search region."""
 

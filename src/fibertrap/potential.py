@@ -143,7 +143,9 @@ def vdw_potential(r_nm, fiber, atom):
     if np.any(r <= fiber.radius_nm):
         raise ValueError("van der Waals potential requires r > fiber radius")
     gap_m = (r - fiber.radius_nm) * 1e-9
-    return -atom.c3 / gap_m ** 3
+    # products, not ** 3: numpy's array and scalar pow can differ by an ulp,
+    # and batched and per-point potentials must agree bit for bit
+    return -atom.c3 / (gap_m * gap_m * gap_m)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import k as _KB
-from scipy.optimize import brentq
 
 from . import numerics, potential, superposition
 from .errors import NoTrapError, SaddleError
@@ -216,8 +215,9 @@ def _crossing(f1d, target, lo_lim, hi_lim, sign):
     while abs(s_cur) <= abs(hi_lim if sign > 0 else lo_lim):
         val = f1d(s_cur) - target
         if val >= 0.0:
-            return brentq(lambda s: f1d(s) - target,
-                          min(s_prev, s_cur), max(s_prev, s_cur), xtol=1e-9)
+            return numerics.find_root(lambda s: f1d(s) - target,
+                                      min(s_prev, s_cur), max(s_prev, s_cur),
+                                      tol=1e-9)
         s_prev, val_prev = s_cur, val
         step *= 1.25
         s_cur += step
@@ -244,12 +244,6 @@ def turning_points(field_, minimum, energy_j):
                 f"{('radial', 'azimuthal', 'axial')[axis]}")
         out[axis] = (s_in, s_out)
     return out
-
-
-def thermal_extents(field_, minimum, state):
-    """Trap volume widths (radial, azimuthal arc, axial) in nm at T_init."""
-    turns = turning_points(field_, minimum, state.e_init)
-    return tuple(float(t_out - t_in) for t_in, t_out in turns)
 
 
 def harmonic_extents(omegas, state, mass_kg):

@@ -14,8 +14,8 @@ import pytest
 from scipy import special
 
 import oracles
-from fibertrap import config, modes
-from fibertrap.errors import ConfigError, CutoffError
+from fibertrap import config, modes, numerics
+from fibertrap.errors import ConfigError, ConvergenceError, CutoffError
 
 FIBER = config.preset("he11-te01").fiber
 WL = 850.0
@@ -303,11 +303,20 @@ def near_cutoff(name, dv=0.02):
 class TestPower:
     def test_normalized_power_matches_quadrature(self, solved):
         sols = list(solved.values()) + [near_cutoff(name) for name in
-                                        ("HE21", "TE01", "TM01")]
+                                        ("HE21", "TE01", "TM01", "HE12")]
         for sol in sols:
             norm = modes.normalize_power(sol, 10.0)
             assert oracles.mode_power_quadrature(norm) == pytest.approx(
                 10.0, rel=1e-10)
+
+    def test_doubling_the_nodes_does_not_move_the_power(self, solved,
+                                                         monkeypatch):
+        sols = list(solved.values()) + [near_cutoff("HE12")]
+        powers = [modes.mode_power(sol) for sol in sols]
+        monkeypatch.setattr(numerics, "_GAUSS_NODES",
+                            2 * numerics._GAUSS_NODES)
+        for sol, power in zip(sols, powers):
+            assert modes.mode_power(sol) == pytest.approx(power, rel=1e-13)
 
     def test_amplitude_scales_as_sqrt_power(self, solved):
         sol = solved["HE11"]
@@ -323,6 +332,11 @@ class TestPower:
     def test_negative_power_rejected(self, solved):
         with pytest.raises(ValueError):
             modes.normalize_power(solved["TE01"], -1.0)
+
+    def test_nan_power_rejected(self, solved, monkeypatch):
+        monkeypatch.setattr(modes, "mode_power", lambda sol: math.nan)
+        with pytest.raises(ConvergenceError):
+            modes.normalize_power(solved["TE01"], 1.0)
 
 
 class TestFieldEvaluation:

@@ -132,6 +132,19 @@ class TestPotentialField:
             assert g[1] == pytest.approx(fd_phi, abs=1e-5 * scale)
             assert g[2] == pytest.approx(fd_z, abs=1e-5 * scale)
 
+    def test_batched_equals_per_point(self, suite):
+        # the minimum search mixes batched scans with per-point Hessian
+        # stencils, so both paths must give the same bits
+        rng = np.random.default_rng(1)
+        for name in suite.names:
+            f = suite.field(name)
+            r = rng.uniform(405.0, 900.0, 1000)
+            phi = rng.uniform(-math.pi, math.pi, 1000)
+            z = rng.uniform(-3000.0, 3000.0, 1000)
+            batched = potential.total_potential(f, r, phi, z)
+            single = [potential.total_potential(f, *p) for p in zip(r, phi, z)]
+            assert np.array_equal(batched, single)
+
 
 class TestInterferenceCancellation:
     def test_trap1_minimum_nearly_dark(self, suite):

@@ -432,7 +432,7 @@ class TestTauSensitivity:
             config.field_builder(cfg), cfg.tau, cfg.seed, base=report1.base)
         assert sens == suite.sens("he11-te01")
 
-    def test_report_runs_three_fans_and_two_quadratures(self, monkeypatch,
+    def test_report_runs_three_fans_and_six_quadratures(self, monkeypatch,
                                                         tmp_path):
         counts = {}
 
@@ -448,11 +448,10 @@ class TestTauSensitivity:
         count(trapanalysis, "escape_barrier")
         count(config, "make_field")
         count(modes, "mode_power")
-        modes._unit_power.cache_clear()
         out = tmp_path / "report.json"
         assert cli.main(["report", "--preset", "he11-te01",
                          "--out", str(out)]) == 0
-        # the tau0 row reuses the characterization; the tau +- sigma rows
-        # share the amplitude-1 powers of the two modes
+        # the tau0 row reuses the characterization; each field build
+        # normalizes both of its modes
         assert counts == {"escape_barrier": 3, "make_field": 3,
-                          "mode_power": 2}
+                          "mode_power": 6}
