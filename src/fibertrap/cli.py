@@ -2,8 +2,11 @@
 
 One command per process. CSV output uses comma separators, dot decimals,
 a header row and LF line ends; reports are JSON (with --out) or a terminal
-table (without). Files are written atomically: a temp file in the target
-directory is renamed over the destination.
+table (without). Grid CSV holds only floats (nan and inf included) under
+fixed header names, so it is written unquoted; the dispersion and sweep-tau
+tables go through csv.writer, which quotes cells that need it. Files are
+written atomically: a temp file in the target directory is renamed over the
+destination.
 
 Exit codes: 0 success, 1 I/O failure, 2 configuration or validation error,
 3 no usable trap in the seeded region.
@@ -39,6 +42,17 @@ def _csv_text(header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _column_text(col):
+    """repr(float(v)) of every cell, each distinct bit pattern formatted once.
+
+    Cells are grouped by their bits, not their values: 0.0 and -0.0 compare
+    equal but print differently.
+    """
+    bits, index = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[index].tolist()
 
 
 def _emit(text, out_path):
@@ -140,9 +154,9 @@ def cmd_grid(cfg, args):
     fieldobj = config.make_field(cfg)
     x, y, z = _plane_points(cfg, fieldobj)
     cols = _grid_values(cfg, fieldobj, x, y, z)
-    # the text _fmt gives per cell, formatted a column at a time
-    text = [list(map(repr, c.tolist())) for c in (x, y, z, *cols)]
-    return _csv_text(_GRID_HEADERS[cfg.quantity], zip(*text))
+    text = [_column_text(c) for c in (x, y, z, *cols)]
+    rows = map(",".join, zip(*text))
+    return "\n".join([",".join(_GRID_HEADERS[cfg.quantity]), *rows, ""])
 
 
 def _report_doc(cfg):

@@ -5,6 +5,8 @@ rely on these contracts instead of re-checking. Bessel orders are limited to the
 set actually used by the mode solver.
 """
 
+import functools
+
 import numpy as np
 from scipy import optimize as _sci_optimize
 from scipy import special as _sci_special
@@ -115,15 +117,34 @@ def find_root(f, lo, hi, tol=1e-12):
         return hi
     if flo * fhi > 0.0:
         raise ValueError(f"no sign change on bracket ({lo!r}, {hi!r})")
+    # brentq starts by evaluating both ends; hand it the values just checked
+    ends = {lo: flo, hi: fhi}
+
+    def objective(x):
+        return ends[x] if x in ends else checked(x)
+
     try:
         root, res = _sci_optimize.brentq(
-            checked, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps,
+            objective, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps,
             maxiter=_ROOT_MAX_ITER, full_output=True)
     except RuntimeError as exc:
         raise ConvergenceError(str(exc)) from exc
     if not res.converged:
         raise ConvergenceError(f"root iteration failed to converge in {_ROOT_MAX_ITER} steps")
     return root
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Built once per n; the arrays are read-only because every caller shares
+    them.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def integrate(f, lo, hi):
@@ -139,7 +160,7 @@ def integrate(f, lo, hi):
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"integration limits must be finite, got ({lo!r}, {hi!r})")
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    x, w = _gauss_rule(_GAUSS_NODES)
     half = 0.5 * (hi - lo)
     value = float(half * np.dot(w, f(lo + half * (x + 1.0))))
     if not np.isfinite(value):

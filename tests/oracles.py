@@ -8,8 +8,13 @@ potential and ray geometry but evaluates every sample of every ray, so it
 checks that neither skipping the rays that hit the surface nor pruning the
 rays whose sampled bound exceeds the lowest barrier changes anything.  The
 scalar Hessian is the stencil of numerics.hessian evaluated one point per
-call, so the batched version can be checked bit for bit.
+call, so the batched version can be checked bit for bit.  The grid CSV
+writer formats every cell with repr and writes the rows with csv.writer,
+so the grid command's deduplicated formatting can be checked byte for byte.
 """
+
+import csv
+import io
 
 import numpy as np
 from scipy import integrate, special
@@ -155,3 +160,12 @@ def scalar_hessian(f, point, steps):
             h[i, j] = hij
             h[j, i] = hij
     return h
+
+
+def grid_csv_text(header, cols):
+    """Grid CSV with every cell formatted on its own: repr, then csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*([repr(float(v)) for v in c] for c in cols)))
+    return buf.getvalue()

@@ -6,8 +6,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
+
+import oracles
+from fibertrap import cli, config
 
 
 def run_cli(*args):
@@ -142,6 +147,47 @@ class TestGrid:
         a = run_cli(*args)
         b = run_cli(*args)
         assert a.stdout == b.stdout
+
+
+class TestGridText:
+    """The grid CSV against per-cell repr plus csv.writer (oracles)."""
+
+    @pytest.mark.parametrize("name, quantity", [
+        ("he11-te01", "potential"), ("he11-he21", "intensity"),
+        ("te01-he21", "field")])
+    def test_matches_per_cell_oracle(self, tmp_path, name, quantity):
+        cfg = replace(config.preset(name), quantity=quantity, plane="z=0",
+                      resolution=15)
+        path = tmp_path / "run.cfg"
+        config.save_config(cfg, str(path))
+        out = tmp_path / "grid.csv"
+        assert cli.main(["grid", "--config", str(path), "--out",
+                         str(out)]) == 0
+        fieldobj = config.make_field(cfg)
+        x, y, z = cli._plane_points(cfg, fieldobj)
+        cols = [x, y, z, *cli._grid_values(cfg, fieldobj, x, y, z)]
+        expected = oracles.grid_csv_text(cli._GRID_HEADERS[quantity], cols)
+        text = out.read_text()
+        assert text == expected
+        if quantity == "field":
+            # Ex_im holds both zeros, which compare equal but print apart
+            ex_im = [row[4] for row in parse_csv(text)[1]]
+            assert "-0.0" in ex_im and "0.0" in ex_im
+
+    def test_column_text_edge_values(self):
+        other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(float)
+        col = np.array([0.0, -0.0, math.nan, np.copysign(math.nan, -1.0),
+                        other_nan[0], math.inf, -math.inf, 5e-324, 1e-4,
+                        9.9e-5, 1e16, 9999999999999998.0])
+        col = np.concatenate([col, col[::-1], col])
+        assert cli._column_text(col) == [repr(float(v)) for v in col]
+
+    def test_column_text_random_bits(self):
+        info = np.iinfo(np.int64)
+        col = np.random.default_rng(0).integers(
+            info.min, info.max, size=10_000, dtype=np.int64,
+            endpoint=True).view(float)
+        assert cli._column_text(col) == [repr(float(v)) for v in col]
 
 
 class TestReport:

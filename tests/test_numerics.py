@@ -117,6 +117,18 @@ class TestFindRoot:
         with pytest.raises(ConvergenceError):
             numerics.find_root(lambda x: math.nan, 0.0, 1.0)
 
+    def test_bracket_ends_evaluated_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.sin(x) - 0.3
+
+        assert numerics.find_root(f, 0.0, 1.0) == pytest.approx(
+            math.asin(0.3), abs=1e-12)
+        assert calls.count(0.0) == calls.count(1.0) == 1
+        assert len(calls) == 8
+
     @settings(deadline=None, max_examples=50)
     @given(st.floats(min_value=-10.0, max_value=10.0,
                      allow_nan=False, allow_infinity=False))
@@ -160,6 +172,13 @@ class TestIntegrate:
     def test_non_finite_integrand(self):
         with pytest.raises(ConvergenceError):
             numerics.integrate(lambda x: np.full_like(x, math.nan), 0.0, 1.0)
+
+    def test_rule_built_once(self):
+        numerics._gauss_rule.cache_clear()
+        numerics.integrate(np.sin, 0.0, 1.0)
+        numerics.integrate(np.cos, 0.0, 1.0)
+        info = numerics._gauss_rule.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestHessian:
