@@ -1,11 +1,12 @@
 """Evanescent-field mode solver and two-mode optical trap analysis.
 
-The subpackages layer bottom-up: numerics (special functions, roots,
-quadrature), modes (guided-mode eigenproblem and vector fields),
-superposition (two-mode interference), potential (light shift plus surface
-attraction), trapanalysis (minima, depths, frequencies, extents, heating),
-and config/cli (presets, config files, command surface). The names below
-cover the common workflow; the submodules stay importable for the rest.
+The subpackages layer bottom-up: constants (CODATA 2022) and numerics
+(special functions, roots, quadrature), modes (guided-mode eigenproblem and
+vector fields), superposition (two-mode interference), potential (light
+shift plus surface attraction), trapanalysis (minima, depths, frequencies,
+extents, heating), and config/cli (presets, config files, command surface).
+The names below cover the common workflow; the submodules stay importable
+for the rest.
 """
 
 from .config import (RunConfig, load_config, make_field, preset,

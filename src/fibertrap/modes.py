@@ -31,11 +31,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.constants import c as _C0
-from scipy.constants import epsilon_0 as _EPS0
-from scipy.constants import mu_0 as _MU0
 
 from . import numerics
+from .constants import c as _C0
+from .constants import epsilon_0 as _EPS0
+from .constants import mu_0 as _MU0
 from .errors import ConvergenceError, CutoffError
 
 _SCAN_POINTS = 2000

@@ -2,13 +2,16 @@
 
 Every routine validates its domain and raises early; the physics modules above
 rely on these contracts instead of re-checking. Bessel orders are limited to the
-set actually used by the mode solver.
+set actually used by the mode solver. The Bessel functions come from
+scipy.special, the only scipy module the package imports; root finding is a
+Python port of scipy's brentq.c (Brent's method), which gives the same roots
+bit for bit without the start-up cost of importing scipy's optimizers.
 """
 
 import functools
+import math
 
 import numpy as np
-from scipy import optimize as _sci_optimize
 from scipy import special as _sci_special
 
 from .errors import ConvergenceError
@@ -16,6 +19,8 @@ from .errors import ConvergenceError
 SUPPORTED_ORDERS = (0, 1, 2, 3)
 
 _ROOT_MAX_ITER = 200
+# relative root tolerance: the smallest rtol that scipy's brentq allows
+_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 # node count of integrate()'s fixed Gauss-Legendre rule
 _GAUSS_NODES = 48
 
@@ -96,42 +101,79 @@ def bessel_k_deriv(order, x):
 def find_root(f, lo, hi, tol=1e-12):
     """Locate a root of f inside the bracket [lo, hi].
 
-    The bracket must show a sign change. Uses a safeguarded bisection/secant
-    scheme (Brent); deterministic for identical inputs. Raises ValueError when
-    the bracket carries no sign change and ConvergenceError when f evaluates to
-    a non-finite value or the iteration cap is hit.
+    The bracket must show a sign change. Brent's method (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4): inverse
+    quadratic or secant steps, safeguarded by bisection. The loop is a
+    line-for-line port of scipy's brentq.c (optimize/Zeros/brentq.c in scipy)
+    with xtol = tol, rtol = 4 eps and at most _ROOT_MAX_ITER iterations, so
+    it returns the same float as scipy's brentq, bit for bit. Each end
+    of the bracket is evaluated once. Raises ValueError when the bracket is
+    invalid or carries no sign change and ConvergenceError when f evaluates
+    to a non-finite value or the iteration cap is hit.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise ValueError(f"invalid bracket ({lo!r}, {hi!r})")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
 
     def checked(x):
         y = f(x)
         if not np.isfinite(y):
             raise ConvergenceError(f"objective returned non-finite value {y!r} at x={x!r}")
-        return y
+        return float(y)
 
-    flo, fhi = checked(lo), checked(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    # Python floats throughout, so np.float64 ends do not spread to the iterates
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = checked(xpre), checked(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError(f"no sign change on bracket ({lo!r}, {hi!r})")
-    # brentq starts by evaluating both ends; hand it the values just checked
-    ends = {lo: flo, hi: fhi}
+    xtol = float(tol)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
 
-    def objective(x):
-        return ends[x] if x in ends else checked(x)
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
 
-    try:
-        root, res = _sci_optimize.brentq(
-            objective, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps,
-            maxiter=_ROOT_MAX_ITER, full_output=True)
-    except RuntimeError as exc:
-        raise ConvergenceError(str(exc)) from exc
-    if not res.converged:
-        raise ConvergenceError(f"root iteration failed to converge in {_ROOT_MAX_ITER} steps")
-    return root
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # an underflowed slope gives C an infinite or nan step, which
+                # the test below rejects; Python would raise instead
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = checked(xcur)
+    raise ConvergenceError(
+        f"root iteration failed to converge in {_ROOT_MAX_ITER} steps, last x={xcur!r}")
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,14 +18,14 @@ with Delta_i = omega_laser - omega_i > 0 enforced for every line.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import atomic_mass as _AMU
-from scipy.constants import c as _C0
-from scipy.constants import epsilon_0 as _EPS0
-from scipy.constants import h as _H
-from scipy.constants import hbar as _HBAR
-from scipy.constants import k as _KB
 
 from . import modes, superposition
+from .constants import atomic_mass as _AMU
+from .constants import c as _C0
+from .constants import epsilon_0 as _EPS0
+from .constants import h as _H
+from .constants import hbar as _HBAR
+from .constants import k as _KB
 from .errors import ConfigError
 
 _CS_MASS_KG = 132.90545196 * _AMU

@@ -12,10 +12,10 @@ elementwise over numpy arrays: each value depends only on its own point.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as _C0
-from scipy.constants import epsilon_0 as _EPS0
 
 from . import modes
+from .constants import c as _C0
+from .constants import epsilon_0 as _EPS0
 from .errors import ConfigError
 
 # Relative slack when checking that the stored solutions carry the power

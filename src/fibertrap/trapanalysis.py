@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import k as _KB
 
 from . import numerics, potential, superposition
+from .constants import k as _KB
 from .errors import NoTrapError, SaddleError
 
 # Coarse seed-grid resolution per axis.

@@ -11,6 +11,8 @@ scalar Hessian is the stencil of numerics.hessian evaluated one point per
 call, so the batched version can be checked bit for bit.  The grid CSV
 writer formats every cell with repr and writes the rows with csv.writer,
 so the grid command's deduplicated formatting can be checked byte for byte.
+The root oracle is scipy's own brentq with find_root's tolerances, so the
+port of it in numerics can be checked bit for bit.
 """
 
 import csv
@@ -19,7 +21,7 @@ import io
 import numpy as np
 from scipy import integrate, special
 
-from fibertrap import modes, potential, trapanalysis
+from fibertrap import modes, numerics, potential, trapanalysis
 
 
 def boundary_determinant(fiber, wavelength_nm, nu, neff):
@@ -58,6 +60,13 @@ def determinant_root(fiber, wavelength_nm, nu, lo, hi):
     return brentq(
         lambda n: boundary_determinant(fiber, wavelength_nm, nu, n),
         lo, hi, xtol=1e-13, rtol=8.9e-16)
+
+
+def brentq_root(f, lo, hi, tol):
+    """scipy.optimize.brentq with the xtol, rtol and maxiter of find_root."""
+    from scipy.optimize import brentq
+    return brentq(f, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps,
+                  maxiter=numerics._ROOT_MAX_ITER)
 
 
 def mode_power_quadrature(sol):

@@ -277,3 +277,19 @@ class TestExitCodes:
     def test_unknown_preset_rejected(self):
         res = run_cli("dispersion", "--preset", "nope")
         assert res.returncode == 2
+
+
+def test_commands_load_no_scipy_beyond_special():
+    # scipy.special is the only scipy module the package needs; the others
+    # each add start-up time to every command
+    script = ("import sys\n"
+              "from fibertrap import cli\n"
+              "assert cli.main(['dispersion', '--resolution', '3']) == 0\n"
+              "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stderr.split())
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.integrate",
+                         "scipy.constants"}

@@ -1,7 +1,9 @@
 """Unit tests for the numerical kernels.
 
 Oracle values are hand-entered from standard mathematical tables rather than
-recomputed, so a regression in the wrappers cannot hide behind itself.
+recomputed, so a regression in the wrappers cannot hide behind itself. The
+root finder ports scipy's brentq, so it is also checked against brentq itself
+(tests/oracles.py), bit for bit.
 """
 
 import math
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibertrap import numerics
+import oracles
+from fibertrap import config, modes, numerics, trapanalysis
 from fibertrap.errors import ConvergenceError
 
 # Abramowitz & Stegun style table entries.
@@ -137,6 +140,84 @@ class TestFindRoot:
         f = lambda x: (x - t) * (1.0 + (x - t) ** 2)
         root = numerics.find_root(f, t - 5.0, t + 5.0)
         assert root == pytest.approx(t, abs=1e-9)
+
+    def test_tolerance_must_be_positive(self):
+        for tol in (0.0, -1e-12, math.nan):
+            with pytest.raises(ValueError):
+                numerics.find_root(math.sin, 3.0, 4.0, tol=tol)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError):
+            numerics.find_root(math.sin, 3.0, 4.0)
+
+    def test_numpy_ends_return_a_python_float(self):
+        lo, hi = np.float64(3.0), np.float64(4.0)
+        assert type(numerics.find_root(math.sin, lo, hi)) is float
+        assert type(numerics.find_root(lambda x: x - 3.0, lo, hi)) is float
+
+
+class TestFindRootMatchesBrentq:
+    """find_root ports scipy's brentq.c, so it returns brentq's root bit for bit."""
+
+    @staticmethod
+    def assert_brentq_roots(calls):
+        for f, lo, hi, tol, root in calls:
+            assert type(root) is float
+            assert root == oracles.brentq_root(f, lo, hi, tol)
+
+    @pytest.fixture
+    def root_calls(self, monkeypatch):
+        """Every find_root call made through the numerics module, with its root."""
+        calls = []
+        find_root = numerics.find_root
+
+        def recording(f, lo, hi, tol=1e-12):
+            root = find_root(f, lo, hi, tol=tol)
+            calls.append((f, lo, hi, tol, root))
+            return root
+
+        monkeypatch.setattr(numerics, "find_root", recording)
+        return calls
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(min_value=-10.0, max_value=10.0),
+           st.floats(min_value=1e-6, max_value=3.0),
+           st.floats(min_value=1e-6, max_value=3.0),
+           st.floats(min_value=-15.0, max_value=-6.0),
+           st.sampled_from(["cubic", "sine", "exp", "steep", "tiny"]))
+    def test_planted_roots(self, t, below, above, log_tol, shape):
+        # each shape has its only root in (-pi, pi) at d = 0
+        g = {"cubic": lambda d: d * (1.0 + d * d),
+             "sine": math.sin,
+             "exp": math.expm1,
+             "steep": lambda d: math.atan(1e6 * d),
+             # slope products underflow to 0 in the extrapolation step
+             "tiny": lambda d: 1e-200 * d * (1.0 + d * d)}[shape]
+        f = lambda x: g(x - t)
+        tol = 10.0 ** log_tol
+        root = numerics.find_root(f, t - below, t + above, tol=tol)
+        self.assert_brentq_roots([(f, t - below, t + above, tol, root)])
+
+    def test_mode_equation_brackets(self, root_calls):
+        fiber = config.preset("he11-te01").fiber
+        for v in np.linspace(0.5, 6.0, 30):
+            for family, nu in (("TE", 0), ("TM", 0), ("HE", 1), ("HE", 2),
+                               ("HE", 3)):
+                modes._family_roots.__wrapped__(
+                    float(v), fiber.n_core, fiber.n_clad, family, nu)
+        assert len(root_calls) > 50
+        self.assert_brentq_roots(root_calls)
+
+    def test_turning_point_crossings(self, root_calls, suite):
+        cases = [(suite.field(name), suite.minimum(name),
+                  config.thermal_state(suite.cfg(name)).e_init)
+                 for name in suite.names]
+        root_calls.clear()  # drop the mode solves of the field builds
+        for case in cases:
+            trapanalysis.turning_points(*case)
+        assert len(root_calls) == 18
+        self.assert_brentq_roots(root_calls)
 
 
 class TestIntegrate:
