@@ -168,17 +168,6 @@ def _report_doc(cfg):
     return report, sens
 
 
-def _json_ready(obj):
-    """Recursively coerce numpy scalars so json emits plain decimals."""
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def _sens_row_text(row):
     if not row["trap"]:
         return f"  tau = {row['tau']:.4f}   no trap ({row['reason']})"
@@ -229,7 +218,7 @@ def cmd_report(cfg, args):
         return _report_table(report, sens)
     doc = report.to_dict()
     doc["tau_sensitivity"] = sens
-    return json.dumps(_json_ready(doc), indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def cmd_sweep_tau(cfg, args):

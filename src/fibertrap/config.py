@@ -6,10 +6,11 @@ The config format is a flat list of dotted keys, one assignment per line:
     light.wavelength_nm = 850.5
     pair.tau = 0.72
 
-Keys are typed against one table (_KEYS); unknown or duplicate keys and
-malformed values are rejected with the offending line number. Every key has
-a default, so a config file only states what it overrides; the defaults are
-exactly the he11-te01 preset. All lengths are in nm, angles in rad.
+Keys are typed against one table (_KEYS); unknown or duplicate keys,
+malformed values and non-finite floats (nan, inf, 1e999) are rejected with
+the offending line number. Every key has a default, so a config file only
+states what it overrides; the defaults are exactly the he11-te01 preset. All
+lengths are in nm, angles in rad.
 """
 
 import math
@@ -208,10 +209,15 @@ def preset(name):
 
 def _parse_value(kind, text, lineno, key):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
         raise ConfigError(f"value {text!r} for {key} is not a valid "
                           f"{kind.__name__}", line=lineno, key=key) from exc
+    # float() also reads nan, inf and overflowing literals such as 1e999
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"value {text!r} for {key} is not finite",
+                          line=lineno, key=key)
+    return value
 
 
 def parse_config(text):

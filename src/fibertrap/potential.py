@@ -15,7 +15,7 @@ two-line rotating-wave form
 with Delta_i = omega_laser - omega_i > 0 enforced for every line.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,36 +95,24 @@ def cesium(c3=_CS_C3):
     return AtomSpec(mass_kg=_CS_MASS_KG, lines=lines, c3=c3)
 
 
-def _detunings(atom, wavelength_nm):
-    """Laser detuning from every line; all must be blue (positive)."""
+def _coefficients(atom, wavelength_nm):
+    """Light shift J/(W/m^2) and scattering rate (1/s)/(W/m^2) per intensity.
+
+    Raises ConfigError when the laser is red-detuned against any line.
+    """
     omega = 2.0 * np.pi * _C0 / (wavelength_nm * 1e-9)
-    deltas = []
+    shift = scatter = 0.0
     for line in atom.lines:
         delta = omega - line.omega
         if delta <= 0.0:
             raise ConfigError(
                 f"wavelength {wavelength_nm} nm is red-detuned against the "
                 f"{line.wavelength_nm} nm line", key="light.wavelength_nm")
-        deltas.append(delta)
-    return deltas
-
-
-def _shift_coefficient(atom, wavelength_nm):
-    """Light shift per unit intensity, J/(W/m^2)."""
-    total = 0.0
-    for line, delta in zip(atom.lines, _detunings(atom, wavelength_nm)):
-        total += (line.weight * 3.0 * np.pi * _C0 ** 2
+        shift += (line.weight * 3.0 * np.pi * _C0 ** 2
                   / (2.0 * line.omega ** 3) * line.gamma / delta)
-    return total
-
-
-def _scatter_coefficient(atom, wavelength_nm):
-    """Photon scattering rate per unit intensity, (1/s)/(W/m^2)."""
-    total = 0.0
-    for line, delta in zip(atom.lines, _detunings(atom, wavelength_nm)):
-        total += (line.weight * 3.0 * np.pi * _C0 ** 2
-                  / (2.0 * _HBAR * line.omega ** 3) * (line.gamma / delta) ** 2)
-    return total
+        scatter += (line.weight * 3.0 * np.pi * _C0 ** 2
+                    / (2.0 * _HBAR * line.omega ** 3) * (line.gamma / delta) ** 2)
+    return shift, scatter
 
 
 def dipole_potential(intensity_w_m2, atom, wavelength_nm):
@@ -133,8 +121,8 @@ def dipole_potential(intensity_w_m2, atom, wavelength_nm):
     Linear in intensity; raises ConfigError when the wavelength is
     red-detuned with respect to any included line.
     """
-    coeff = _shift_coefficient(atom, wavelength_nm)
-    return coeff * np.asarray(intensity_w_m2, dtype=float)
+    shift, _ = _coefficients(atom, wavelength_nm)
+    return shift * np.asarray(intensity_w_m2, dtype=float)
 
 
 def vdw_potential(r_nm, fiber, atom):
@@ -153,15 +141,21 @@ class PotentialField:
     """Total potential landscape of one trap configuration.
 
     Bundles the interfering mode pair with the atom; evaluable anywhere
-    outside the fiber, diverging to minus infinity at the surface.
+    outside the fiber, diverging to minus infinity at the surface. The light
+    shift and scattering rate per unit intensity are fixed by the atom and
+    the wavelength, so they are computed once here, which also rejects a
+    red detuning before the first evaluation.
     """
 
     pair: superposition.ModePair
     atom: AtomSpec
+    shift_coeff: float = field(init=False, repr=False, compare=False)
+    scatter_coeff: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # fail early on red detuning instead of at first evaluation
-        _detunings(self.atom, self.pair.wavelength_nm)
+        shift, scatter = _coefficients(self.atom, self.pair.wavelength_nm)
+        object.__setattr__(self, "shift_coeff", shift)
+        object.__setattr__(self, "scatter_coeff", scatter)
 
     @property
     def fiber(self):
@@ -181,15 +175,13 @@ def single_mode_intensity(sol, r_nm, phi, z_nm):
 
 def total_potential(field_, r_nm, phi, z_nm):
     """Light shift plus van der Waals energy in joules, for r > a."""
-    light = dipole_potential(intensity(field_, r_nm, phi, z_nm),
-                             field_.atom, field_.pair.wavelength_nm)
+    light = field_.shift_coeff * intensity(field_, r_nm, phi, z_nm)
     return light + vdw_potential(r_nm, field_.fiber, field_.atom)
 
 
 def local_scattering_rate(field_, r_nm, phi, z_nm):
     """Photon scattering rate (photons/s) at a point."""
-    coeff = _scatter_coefficient(field_.atom, field_.pair.wavelength_nm)
-    return coeff * intensity(field_, r_nm, phi, z_nm)
+    return field_.scatter_coeff * intensity(field_, r_nm, phi, z_nm)
 
 
 def potential_gradient(field_, r_nm, phi, z_nm):
@@ -214,7 +206,7 @@ def potential_gradient(field_, r_nm, phi, z_nm):
     di_darc = scale * np.sum(np.real(np.conj(e) * de_dphi), axis=-1) / r
     di_dz = scale * np.sum(np.real(np.conj(e) * de_dz), axis=-1)
 
-    coeff = _shift_coefficient(field_.atom, pair.wavelength_nm)
+    coeff = field_.shift_coeff
     gap_m = (r - field_.fiber.radius_nm) * 1e-9
     dvdw_dr = 3.0 * field_.atom.c3 / gap_m ** 4 * 1e-9
     grad = np.stack([coeff * di_dr + dvdw_dr,

@@ -2,14 +2,16 @@
 
 The trap minimum is found by a coarse grid scan over a seed region (keeping
 only radial interior local minima, so the attractive surface run never wins)
-and a Newton polish from the best seed cell with the analytic gradient; the
-polished point counts as a minimum only when its local Hessian has three
-positive eigenvalues. Around the minimum the potential is characterized by its
-Hessian in the local orthonormal frame (r-hat, arc length, z-hat), by 1-D
-turning points at the reference thermal energy, and by a spherical fan of
-straight escape rays whose lowest barrier defines the trap depth and the
-escape direction l. Heating is modeled as two recoil energies per scattered
-photon at the orbit-averaged scattering rate.
+and a Newton polish from the best seed cell with the analytic gradient. Every
+Newton iterate must have a local Hessian with three positive eigenvalues, so
+each step is a descent step and the polished point is a minimum; the first
+iterate without them ends the search as a saddle. Around the minimum the
+potential is characterized by its Hessian in the local orthonormal frame
+(r-hat, arc length, z-hat), by 1-D turning points at the reference thermal
+energy, and by a spherical fan of straight escape rays whose lowest barrier
+defines the trap depth and the escape direction l. Heating is modeled as
+two recoil energies per scattered photon at the orbit-averaged scattering
+rate.
 
 The fan is searched by bound and prune. The maximum of the potential over
 every 25th sample of a ray is a lower bound on that ray's barrier, so rays
@@ -82,17 +84,19 @@ class SeedRegion:
                 raise ValueError("seed region bounds must satisfy lo < hi")
 
 
-def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
+def find_minimum(field_, seed):
     """Locate the potential minimum inside the seed region.
 
     The best interior cell of a coarse seed scan starts a Newton polish in
     the local (r-hat, arc, z-hat) frame: analytic gradient, finite-difference
-    Hessian, steps capped at 5 nm. Returns (r_nm, phi, z_nm), at which the
-    Hessian has three positive eigenvalues. Raises NoTrapError when the
-    region holds no interior minimum (all candidate columns run
-    monotonically into the surface or out of the evanescent field), and when
-    the polish meets a singular Hessian, steps into the surface, does not
-    converge, converges to a saddle or ends outside the seed region.
+    Hessian, steps capped at 5 nm. A Newton step descends only where the
+    Hessian is positive definite, so every iterate must have three positive
+    curvatures; the first that does not ends the search as a saddle. Returns
+    (r_nm, phi, z_nm), within 0.02 nm of the last such iterate. Raises
+    NoTrapError when the region holds no interior minimum (all candidate
+    columns run monotonically into the surface or out of the evanescent
+    field), and when the polish meets a saddle, steps into the surface, does
+    not converge in 40 steps or ends outside the seed region.
     """
     a = field_.fiber.radius_nm
     r_lo = max(seed.r_nm[0], a + 2.0)
@@ -114,33 +118,21 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
     for _ in range(40):
         g = np.array(potential.potential_gradient(field_, r, p, z))
         h = _local_hessian(field_, r, p, z)
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError as exc:
-            raise NoTrapError(
-                "singular Hessian during the minimum search") from exc
+        if not np.all(np.linalg.eigvalsh(h) > 0.0):
+            raise NoTrapError("minimum search met a saddle: the Hessian "
+                              "lacks three positive curvatures")
+        step = np.linalg.solve(h, -g)
         n = float(np.linalg.norm(step))
         if n > _NEWTON_STEP_CAP_NM:
             step *= _NEWTON_STEP_CAP_NM / n
         r_new = r + float(step[0])
-        p_new = p + float(step[1]) / r
-        z_new = z + float(step[2])
         if r_new <= a + 1.0:
             raise NoTrapError("minimum search ran into the fiber surface")
-        if potential.total_potential(field_, r_new, p_new, z_new) > \
-                potential.total_potential(field_, r, p, z) and n > tol_nm:
-            # Newton overshot into a rising region: take half the step
-            # once; only the curvature check below certifies the result
-            step *= 0.5
-            r_new, p_new, z_new = r + step[0], p + step[1] / r, z + step[2]
-        r, p, z = float(r_new), float(p_new), float(z_new)
-        if n < 0.2 * tol_nm:
+        r, p, z = r_new, p + float(step[1]) / r, z + float(step[2])
+        if n < 0.2 * _POSITION_TOL_NM:
             break
     else:
         raise NoTrapError("minimum search did not converge")
-    # h was taken at most 0.2 * tol_nm from the returned point
-    if not np.all(np.linalg.eigvalsh(h) > 0.0):
-        raise NoTrapError("minimum search converged to a saddle")
 
     for axis, value, (lo, hi) in (("radially", r, (r_lo, seed.r_nm[1])),
                                   ("in phi", p, seed.phi),
@@ -150,7 +142,7 @@ def find_minimum(field_, seed, tol_nm=_POSITION_TOL_NM):
     return r, p, z
 
 
-def _local_hessian(field_, r, p, z, step_nm=1.0):
+def _local_hessian(field_, r, p, z):
     """Hessian of the potential in (r-hat, arc, z-hat) displacements, J/nm^2."""
 
     def f(q):
@@ -159,8 +151,8 @@ def _local_hessian(field_, r, p, z, step_nm=1.0):
                                          q[..., 2])
 
     # the arc coordinate is offset so all three components are O(100..1000) nm
-    # and the shared step size is meaningful on each axis
-    return numerics.hessian(f, (r, 1000.0, z), (step_nm, step_nm, step_nm))
+    # and the 1 nm step is meaningful on each axis
+    return numerics.hessian(f, (r, 1000.0, z), (1.0, 1.0, 1.0))
 
 
 def trap_frequencies(field_, minimum, mass_kg):
@@ -208,17 +200,15 @@ def _crossing(f1d, target, lo_lim, hi_lim, sign):
     """First crossing of f1d(s) = target moving away from s = 0."""
     step = 1.0 * sign
     s_prev = 0.0
-    val_prev = f1d(0.0) - target
-    if val_prev >= 0.0:
+    if f1d(0.0) - target >= 0.0:
         return None
     s_cur = step
     while abs(s_cur) <= abs(hi_lim if sign > 0 else lo_lim):
-        val = f1d(s_cur) - target
-        if val >= 0.0:
+        if f1d(s_cur) - target >= 0.0:
             return numerics.find_root(lambda s: f1d(s) - target,
                                       min(s_prev, s_cur), max(s_prev, s_cur),
                                       tol=1e-9)
-        s_prev, val_prev = s_cur, val
+        s_prev = s_cur
         step *= 1.25
         s_cur += step
     return None
@@ -578,7 +568,7 @@ def tau_sensitivity(build_field, tau0, seed, base=None):
                 field_ = build_field(tau)
                 m = find_minimum(field_, seed)
                 found[tau] = (m, escape_barrier(field_, m))
-            except (NoTrapError, SaddleError) as err:
+            except NoTrapError as err:
                 found[tau] = err
         if isinstance(found[tau], Exception):
             rows.append({"tau": tau, "trap": False,

@@ -12,7 +12,10 @@ call, so the batched version can be checked bit for bit.  The grid CSV
 writer formats every cell with repr and writes the rows with csv.writer,
 so the grid command's deduplicated formatting can be checked byte for byte.
 The root oracle is scipy's own brentq with find_root's tolerances, so the
-port of it in numerics can be checked bit for bit.
+port of it in numerics can be checked bit for bit.  The halving minimum
+search is the earlier Newton polish, which halved a step that raised the
+potential and checked the curvatures only after converging, so the
+curvature-gated search can be checked to return the same minima.
 """
 
 import csv
@@ -22,6 +25,7 @@ import numpy as np
 from scipy import integrate, special
 
 from fibertrap import modes, numerics, potential, trapanalysis
+from fibertrap.errors import NoTrapError
 
 
 def boundary_determinant(fiber, wavelength_nm, nu, neff):
@@ -169,6 +173,66 @@ def scalar_hessian(f, point, steps):
             h[i, j] = hij
             h[j, i] = hij
     return h
+
+
+def halving_find_minimum(field_, seed):
+    """trapanalysis.find_minimum as it was before every iterate was gated.
+
+    Same seed scan, 5 nm step cap, surface check, 40-step cap and box check,
+    but a step that raises the potential is halved once, a singular Hessian
+    raises, and the three positive curvatures are checked only on the last
+    Hessian after convergence.
+    """
+    ta = trapanalysis
+    tol_nm = ta._POSITION_TOL_NM
+    a = field_.fiber.radius_nm
+    r_lo = max(seed.r_nm[0], a + 2.0)
+    rr = np.linspace(r_lo, seed.r_nm[1], ta._GRID_R)
+    pp = np.linspace(seed.phi[0], seed.phi[1], ta._GRID_PHI)
+    zz = np.linspace(seed.z_nm[0], seed.z_nm[1], ta._GRID_Z)
+    R, P, Z = np.meshgrid(rr, pp, zz, indexing="ij")
+    u = potential.total_potential(field_, R, P, Z)
+    interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
+    masked = np.where(interior, u[1:-1], np.inf)
+    if not np.isfinite(masked).any():
+        raise NoTrapError("no interior potential minimum in the seed region")
+    i, j, k = np.unravel_index(np.argmin(masked), masked.shape)
+    r, p, z = float(rr[i + 1]), float(pp[j]), float(zz[k])
+
+    for _ in range(40):
+        g = np.array(potential.potential_gradient(field_, r, p, z))
+        h = ta._local_hessian(field_, r, p, z)
+        try:
+            step = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError as exc:
+            raise NoTrapError(
+                "singular Hessian during the minimum search") from exc
+        n = float(np.linalg.norm(step))
+        if n > ta._NEWTON_STEP_CAP_NM:
+            step *= ta._NEWTON_STEP_CAP_NM / n
+        r_new = r + float(step[0])
+        p_new = p + float(step[1]) / r
+        z_new = z + float(step[2])
+        if r_new <= a + 1.0:
+            raise NoTrapError("minimum search ran into the fiber surface")
+        if potential.total_potential(field_, r_new, p_new, z_new) > \
+                potential.total_potential(field_, r, p, z) and n > tol_nm:
+            step *= 0.5
+            r_new, p_new, z_new = r + step[0], p + step[1] / r, z + step[2]
+        r, p, z = float(r_new), float(p_new), float(z_new)
+        if n < 0.2 * tol_nm:
+            break
+    else:
+        raise NoTrapError("minimum search did not converge")
+    if not np.all(np.linalg.eigvalsh(h) > 0.0):
+        raise NoTrapError("minimum search converged to a saddle")
+
+    for axis, value, (lo, hi) in (("radially", r, (r_lo, seed.r_nm[1])),
+                                  ("in phi", p, seed.phi),
+                                  ("in z", z, seed.z_nm)):
+        if not lo <= value <= hi:
+            raise NoTrapError(f"refined minimum left the seed region {axis}")
+    return r, p, z
 
 
 def grid_csv_text(header, cols):

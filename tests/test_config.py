@@ -86,6 +86,15 @@ class TestParsing:
         assert err.value.line == 1
         assert err.value.key == "light.power_mw"
 
+    @pytest.mark.parametrize("key", [key for key, kind, _, _ in config._KEYS
+                                     if kind is float])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float(self, key, text):
+        with pytest.raises(ConfigError, match="not finite") as err:
+            config.parse_config(f"# header\n{key} = {text}")
+        assert err.value.line == 2
+        assert err.value.key == key
+
     def test_bad_int(self):
         with pytest.raises(ConfigError) as err:
             config.parse_config("grid.resolution = 2.5")

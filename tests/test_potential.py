@@ -115,6 +115,24 @@ class TestPotentialField:
         with pytest.raises(ConfigError):
             potential.PotentialField(pair=pair, atom=potential.cesium())
 
+    def test_coefficients_fixed_at_construction(self, suite, monkeypatch):
+        f = suite.field("he11-te01")
+        assert f.shift_coeff == potential.dipole_potential(1.0, f.atom, 850.5)
+        r, phi, z = 520.0, 0.8, 130.0
+        want = (potential.total_potential(f, r, phi, z),
+                potential.potential_gradient(f, r, phi, z),
+                potential.local_scattering_rate(f, r, phi, z))
+
+        def refuse(*args):
+            raise AssertionError("coefficients recomputed")
+
+        monkeypatch.setattr(potential, "_coefficients", refuse)
+        got = (potential.total_potential(f, r, phi, z),
+               potential.potential_gradient(f, r, phi, z),
+               potential.local_scattering_rate(f, r, phi, z))
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+
     def test_gradient_matches_finite_differences(self, suite):
         f = suite.field("he11-te01")
         h = 1e-3

@@ -8,6 +8,7 @@ drifting for the wrong reason.
 
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,12 +95,41 @@ class TestFindMinimum:
             trapanalysis.find_minimum(f99, cfg.seed)
 
     def test_saddle_is_not_a_trap(self, suite):
-        # the Newton polish converges here, but to a stationary point with
-        # one negative curvature
+        # the best seed cell here already lacks three positive curvatures;
+        # without the gate the Newton polish would converge to a stationary
+        # point with one negative curvature
         cfg = suite.cfg("he11-he21")
         with pytest.raises(NoTrapError, match="saddle"):
             trapanalysis.find_minimum(config.make_field(cfg, tau=0.62),
                                       cfg.seed)
+
+    def test_non_convex_search_stops_at_first_saddle(self, suite,
+                                                     monkeypatch):
+        # without the per-iterate gate the iterates bounce 55-61 nm off the
+        # surface for all 40 steps and the search ends as "did not converge"
+        cfg = suite.cfg("he11-te01")
+        field_ = config.make_field(cfg, tau=0.66)
+        calls = []
+        gradient = potential.potential_gradient
+
+        def counted(*args):
+            calls.append(args)
+            return gradient(*args)
+
+        monkeypatch.setattr(potential, "potential_gradient", counted)
+        with pytest.raises(NoTrapError, match="saddle"):
+            trapanalysis.find_minimum(field_, cfg.seed)
+        assert 1 <= len(calls) <= 5
+
+    @pytest.mark.parametrize("name,delta", [
+        ("he11-te01", 0.0), ("he11-he21", 0.0), ("te01-he21", 0.0),
+        # 13 Newton iterations, the first 11 capped at 5 nm
+        ("te01-he21", 2.5)])
+    def test_same_minimum_as_halving_search(self, suite, name, delta):
+        cfg = replace(suite.cfg(name), delta=delta)
+        field_ = config.make_field(cfg)
+        assert (trapanalysis.find_minimum(field_, cfg.seed)
+                == oracles.halving_find_minimum(field_, cfg.seed))
 
 
 class TestTrapFrequencies:
