@@ -16,7 +16,7 @@ lengths are in nm, angles in rad.
 import math
 from dataclasses import dataclass
 
-from . import modes, potential, superposition, trapanalysis
+from . import modes, numerics, potential, superposition, trapanalysis
 from .errors import ConfigError
 
 _QUANTITIES = ("potential", "intensity", "field")
@@ -178,6 +178,18 @@ class RunConfig:
         if not 0.0 < self.v_lo <= self.v_hi:
             raise ConfigError("dispersion range must satisfy 0 < v_lo <= v_hi",
                               key="dispersion.v_lo")
+        # the mode solver's core arguments stay below V, and the Bessel J
+        # series covers |x| <= J_MAX_ARG
+        v_max = numerics.J_MAX_ARG
+        if self.v_hi > v_max:
+            raise ConfigError(f"dispersion.v_hi = {self.v_hi} exceeds "
+                              f"V = {v_max}, the mode solver's range",
+                              key="dispersion.v_hi")
+        v = modes.v_parameter(self.fiber, self.light.wavelength_nm)
+        if v > v_max:
+            raise ConfigError(f"the fiber's V = {v:.4g} at this wavelength "
+                              f"exceeds {v_max}, the mode solver's range",
+                              key="fiber")
 
 
 def _build(values):

@@ -374,6 +374,16 @@ def _phase(sol, z_nm):
     return np.exp(-1j * sol.beta_per_nm * np.asarray(z_nm, dtype=float))
 
 
+@lru_cache(maxsize=64)
+def _edge_bessels(nu, u, w):
+    """J_nu(u) and K_nu(w): the core-edge values that scale the exterior field.
+
+    Fixed per solution, so every exterior evaluation of a mode shares one
+    pair of scalar Bessel calls.
+    """
+    return numerics.bessel_j(nu, u), numerics.bessel_k(nu, w)
+
+
 def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
     """E or H cylindrical components (three arrays) on one side of the core.
 
@@ -399,7 +409,7 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
         k_m = sol.q_per_nm * 1e9
         eps = _EPS0 * sol.fiber.n_clad ** 2
         sgn, pre = 1.0, 1j
-        j_u, k_w = numerics.bessel_j(nu, sol.u), numerics.bessel_k(nu, sol.w)
+        j_u, k_w = _edge_bessels(nu, sol.u, sol.w)
     else:
         x = sol.h_per_nm * r
         k_m = sol.h_per_nm * 1e9

@@ -2,17 +2,20 @@
 
 Every routine validates its domain and raises early; the physics modules above
 rely on these contracts instead of re-checking. Bessel orders are limited to the
-set actually used by the mode solver. The Bessel functions come from
-scipy.special, the only scipy module the package imports; root finding is a
-Python port of scipy's brentq.c (Brent's method), which gives the same roots
-bit for bit without the start-up cost of importing scipy's optimizers.
+set actually used by the mode solver. The Bessel kernels are numpy code over
+fixed polynomials, sized for the arguments the mode solver produces (J at
+|x| <= 6.5, K at x in (0, 45]): power series for J_0..J_4 and for K_0, K_1 at
+x <= 2 (Abramowitz & Stegun 9.1.10, 9.6.10-9.6.13), and beyond 2 a fit of
+e^x sqrt(x) K_0,1(x) in 4/x - 1. Root finding is a Python port of scipy's
+brentq.c (Brent's method), which gives the same roots bit for bit. The
+package imports no scipy module.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
-from scipy import special as _sci_special
 
 from .errors import ConvergenceError
 
@@ -24,29 +27,241 @@ _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 # node count of integrate()'s fixed Gauss-Legendre rule
 _GAUSS_NODES = 48
 
+# Points per block of the array Bessel kernels: a block's Horner
+# temporaries stay in the core's L2 cache, and each block runs only the
+# branches its own points need.
+_BLOCK = 32768
+
+_EULER_GAMMA = Fraction("0.57721566490153286060651209008240243104215933594")
+
+
+class _Polys:
+    """Polynomials in one variable that share it, evaluated together.
+
+    rows are coefficient sequences, lowest power first, all the same length.
+    scalar(t) returns one Python float per row; into(t, out) fills out[i]
+    with row i over the array t. Both run Horner's rule with the same
+    operations in the same order, so an array point gets the scalar bits.
+    """
+
+    def __init__(self, *rows):
+        self.rows = tuple(tuple(float(c) for c in reversed(row)) for row in rows)
+        # (power, row, 1), highest power first, broadcasting over the points
+        self.cols = np.array(self.rows).T[:, :, np.newaxis].copy()
+
+    def scalar(self, t, rows=slice(None)):
+        out = []
+        for row in self.rows[rows]:
+            acc = row[0]
+            for c in row[1:]:
+                acc = acc * t + c
+            out.append(acc)
+        return out
+
+    def into(self, t, out, rows=slice(None)):
+        cols = self.cols[:, rows]
+        np.multiply(cols[0], t, out=out)
+        out += cols[1]
+        for c in cols[2:]:
+            out *= t
+            out += c
+        return out
+
+
+def _harmonic(k):
+    return sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
+
+
+# J_n(x) = (x/2)^n sum_k (-y)^k / (k! (k+n)!) with y = x^2/4 (A&S 9.1.10),
+# one row per order 0..4. 21 terms reach full precision for |x| <= 6.5,
+# the mode solver's range, where the largest term is about 33 and the
+# rounding error stays below 1e-14 absolute. Truncation takes over beyond
+# J_MAX_ARG (1e-12 at x = 9), so larger arguments raise.
+_J_SERIES = _Polys(*(
+    [Fraction((-1) ** k, math.factorial(k) * math.factorial(k + n))
+     for k in range(21)] for n in range(5)))
+J_MAX_ARG = 8.0
+
+# K_0 and K_1 at x <= 2 from four series in y = x^2/4 (A&S 9.6.10, 9.6.11,
+# 9.6.13), H_k being the k-th harmonic number and psi(k+1) = H_k - gamma:
+#   I_0(x),  sum (H_k - gamma) y^k / k!^2,  I_1(x) / (x/2),
+#   sum (psi(k+1) + psi(k+2))/2 y^k / (k! (k+1)!);
+# K_0 = row1 - ln(x/2) row0 and K_1 = 1/x + (x/2)(ln(x/2) row2 - row3).
+# 14 terms reach full precision at y = 1.
+_K_NEAR = _Polys(
+    [Fraction(1, math.factorial(k) ** 2) for k in range(14)],
+    [(_harmonic(k) - _EULER_GAMMA) / math.factorial(k) ** 2 for k in range(14)],
+    [Fraction(1, math.factorial(k) * math.factorial(k + 1)) for k in range(14)],
+    [(_harmonic(k) + _harmonic(k + 1) - 2 * _EULER_GAMMA)
+     / (2 * math.factorial(k) * math.factorial(k + 1)) for k in range(14)])
+
+# e^x sqrt(x) K_0(x) and e^x sqrt(x) K_1(x) at x > 2 as polynomials in
+# t = 4/x - 1, which maps (2, inf) onto (-1, 1). The coefficients are a
+# degree-22 Chebyshev least-squares fit to sqrt(x) scipy.special.k0e(x) and
+# k1e(x) at 4000 Chebyshev points of t (scipy 1.17.1), converted to powers
+# of t; the Chebyshev coefficients beyond degree 22 are at the data's
+# noise floor, below 3e-17.
+# (K_0, K_1) per power, lowest first.
+_K_FAR = _Polys(*zip(
+    (1.2185953385133903, 1.3631518903713427),
+    (-0.03107146182489011, 0.10334973775386541),
+    (0.003032891810273102, -0.0055667298800760765),
+    (-0.00047976905671567096, 0.0007357241548667289),
+    (9.956054749458053e-05, -0.00013959021955158658),
+    (-2.4735205786799262e-05, 3.2843866739994355e-05),
+    (7.00224446314243e-06, -8.961207295399651e-06),
+    (-2.1911638718492037e-06, 2.730027112859201e-06),
+    (7.427903963264932e-07, -9.067110263477184e-07),
+    (-2.6899559878544746e-07, 3.230758996822773e-07),
+    (1.029019983750535e-07, -1.2201560040965828e-07),
+    (-4.098947458301969e-08, 4.808233232638229e-08),
+    (1.7212133490014296e-08, -1.9878242326146293e-08),
+    (-8.17123166652452e-09, 9.380513434368102e-09),
+    (3.4794335123535774e-09, -4.1986521786532254e-09),
+    (-4.6359529291769064e-10, 5.566013696729241e-10),
+    (4.659481873424337e-10, -2.624126795499749e-10),
+    (-1.4059023531867985e-09, 1.5710363880912477e-09),
+    (4.855048851101813e-10, -7.460687234074135e-10),
+    (5.189125793064665e-10, -5.786844575277756e-10),
+    (-1.676335464041129e-10, 2.7385552421904073e-10),
+    (-1.9199441039635057e-10, 2.1352850634852983e-10),
+    (8.1948723517698e-11, -1.0695943157837084e-10),
+))
+
 
 def _check_order(order):
     if order not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported Bessel order {order!r}; supported: {SUPPORTED_ORDERS}")
 
 
-def bessel_j(order, x):
-    """Bessel function of the first kind J_order(x).
+def _blocked(kernel, rows, x):
+    """Run kernel(x_block, out_block) over _BLOCK-point blocks of x.
 
-    Accepts scalars or arrays; order must be in SUPPORTED_ORDERS.
+    Returns an array of shape (rows,) + x.shape; out_block is the
+    (rows, len(x_block)) slice of it that the kernel fills.
     """
-    _check_order(order)
-    return _sci_special.jv(order, x)
+    out = np.empty((rows,) + x.shape)
+    flat_x = x.reshape(-1)
+    flat_out = out.reshape(rows, -1)
+    for lo in range(0, flat_x.size, _BLOCK):
+        kernel(flat_x[lo:lo + _BLOCK], flat_out[:, lo:lo + _BLOCK])
+    return out
+
+
+def _j_scalar(x, lo, hi):
+    h = 0.5 * x
+    sums = _J_SERIES.scalar(h * h, slice(lo, hi + 1))
+    out, hn = [], 1.0
+    for n in range(hi + 1):
+        if n >= lo:
+            out.append(np.float64(hn * sums[n - lo]))
+        hn = hn * h
+    return out
+
+
+def _j_block(lo, hi):
+    def kernel(x, out):
+        h = 0.5 * x
+        sums = _J_SERIES.into(h * h, np.empty((hi - lo + 1, x.size)),
+                              slice(lo, hi + 1))
+        hn = 1.0
+        for n in range(hi + 1):
+            if n >= lo:
+                np.multiply(hn, sums[n - lo], out=out[n - lo])
+            hn = hn * h
+    return kernel
+
+
+def _j_orders(x, lo, hi):
+    """[J_lo(x), ..., J_hi(x)] for 0 <= lo <= hi <= 4, by power series.
+
+    A scalar x gives np.float64 values, an array x arrays of its shape.
+    Raises ValueError where |x| > J_MAX_ARG, beyond the series' reach.
+    """
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    if (abs(float(arr)) if scalar else np.abs(arr).max(initial=0.0)) > J_MAX_ARG:
+        raise ValueError(f"Bessel J series covers |x| <= {J_MAX_ARG}")
+    if scalar:
+        return _j_scalar(float(arr), lo, hi)
+    return list(_blocked(_j_block(lo, hi), hi - lo + 1, arr))
+
+
+def _k01_near_scalar(x):
+    s = _K_NEAR.scalar(0.25 * x * x)
+    lg = float(np.log(0.5 * x))
+    return s[1] - lg * s[0], 1.0 / x + (lg * s[2] - s[3]) * (0.5 * x)
+
+
+def _k01_far_scalar(x):
+    p = _K_FAR.scalar(4.0 / x - 1.0)
+    f = float(np.exp(-x)) / math.sqrt(x)
+    return p[0] * f, p[1] * f
+
+
+def _k01_near(x, out):
+    y = 0.25 * x
+    y *= x
+    s = _K_NEAR.into(y, np.empty((4, x.size)))
+    lg = np.log(0.5 * x)
+    np.subtract(s[1], lg * s[0], out=out[0])
+    k1 = lg * s[2]
+    k1 -= s[3]
+    k1 *= 0.5 * x
+    k1 += 1.0 / x
+    out[1] = k1
+
+
+def _k01_far(x, out):
+    t = 4.0 / x
+    t -= 1.0
+    _K_FAR.into(t, out)
+    f = np.exp(-x)
+    f /= np.sqrt(x)
+    out *= f
+
+
+def _k01_block(x, out):
+    near = x <= 2.0
+    if not near.any():
+        _k01_far(x, out)
+    elif near.all():
+        _k01_near(x, out)
+    else:
+        for branch, mask in ((_k01_near, near), (_k01_far, ~near)):
+            part = np.empty((2, np.count_nonzero(mask)))
+            branch(x[mask], part)
+            out[:, mask] = part
 
 
 def _k_orders(arr, top):
-    # Cephes k0/k1 are several times faster than the generic kv path on the
-    # large arrays the field evaluator produces; higher orders follow the
-    # upward recurrence, stable here because every term is positive.
-    ks = [_sci_special.k0(arr), _sci_special.k1(arr)]
+    """[K_0(x), ..., K_top(x)] at x = arr > 0 (unchecked).
+
+    K_0 and K_1 come from one fused kernel: the series at x <= 2, the fit
+    beyond, each run only on its own points. Higher orders follow the upward
+    recurrence, stable here because every term is positive.
+    """
+    x = np.asarray(arr, dtype=float)
+    if x.ndim == 0:
+        x = float(x)
+        ks = [np.float64(k) for k in
+              (_k01_near_scalar(x) if x <= 2.0 else _k01_far_scalar(x))]
+    else:
+        ks = list(_blocked(_k01_block, 2, x))
     for n in range(1, top):
-        ks.append(ks[-1] * (2.0 * n / arr) + ks[-2])
+        ks.append(ks[-1] * (2.0 * n / x) + ks[-2])
     return ks
+
+
+def bessel_j(order, x):
+    """Bessel function of the first kind J_order(x).
+
+    Accepts scalars or arrays; order must be in SUPPORTED_ORDERS. Accurate
+    to 1e-14 absolute for |x| <= 6.5, the range the mode solver uses;
+    |x| > 8 raises ValueError.
+    """
+    _check_order(order)
+    return _j_orders(x, order, order)[0]
 
 
 def bessel_k(order, x):
@@ -56,31 +271,22 @@ def bessel_k(order, x):
     """
     _check_order(order)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError("bessel_k requires x > 0")
-    if order == 0:
-        return _sci_special.k0(arr)
-    if order == 1:
-        return _sci_special.k1(arr)
     return _k_orders(arr, order)[order]
 
 
 def bessel_j_deriv(order, x):
     """First derivative of J_order at x.
 
-    Orders 0..2 follow J'_n = (J_{n-1} - J_{n+1})/2; order 3 uses the
-    equivalent recurrence J'_3 = J_2 - (3/x) J_3 to stay inside the
-    supported order set.
+    J'_0 = -J_1 and J'_n = (J_{n-1} - J_{n+1})/2 for n >= 1, with J_4 from
+    the same series; a scalar x gives np.float64 for every order.
     """
     _check_order(order)
-    arr = np.asarray(x, dtype=float)
-    if order == 3:
-        out = np.where(arr != 0.0,
-                       _sci_special.jv(2, arr) - np.divide(3.0, arr, out=np.ones_like(arr),
-                                                           where=arr != 0.0) * _sci_special.jv(3, arr),
-                       0.0)
-        return out if out.shape else float(out)
-    return _sci_special.jvp(order, x)
+    if order == 0:
+        return -_j_orders(x, 1, 1)[0]
+    lower, _, upper = _j_orders(x, order - 1, order + 1)
+    return 0.5 * (lower - upper)
 
 
 def bessel_k_deriv(order, x):
@@ -90,11 +296,11 @@ def bessel_k_deriv(order, x):
     """
     _check_order(order)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError("bessel_k_deriv requires x > 0")
-    if order == 0:
-        return -_sci_special.k1(arr)
     ks = _k_orders(arr, order + 1)
+    if order == 0:
+        return -ks[1]
     return -0.5 * (ks[order - 1] + ks[order + 1])
 
 

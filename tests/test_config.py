@@ -194,6 +194,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config.parse_config("dispersion.v_lo = 4.0\ndispersion.v_hi = 3.0")
 
+    def test_v_beyond_solver_range(self):
+        # the Bessel J series covers core arguments up to V = 8
+        with pytest.raises(ConfigError) as err:
+            config.parse_config("dispersion.v_hi = 8.5")
+        assert err.value.key == "dispersion.v_hi"
+        with pytest.raises(ConfigError) as err:
+            config.parse_config("fiber.radius_nm = 1100")
+        assert err.value.key == "fiber"
+        config.parse_config("dispersion.v_hi = 8.0\nfiber.radius_nm = 1000")
+
     def test_seed_bounds_ordering(self):
         with pytest.raises(ConfigError) as err:
             config.parse_config("seed.r_lo_nm = 900\nseed.r_hi_nm = 500")

@@ -378,6 +378,21 @@ class TestFieldEvaluation:
             assert np.allclose(exact, fd, rtol=1e-6,
                                atol=1e-6 * np.abs(fd).max())
 
+    @pytest.mark.parametrize("name", ["HE11", "TE01"])
+    def test_edge_bessels_once_per_solution(self, solved, name, monkeypatch):
+        # J_nu(u) and K_nu(w) scale every exterior evaluation; they are
+        # computed once per solution, not once per call
+        calls = []
+        for fn in ("bessel_j", "bessel_k"):
+            real = getattr(numerics, fn)
+            monkeypatch.setattr(numerics, fn, lambda n, x, real=real:
+                                calls.append(x) or real(n, x))
+        modes._edge_bessels.cache_clear()
+        for r in (450.0, 600.0, 800.0):
+            modes.e_field(solved[name], r, 0.3, 0.0)
+            modes.h_field(solved[name], np.array([r, r + 50.0]), 0.3, 0.0)
+        assert calls == [solved[name].u, solved[name].w]
+
     def test_jacobian_requires_exterior_point(self, solved):
         with pytest.raises(ValueError):
             modes.e_field_exterior_jacobian(solved["HE11"], 300.0, 0.0, 0.0)

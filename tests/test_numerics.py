@@ -7,6 +7,7 @@ root finder ports scipy's brentq, so it is also checked against brentq itself
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -93,6 +94,67 @@ class TestBesselDerivatives:
         x, h = 2.31, 1e-6
         fd = (f(order, x + h) - f(order, x - h)) / (2 * h)
         assert d(order, x) == pytest.approx(fd, rel=1e-8)
+
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_j_deriv_scalar_type(self, order):
+        # every order returns np.float64 for a scalar and an array for an array
+        assert type(numerics.bessel_j_deriv(order, 1.3)) is np.float64
+        assert numerics.bessel_j_deriv(order, np.array([1.3, 2.0])).shape == (2,)
+
+
+class TestBesselKernels:
+    """The in-house series and fits against scipy.special, and their bits."""
+
+    @staticmethod
+    def ulps(ours, ref):
+        return np.abs(ours - ref) / np.spacing(ref)
+
+    def test_k0_k1_within_32_ulp(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.concatenate([np.geomspace(1e-6, 2.0, 100_001),
+                            np.linspace(2.0, 45.0, 200_001), [100.0, 700.0]])
+        k0, k1 = numerics._k_orders(x, 1)
+        assert self.ulps(k0, special.k0(x)).max() <= 32
+        assert self.ulps(k1, special.k1(x)).max() <= 32
+
+    def test_j0_to_j4_within_1e_14(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(0.0, 6.5, 200_001)
+        for n, jn in enumerate(numerics._j_orders(x, 0, 4)):
+            assert np.abs(jn - special.jv(n, x)).max() <= 1e-14, n
+
+    def test_j_beyond_series_range_rejected(self):
+        with pytest.raises(ValueError):
+            numerics.bessel_j(0, 8.5)
+        with pytest.raises(ValueError):
+            numerics.bessel_j_deriv(1, np.array([1.0, -9.0]))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.one_of(st.floats(min_value=1e-4, max_value=2.0),
+                              st.floats(min_value=2.0, max_value=45.0)),
+                    min_size=1, max_size=40),
+           st.sampled_from([1, 3, 7, 32768]))
+    def test_k_scalar_equals_batched_bits(self, xs, block):
+        # small blocks put near (x <= 2) and far points in one block and
+        # spread a batch over several
+        with mock.patch.object(numerics, "_BLOCK", block):
+            batched = numerics._k_orders(np.array(xs), 3)
+        for i, x in enumerate(xs):
+            single = numerics._k_orders(x, 3)
+            assert np.array([k[i] for k in batched]).tobytes() == (
+                np.array(single).tobytes())
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.floats(min_value=-6.5, max_value=6.5),
+                    min_size=1, max_size=40),
+           st.sampled_from([1, 7, 32768]))
+    def test_j_scalar_equals_batched_bits(self, xs, block):
+        with mock.patch.object(numerics, "_BLOCK", block):
+            batched = numerics._j_orders(np.array(xs), 0, 4)
+        for i, x in enumerate(xs):
+            assert np.array([j[i] for j in batched]).tobytes() == (
+                np.array(numerics._j_orders(x, 0, 4)).tobytes())
 
 
 class TestFindRoot:
