@@ -100,7 +100,11 @@ def _plane_points(cfg, fieldobj):
         y = np.broadcast_to(span[None, :], (n, n))
         z = np.full((n, n), value)
     else:
-        z0 = superposition.beat_length(fieldobj.pair)
+        try:
+            z0 = superposition.beat_length(fieldobj.pair)
+        except ValueError as err:
+            raise ConfigError(f"plane {cfg.plane}: {err}",
+                              key="grid.plane") from err
         zline = np.linspace(0.0, z0, n)
         z = np.broadcast_to(zline[None, :], (n, n))
         if axis == "x":

@@ -40,8 +40,8 @@ from .errors import ConvergenceError, CutoffError
 
 _SCAN_POINTS = 2000
 _NEFF_MARGIN = 1e-9
-# Mode census covers azimuthal orders 0..3: enough for every branch up to the
-# seventh guided mode of this fiber family.
+# Mode census covers azimuthal orders 0..3: every guided branch below the
+# HE41 cutoff, and the seven dispersion branches at any V.
 _HYBRID_ORDERS = (1, 2, 3)
 _SWEEP_MODES = ("HE11", "TE01", "TM01", "HE21", "EH11", "HE31", "HE12")
 # Clamp radii to avoid 0/0 in the nu/r interior terms; 1e-12 nm is far below
@@ -229,8 +229,24 @@ def _census(v, n1, n2):
 
 
 def supported_modes(fiber, wavelength_nm):
-    """ModeIds of every guided mode at this wavelength, descending in beta."""
+    """ModeIds of every guided mode at this wavelength, descending in beta.
+
+    The census stops at azimuthal order 3, so a V above the cutoff of HE41,
+    (n1^2/n2^2 + 1) J_3(V) = (V/3) J_4(V) (Snyder & Love, Table 12-4),
+    raises ValueError instead of listing an incomplete set.
+    """
     v = v_parameter(fiber, wavelength_nm)
+    ratio = (fiber.n_core / fiber.n_clad) ** 2 + 1.0
+
+    def he41(x):
+        j3, j4 = numerics._j_orders(x, 3, 4)
+        return ratio * j3 - x / 3.0 * j4
+
+    # the cutoff lies between the J_2 zero (weak guidance) and the J_3 zero
+    v_max = numerics.find_root(he41, 4.0, 6.5)
+    if v > v_max:
+        raise ValueError(f"V = {v:.4f} is above the HE41 cutoff "
+                         f"V = {v_max:.4f}, beyond the mode census")
     return [ModeId(fam, nu, m)
             for _, fam, nu, m, _ in _census(v, fiber.n_core, fiber.n_clad)]
 
@@ -394,9 +410,10 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
     and -1/q^2 outside; sgn and pre carry that sign flip.
 
     With jacobian (E outside the core only) the result is (e, de_dr,
-    de_dphi): the three components and their derivatives per nm of r and
-    per rad of phi, from the same K values, constants and cos/sin of
-    chi = nu phi + psi; K'' follows from the modified Bessel equation.
+    de_dphi, d2e_dr2, d2e_drdphi): the three components and their first
+    and second derivatives per nm of r and per rad of phi, from the same K
+    values, constants and cos/sin of chi = nu phi + psi. K'' follows from
+    the modified Bessel equation and K''' from its derivative.
     """
     nu = sol.mode.nu
     omega = sol.omega
@@ -438,12 +455,15 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
         if not jacobian:
             return e
         q = sol.q_per_nm
-        dk1 = q * c * (-0.5 * (ks[0] + ks[2]))
+        k1d = -0.5 * (ks[0] + ks[2])
+        # K1'' from the modified Bessel equation of order 1
+        dk1 = q * c * k1d
+        ddk1 = q * q * c * ((1.0 + 1.0 / x ** 2) * f1 - k1d / x)
+        flat = (zero, zero, zero)
         if te:
-            de_dr = (zero, dk1, zero)
-        else:
-            de_dr = (dk1, zero, -q * 1j * amp * f1)
-        return e, de_dr, (zero, zero, zero)
+            return e, (zero, dk1, zero), flat, (zero, ddk1, zero), flat
+        return (e, (dk1, zero, -q * 1j * amp * f1), flat,
+                (ddk1, zero, -q * q * 1j * amp * k1d), flat)
 
     az, bz, psi = _z_amplitudes(sol)
     if outside:
@@ -477,16 +497,24 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
     c2 = 1j * (omega * _MU0 * nu / k_m) * bz
     d1 = -1j * (beta_m * nu / k_m) * az
     d2 = -1j * (omega * _MU0 / k_m) * bz
-    # modified Bessel equation: K'' = (1 + nu^2/x^2) K - K'/x
+    # modified Bessel equation: K'' = (1 + nu^2/x^2) K - K'/x, and by its
+    # derivative K''' = (1 + nu^2/x^2) K' - 2 nu^2 K/x^3 - (K'' - K'/x)/x
     fdd = (1.0 + (nu / x) ** 2) * f - fd / x
+    fddd = ((1.0 + (nu / x) ** 2) * fd - 2.0 * nu * nu * f / x ** 3
+            - (fdd - fd / x) / x)
     fox_d = fd / x - f / x ** 2
-    de_dr = (q * (c1 * fdd + c2 * fox_d) * cc,
-             q * (d1 * fox_d + d2 * fdd) * ss,
-             q * az * fd * cc)
+    fox_dd = (fdd - 2.0 * fox_d) / x
+    # radial factors of dE/dr, ahead of cos or sin chi
+    gr, gp = q * (c1 * fdd + c2 * fox_d), q * (d1 * fox_d + d2 * fdd)
+    gz = q * az * fd
     de_dphi = (-nu * (c1 * fd + c2 * fox) * ss,
                nu * (d1 * fox + d2 * fd) * cc,
                -nu * az * f * ss)
-    return e, de_dr, de_dphi
+    d2e_dr2 = (q * q * (c1 * fddd + c2 * fox_dd) * cc,
+               q * q * (d1 * fox_dd + d2 * fddd) * ss,
+               q * q * az * fdd * cc)
+    return (e, (gr * cc, gp * ss, gz * cc), de_dphi, d2e_dr2,
+            (-nu * gr * ss, nu * gp * cc, -nu * gz * ss))
 
 
 def _fields_cyl(sol, r_nm, phi, z_nm, want_h):
@@ -526,12 +554,14 @@ def h_field(sol, r_nm, phi, z_nm):
 
 
 def e_field_exterior_jacobian(sol, r_nm, phi, z_nm):
-    """Electric field and its first derivatives outside the core.
+    """Electric field and its first and second derivatives outside the core.
 
-    Returns (e, de_dr, de_dphi, de_dz): each an array with a trailing axis of
-    3 cylindrical components. Radial and axial derivatives are per nm, the
-    azimuthal one per rad. e is e_field's value, from the same exterior
-    kernel; valid only for r > a (raises ValueError otherwise).
+    Returns (e, de, d2e): e is e_field's value (trailing axis of 3
+    cylindrical components), from the same exterior kernel; de[..., i, :]
+    and d2e[..., i, j, :] are its derivatives along coordinates i and j of
+    (r, phi, z), per nm of r and z and per rad of phi. d2/dphi2 is a factor
+    of -nu^2 and d/dz one of -i beta. Valid only for r > a (raises
+    ValueError otherwise).
     """
     r = np.asarray(r_nm, dtype=float)
     if np.any(r <= sol.fiber.radius_nm):
@@ -539,9 +569,16 @@ def e_field_exterior_jacobian(sol, r_nm, phi, z_nm):
     r, phi, z = np.broadcast_arrays(r, np.asarray(phi, dtype=float),
                                     np.asarray(z_nm, dtype=float))
     phase = _phase(sol, z)[..., np.newaxis]
-    e, de_dr, de_dphi = (np.stack(vals, axis=-1) * phase for vals in
-                         _side_fields(sol, r, phi, False, True, jacobian=True))
-    return e, de_dr, de_dphi, -1j * sol.beta_per_nm * e
+    e, dr, dphi, drr, drphi = (
+        np.stack(vals, axis=-1) * phase for vals in
+        _side_fields(sol, r, phi, False, True, jacobian=True))
+    kz = -1j * sol.beta_per_nm
+    de = np.stack([dr, dphi, kz * e], axis=-2)
+    d2e = np.stack([np.stack([drr, drphi, kz * dr], axis=-2),
+                    np.stack([drphi, -sol.mode.nu ** 2 * e, kz * dphi],
+                             axis=-2),
+                    kz * de], axis=-3)
+    return e, de, d2e
 
 
 def cartesian_components(field_cyl, phi):
@@ -612,7 +649,9 @@ def dispersion_sweep(fiber, v_lo, v_hi, points):
     """(V, mode name, beta/k0) rows for the first seven mode branches.
 
     Rows are ordered by V, then by descending beta within each V. Branches
-    below cutoff at a given V are simply absent there.
+    below cutoff at a given V are simply absent there. All seven branches
+    have azimuthal order at most 3, so the census has each of them at any
+    V, above the HE41 cutoff too (see supported_modes).
     """
     if not 0.0 < v_lo <= v_hi:
         raise ValueError("require 0 < v_lo <= v_hi")

@@ -1,4 +1,4 @@
-"""Low-level numerical kernels: Bessel evaluations, root finding, quadrature, Hessians.
+"""Low-level numerical kernels: Bessel evaluations, root finding, quadrature.
 
 Every routine validates its domain and raises early; the physics modules above
 rely on these contracts instead of re-checking. Bessel orders are limited to the
@@ -415,45 +415,3 @@ def integrate(f, lo, hi):
         raise ConvergenceError(f"integral evaluated to a non-finite value {value!r}")
     return value
 
-
-def hessian(f, point, steps):
-    """Symmetric 3x3 Hessian of a scalar field by central second differences.
-
-    point and steps are length-3 sequences; steps are per-axis displacement
-    magnitudes. f is called once with the (19, 3) array of stencil points and
-    must return their 19 values. Diagonal entries use the 3-point second
-    difference, off-diagonal entries the 4-point mixed stencil. The result is
-    symmetric by construction.
-    """
-    p = np.asarray(point, dtype=float)
-    d = np.asarray(steps, dtype=float)
-    if p.shape != (3,) or d.shape != (3,):
-        raise ValueError("point and steps must be length-3 sequences")
-    if np.any(d <= 0.0):
-        raise ValueError("steps must be positive")
-
-    e = np.diag(d)
-    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
-    # centre, then +e_i and -e_i per axis, then the four mixed points per pair
-    offsets = [np.zeros(3)]
-    for i in range(3):
-        offsets += [e[i], -e[i]]
-    for i, j in pairs:
-        offsets += [e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]]
-    vals = np.asarray(f(p + np.array(offsets)), dtype=float)
-    if vals.shape != (19,):
-        raise ValueError(
-            f"f returned shape {vals.shape} for the 19 stencil points")
-
-    h = np.empty((3, 3), dtype=float)
-    f0 = vals[0]
-    for i in range(3):
-        h[i, i] = (vals[1 + 2 * i] - 2.0 * f0 + vals[2 + 2 * i]) / d[i] ** 2
-    for n, (i, j) in enumerate(pairs):
-        pp, pm, mp, mm = vals[7 + 4 * n:11 + 4 * n]
-        hij = (pp - pm - mp + mm) / (4.0 * d[i] * d[j])
-        h[i, j] = hij
-        h[j, i] = hij
-    if not np.all(np.isfinite(h)):
-        raise ConvergenceError("Hessian stencil produced non-finite entries")
-    return h

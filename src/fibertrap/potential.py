@@ -184,32 +184,42 @@ def local_scattering_rate(field_, r_nm, phi, z_nm):
     return field_.scatter_coeff * intensity(field_, r_nm, phi, z_nm)
 
 
-def potential_gradient(field_, r_nm, phi, z_nm):
-    """Analytic gradient of the total potential outside the core.
+def potential_derivatives(field_, r_nm, phi, z_nm):
+    """Analytic gradient and Hessian of the total potential outside the core.
 
-    Returns an array with trailing axis (d/dr, (1/r) d/dphi, d/dz) in J/nm;
-    the azimuthal entry is the arc-length derivative.
+    Returns (gradient, hessian) in the local (r-hat, arc, z-hat) frame, the
+    arc taken at the point's own r: trailing axis (d/dr, (1/r) d/dphi, d/dz)
+    in J/nm, and trailing axes (3, 3) in J/nm^2 with 1/r per arc index. At a
+    stationary point this is the Hessian in Cartesian displacements.
     """
     pair = field_.pair
     ja = modes.e_field_exterior_jacobian(pair.sol_a, r_nm, phi, z_nm)
     jb = modes.e_field_exterior_jacobian(pair.sol_b, r_nm, phi, z_nm)
     phase = np.exp(1j * pair.delta)
-    e = phase * ja[0] + jb[0]
-    de_dr = phase * ja[1] + jb[1]
-    de_dphi = phase * ja[2] + jb[2]
-    de_dz = phase * ja[3] + jb[3]
+    e, de, d2e = (phase * a + b for a, b in zip(ja, jb))
+
+    # I = (c eps0 / 2) sum |E_k|^2, so dI = c eps0 Re[conj(E_k) dE_k] and
+    # d2I = c eps0 Re[conj(dE_k) dE_k + conj(E_k) d2E_k]
+    scale = _C0 * _EPS0
+    ce = np.conj(e)[..., np.newaxis, :]
+    di = scale * np.sum(np.real(ce * de), axis=-1)
+    d2i = scale * np.sum(np.real(
+        np.conj(de)[..., :, np.newaxis, :] * de[..., np.newaxis, :, :]
+        + ce[..., np.newaxis, :, :] * d2e), axis=-1)
 
     r = np.asarray(r_nm, dtype=float)
-    # I = (c eps0 / 2) sum |E_k|^2, so dI = c eps0 Re[conj(E_k) dE_k]
-    scale = _C0 * _EPS0
-    di_dr = scale * np.sum(np.real(np.conj(e) * de_dr), axis=-1)
-    di_darc = scale * np.sum(np.real(np.conj(e) * de_dphi), axis=-1) / r
-    di_dz = scale * np.sum(np.real(np.conj(e) * de_dz), axis=-1)
-
+    metric = np.stack(np.broadcast_arrays(1.0, r, 1.0), axis=-1)
     coeff = field_.shift_coeff
+    grad = coeff * (di / metric)
+    hess = coeff * (d2i / (metric[..., :, np.newaxis]
+                           * metric[..., np.newaxis, :]))
+    # van der Waals -C3/gap^3 depends on r alone
     gap_m = (r - field_.fiber.radius_nm) * 1e-9
-    dvdw_dr = 3.0 * field_.atom.c3 / gap_m ** 4 * 1e-9
-    grad = np.stack([coeff * di_dr + dvdw_dr,
-                     coeff * di_darc,
-                     coeff * di_dz], axis=-1)
-    return grad
+    grad[..., 0] += 3.0 * field_.atom.c3 / gap_m ** 4 * 1e-9
+    hess[..., 0, 0] -= 12.0 * field_.atom.c3 / gap_m ** 5 * 1e-18
+    return grad, hess
+
+
+def potential_gradient(field_, r_nm, phi, z_nm):
+    """Analytic gradient of the total potential: potential_derivatives[0]."""
+    return potential_derivatives(field_, r_nm, phi, z_nm)[0]

@@ -2,16 +2,17 @@
 
 The trap minimum is found by a coarse grid scan over a seed region (keeping
 only radial interior local minima, so the attractive surface run never wins)
-and a Newton polish from the best seed cell with the analytic gradient. Every
-Newton iterate must have a local Hessian with three positive eigenvalues, so
-each step is a descent step and the polished point is a minimum; the first
+and a Newton polish from the best seed cell with the analytic gradient and
+Hessian, both from one evaluation of the exterior field kernel. Every Newton
+iterate must have a local Hessian with three positive eigenvalues, so each
+step is a descent step and the polished point is a minimum; the first
 iterate without them ends the search as a saddle. Around the minimum the
-potential is characterized by its Hessian in the local orthonormal frame
-(r-hat, arc length, z-hat), by 1-D turning points at the reference thermal
-energy, and by a spherical fan of straight escape rays whose lowest barrier
-defines the trap depth and the escape direction l. Heating is modeled as
-two recoil energies per scattered photon at the orbit-averaged scattering
-rate.
+potential is characterized by its analytic Hessian in the local orthonormal
+frame (r-hat, arc length, z-hat), by 1-D turning points at the reference
+thermal energy, and by a spherical fan of straight escape rays whose lowest
+barrier defines the trap depth and the escape direction l. Heating is
+modeled as two recoil energies per scattered photon at the orbit-averaged
+scattering rate.
 
 The fan is searched by bound and prune. The maximum of the potential over
 every 25th sample of a ray is a lower bound on that ray's barrier, so rays
@@ -50,7 +51,7 @@ _MARCH_BATCH = 16
 # Newton polish: positional tolerance and step cap.
 _POSITION_TOL_NM = 0.1
 _NEWTON_STEP_CAP_NM = 5.0
-# Orbit ensemble defaults.
+# Orbit ensemble: sample count and generator seed.
 _ORBIT_SAMPLES = 4096
 _ORBIT_SEED = 20260822
 
@@ -88,15 +89,16 @@ def find_minimum(field_, seed):
     """Locate the potential minimum inside the seed region.
 
     The best interior cell of a coarse seed scan starts a Newton polish in
-    the local (r-hat, arc, z-hat) frame: analytic gradient, finite-difference
-    Hessian, steps capped at 5 nm. A Newton step descends only where the
-    Hessian is positive definite, so every iterate must have three positive
-    curvatures; the first that does not ends the search as a saddle. Returns
-    (r_nm, phi, z_nm), within 0.02 nm of the last such iterate. Raises
-    NoTrapError when the region holds no interior minimum (all candidate
-    columns run monotonically into the surface or out of the evanescent
-    field), and when the polish meets a saddle, steps into the surface, does
-    not converge in 40 steps or ends outside the seed region.
+    the local (r-hat, arc, z-hat) frame: analytic gradient and Hessian from
+    one potential_derivatives call per iterate, steps capped at 5 nm. A
+    Newton step descends only where the Hessian is positive definite, so
+    every iterate must have three positive curvatures; the first that does
+    not ends the search as a saddle. Returns (r_nm, phi, z_nm), within
+    0.02 nm of the last such iterate. Raises NoTrapError when the region
+    holds no interior minimum (all candidate columns run monotonically into
+    the surface or out of the evanescent field), and when the polish meets a
+    saddle, steps into the surface, does not converge in 40 steps or ends
+    outside the seed region.
     """
     a = field_.fiber.radius_nm
     r_lo = max(seed.r_nm[0], a + 2.0)
@@ -114,10 +116,9 @@ def find_minimum(field_, seed):
     i, j, k = np.unravel_index(np.argmin(masked), masked.shape)
     r, p, z = float(rr[i + 1]), float(pp[j]), float(zz[k])
 
-    # Newton polish in the local orthonormal frame, analytic gradient
+    # Newton polish in the local orthonormal frame, analytic derivatives
     for _ in range(40):
-        g = np.array(potential.potential_gradient(field_, r, p, z))
-        h = _local_hessian(field_, r, p, z)
+        g, h = potential.potential_derivatives(field_, r, p, z)
         if not np.all(np.linalg.eigvalsh(h) > 0.0):
             raise NoTrapError("minimum search met a saddle: the Hessian "
                               "lacks three positive curvatures")
@@ -142,27 +143,14 @@ def find_minimum(field_, seed):
     return r, p, z
 
 
-def _local_hessian(field_, r, p, z):
-    """Hessian of the potential in (r-hat, arc, z-hat) displacements, J/nm^2."""
-
-    def f(q):
-        return potential.total_potential(field_, q[..., 0],
-                                         p + (q[..., 1] - 1000.0) / r,
-                                         q[..., 2])
-
-    # the arc coordinate is offset so all three components are O(100..1000) nm
-    # and the 1 nm step is meaningful on each axis
-    return numerics.hessian(f, (r, 1000.0, z), (1.0, 1.0, 1.0))
-
-
 def trap_frequencies(field_, minimum, mass_kg):
     """Harmonic angular frequencies (omega_r, omega_phi, omega_z) in rad/s.
 
-    Eigenvalues of the local-frame Hessian assigned to axes by the dominant
-    eigenvector component; any non-positive eigenvalue raises SaddleError.
+    Eigenvalues of the analytic local-frame Hessian (potential_derivatives)
+    assigned to axes by the dominant eigenvector component; any non-positive
+    eigenvalue raises SaddleError.
     """
-    r, p, z = minimum
-    h = _local_hessian(field_, r, p, z)
+    _, h = potential.potential_derivatives(field_, *minimum)
     evals, evecs = np.linalg.eigh(h)
     if np.any(evals <= 0.0):
         raise SaddleError(
@@ -375,25 +363,25 @@ def _inner_barrier(field_, minimum, umin, probe_e):
     return height, width
 
 
-def orbit_averaged_scattering(field_, minimum, extents, state,
-                              samples=_ORBIT_SAMPLES, seed=_ORBIT_SEED):
+def orbit_averaged_scattering(field_, minimum, extents):
     """Mean photon scattering rate over a classical oscillation ensemble.
 
-    The total energy k_B T_init is split uniformly over the three axes
-    (flat Dirichlet over the energy simplex, covering all classical
+    extents are the (3, 2) signed turning points at the reference energy
+    E_init, which they carry. That energy is split uniformly over the three
+    axes (flat Dirichlet over the energy simplex, covering all classical
     oscillation modes), each axis oscillates harmonically with the amplitude
-    scaled from its turning-point extents by sqrt(E_axis / E_init), and the
+    scaled from its turning points by sqrt(E_axis / E_init), and the
     oscillation phases are uniform. Amplitudes stay asymmetric per side, so
     the radial bias between the steep inner wall and the soft outer tail is
-    kept. Deterministic for a fixed seed.
+    kept. A fixed seed makes the rate deterministic.
     """
     r, p, z = minimum
     turns = np.asarray(extents, dtype=float)
     if turns.shape != (3, 2):
         raise ValueError("extents must be the (3, 2) signed turning points")
-    rng = np.random.default_rng(seed)
-    split = rng.dirichlet((1.0, 1.0, 1.0), size=samples)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 3))
+    rng = np.random.default_rng(_ORBIT_SEED)
+    split = rng.dirichlet((1.0, 1.0, 1.0), size=_ORBIT_SAMPLES)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(_ORBIT_SAMPLES, 3))
     scale = np.sqrt(split)
     s = np.sin(phase)
     disp = np.where(s >= 0.0,
@@ -505,7 +493,7 @@ def characterize_trap(field_, seed, state):
     omega = trap_frequencies(field_, (r, p, z), field_.atom.mass_kg)
     turns = turning_points(field_, (r, p, z), state.e_init)
     exts = tuple(float(t_out - t_in) for t_in, t_out in turns)
-    rate = orbit_averaged_scattering(field_, (r, p, z), turns, state)
+    rate = orbit_averaged_scattering(field_, (r, p, z), turns)
     e_rec = field_.atom.recoil_energy(pair.wavelength_nm)
     life = lifetime(esc.depth_j, state, rate, e_rec)
     inner_h, inner_w = _inner_barrier(field_, (r, p, z), umin,

@@ -8,17 +8,18 @@ The traffic is the three presets at 25 power splits tau = 0.02, 0.06, ...,
 0.98 and at the three preset rows tau0 - sigma, tau0, tau0 + sigma, each at
 the launch phases delta = 0, 0.7 and 2.5 rad: 252 searches in the preset's
 own seed box. One tab-separated line per search gives the preset, delta,
-the kind of split ("grid" or "row"), tau, the outcome ("ok" or the NoTrapError message), the number of local
-Hessians the search took, and the minimum (r_nm, phi, z_nm) as exact
-reprs, so two runs can be compared with diff. A summary of outcome counts
-and Hessian counts goes to stderr.
+the kind of split ("grid" or "row"), tau, the outcome ("ok" or the
+NoTrapError message), the number of local Hessians the search took (its
+potential_derivatives calls, one per Newton iterate), and the minimum
+(r_nm, phi, z_nm) as exact reprs, so two runs can be compared with diff. A
+summary of outcome counts and Hessian counts goes to stderr.
 """
 
 import collections
 import dataclasses
 import sys
 
-from fibertrap import config, trapanalysis
+from fibertrap import config, potential, trapanalysis
 from fibertrap.errors import NoTrapError
 
 DELTAS = (0.0, 0.7, 2.5)
@@ -33,13 +34,13 @@ def _splits(cfg):
 
 def main():
     hessians = [0]
-    local_hessian = trapanalysis._local_hessian
+    derivatives = potential.potential_derivatives
 
     def counted(*args, **kwargs):
         hessians[0] += 1
-        return local_hessian(*args, **kwargs)
+        return derivatives(*args, **kwargs)
 
-    trapanalysis._local_hessian = counted
+    potential.potential_derivatives = counted
     outcomes = collections.Counter()
     most = collections.defaultdict(int)
     for name in config.PRESET_NAMES:

@@ -254,6 +254,22 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "transverse magnetic" in res.stderr
 
+    def test_mode_named_twice_has_no_beat(self, tmp_path):
+        # HE11 beside itself turned by 90 degrees: one propagation constant,
+        # so a plane along z has no beat length to span; z=0 needs none
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("pair.mode_b = HE11\n"
+                       "pair.orientation_b_rad = 1.5707963267948966\n")
+        res = run_cli("grid", "--config", str(cfg), "--plane", "x=0",
+                      "--resolution", "5")
+        assert res.returncode == 2
+        assert res.stderr.startswith("fibertrap: configuration error:")
+        assert res.stderr.count("\n") == 1
+        res = run_cli("grid", "--config", str(cfg), "--plane", "z=0",
+                      "--resolution", "5")
+        assert res.returncode == 0
+        assert len(res.stdout.splitlines()) == 26
+
     def test_parse_error_names_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("pair.tua = 0.5\n")

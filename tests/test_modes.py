@@ -55,6 +55,22 @@ class TestVParameterAndCensus:
         neffs = [s.neff for s in sols]
         assert neffs == sorted(neffs, reverse=True)
 
+    def test_census_below_he41_cutoff(self):
+        # HE41 cuts in at V = 5.5788; below it the census is complete
+        wl = 2.0 * math.pi * FIBER.radius_nm * math.sqrt(
+            FIBER.n_core ** 2 - FIBER.n_clad ** 2) / 5.0
+        names = [m.name for m in modes.supported_modes(FIBER, wl)]
+        assert names == ["HE11", "TE01", "HE21", "TM01", "EH11", "HE31",
+                         "HE12"]
+
+    def test_census_above_he41_cutoff_raises(self):
+        # the census stops at azimuthal order 3, so at V = 7 it would miss
+        # HE41 and list only 12 modes
+        wl = 2.0 * math.pi * FIBER.radius_nm * math.sqrt(
+            FIBER.n_core ** 2 - FIBER.n_clad ** 2) / 7.0
+        with pytest.raises(ValueError, match="HE41 cutoff V = 5.5788"):
+            modes.supported_modes(FIBER, wl)
+
     def test_single_mode_regime(self):
         # V = 2.3 sits below the first higher-order cutoff
         wl = 2.0 * math.pi * FIBER.radius_nm * math.sqrt(
@@ -356,27 +372,31 @@ class TestFieldEvaluation:
     @pytest.mark.parametrize("name", ["HE11", "TE01", "TM01", "HE21"])
     def test_exterior_jacobian_matches_fd(self, solved, name):
         sol = solved[name]
-        r, phi, z = 620.0, 0.9, 40.0
-        e, de_dr, de_dphi, de_dz = modes.e_field_exterior_jacobian(
-            sol, r, phi, z)
-        assert np.array_equal(e, modes.e_field(sol, r, phi, z))
+        point = np.array([620.0, 0.9, 40.0])
+        e, de, d2e = modes.e_field_exterior_jacobian(sol, *point)
+        assert np.array_equal(e, modes.e_field(sol, *point))
         rs = np.linspace(410.0, 1400.0, 9)[:, None]
         phis = np.linspace(-np.pi, np.pi, 5)
-        batch = modes.e_field_exterior_jacobian(sol, rs, phis, z)[0]
-        assert batch.shape == (9, 5, 3)
-        assert np.array_equal(batch, modes.e_field(sol, rs, phis, z))
+        batch = modes.e_field_exterior_jacobian(sol, rs, phis, point[2])
+        assert [b.shape for b in batch] == [(9, 5, 3), (9, 5, 3, 3),
+                                            (9, 5, 3, 3, 3)]
+        assert np.array_equal(batch[0], modes.e_field(sol, rs, phis, point[2]))
         h = 1e-4
-        fd_r = (modes.e_field(sol, r + h, phi, z)
-                - modes.e_field(sol, r - h, phi, z)) / (2 * h)
-        fd_phi = (modes.e_field(sol, r, phi + h, z)
-                  - modes.e_field(sol, r, phi - h, z)) / (2 * h)
-        fd_z = (modes.e_field(sol, r, phi, z + h)
-                - modes.e_field(sol, r, phi, z - h)) / (2 * h)
-        # unit-amplitude derivatives are ~1e-3 per nm, so the absolute
-        # slack scales with each derivative instead of being fixed
-        for exact, fd in ((de_dr, fd_r), (de_dphi, fd_phi), (de_dz, fd_z)):
-            assert np.allclose(exact, fd, rtol=1e-6,
-                               atol=1e-6 * np.abs(fd).max())
+        for i, step in enumerate(np.diag([h, h, h])):
+            # first derivatives against central differences of the field,
+            # second derivatives against central differences of the first;
+            # unit-amplitude derivatives are ~1e-3 per nm, so the absolute
+            # slack scales with each derivative instead of being fixed
+            fd = (modes.e_field(sol, *(point + step))
+                  - modes.e_field(sol, *(point - step))) / (2 * h)
+            fd2 = (modes.e_field_exterior_jacobian(sol, *(point + step))[1]
+                   - modes.e_field_exterior_jacobian(sol, *(point - step))[1]
+                   ) / (2 * h)
+            for exact, approx in ((de[i], fd), (d2e[i], fd2)):
+                assert np.allclose(exact, approx, rtol=1e-6,
+                                   atol=1e-6 * np.abs(approx).max())
+        # mixed second derivatives do not depend on the order
+        assert np.array_equal(d2e, np.swapaxes(d2e, 0, 1))
 
     @pytest.mark.parametrize("name", ["HE11", "TE01"])
     def test_edge_bessels_once_per_solution(self, solved, name, monkeypatch):

@@ -323,44 +323,3 @@ class TestIntegrate:
         info = numerics._gauss_rule.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
-
-class TestHessian:
-    def test_exact_on_quadratic(self):
-        a = np.array([[2.0, 0.5, 0.1],
-                      [0.5, 3.0, -0.2],
-                      [0.1, -0.2, 1.5]])
-
-        def f(p):
-            p = np.asarray(p)
-            return (0.5 * np.einsum("...i,ij,...j->...", p, a, p)
-                    + p @ np.array([1.0, -2.0, 0.3]))
-
-        h = numerics.hessian(f, np.array([0.3, -0.7, 1.1]),
-                             np.array([1e-3, 1e-3, 1e-3]))
-        assert np.allclose(h, a, rtol=1e-6, atol=1e-6)
-
-    def test_symmetric_by_construction(self):
-        f = lambda p: np.sin(p[..., 0]) * np.cos(p[..., 1]) + p[..., 2] ** 4
-        h = numerics.hessian(f, np.array([0.2, 0.4, 0.6]),
-                             np.array([1e-4, 1e-4, 1e-4]))
-        assert np.array_equal(h, h.T)
-
-    def test_point_must_have_three_components(self):
-        with pytest.raises(ValueError):
-            numerics.hessian(lambda p: 0.0, np.array([1.0, 2.0]),
-                             np.array([1e-3, 1e-3, 1e-3]))
-
-    def test_steps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            numerics.hessian(lambda p: 0.0, np.zeros(3),
-                             np.array([1e-3, 0.0, 1e-3]))
-
-    def test_non_finite_value(self):
-        with pytest.raises(ConvergenceError):
-            numerics.hessian(lambda p: np.full(len(p), math.nan), np.zeros(3),
-                             np.array([1e-3, 1e-3, 1e-3]))
-
-    def test_f_must_return_one_value_per_stencil_point(self):
-        with pytest.raises(ValueError):
-            numerics.hessian(lambda p: 0.0, np.zeros(3),
-                             np.array([1e-3, 1e-3, 1e-3]))

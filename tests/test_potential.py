@@ -151,8 +151,8 @@ class TestPotentialField:
             assert g[2] == pytest.approx(fd_z, abs=1e-5 * scale)
 
     def test_batched_equals_per_point(self, suite):
-        # the minimum search mixes batched scans with per-point Hessian
-        # stencils, so both paths must give the same bits
+        # the minimum search and the turning points mix batched scans with
+        # per-point calls, so both paths must give the same bits
         rng = np.random.default_rng(1)
         for name in suite.names:
             f = suite.field(name)
