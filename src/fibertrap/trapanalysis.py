@@ -15,10 +15,16 @@ modeled as two recoil energies per scattered photon at the orbit-averaged
 scattering rate.
 
 The fan is searched by bound and prune. The maximum of the potential over
-every 25th sample of a ray is a lower bound on that ray's barrier, so rays
-are marched in full in increasing order of bound, and the search stops once
-every unmarched bound lies above the lowest barrier found. The depth and
-direction are the same, bit for bit, as those of marching every ray.
+every s-th sample of a ray is a lower bound on that ray's barrier; a ladder
+of nested strides s = 50, 10, 2 tightens the bounds of the rays still in
+play, each level adding samples to the last. At each level the ray with the
+lowest bound is marched in full and every ray whose bound lies above the
+lowest barrier found is dropped; the survivors of the last level are
+marched in increasing order of bound until every unmarched bound lies above
+the lowest barrier. The depth and direction are the same, bit for bit, as
+those of marching every ray. The tau sensitivity rows polish the perturbed
+splits from the tau0 minimum, which lies tens of nm away, and scan the seed
+box only where that polish fails.
 """
 
 import math
@@ -44,10 +50,12 @@ _FAN_REFINE_STEP_NM = 1.0
 # Straight rays that get this close to the surface are surface channels, not
 # escape paths.
 _SURFACE_PAD_NM = 0.5
-# Bound and prune: every _BOUND_STRIDE-th sample of a ray bounds its barrier
-# from below; rays are then marched in full _MARCH_BATCH at a time.
-_BOUND_STRIDE = 25
-_MARCH_BATCH = 16
+# Bound and prune: every s-th sample of a ray bounds its barrier from below,
+# at nested strides s (each divides the one before, so a level's samples
+# include the last level's); survivors are marched in full _MARCH_BATCH at a
+# time.
+_BOUND_LADDER = (50, 10, 2)
+_MARCH_BATCH = 4
 # Newton polish: positional tolerance and step cap.
 _POSITION_TOL_NM = 0.1
 _NEWTON_STEP_CAP_NM = 5.0
@@ -85,7 +93,7 @@ class SeedRegion:
                 raise ValueError("seed region bounds must satisfy lo < hi")
 
 
-def find_minimum(field_, seed):
+def find_minimum(field_, seed, start=None):
     """Locate the potential minimum inside the seed region.
 
     The best interior cell of a coarse seed scan starts a Newton polish in
@@ -99,10 +107,16 @@ def find_minimum(field_, seed):
     the surface or out of the evanescent field), and when the polish meets a
     saddle, steps into the surface, does not converge in 40 steps or ends
     outside the seed region.
+    start, when given, is a point (r_nm, phi, z_nm) near the minimum, such
+    as the minimum of a nearby power split: the polish starts there and the
+    seed scan runs only if that polish raises NoTrapError.
     """
-    a = field_.fiber.radius_nm
-    r_lo = max(seed.r_nm[0], a + 2.0)
-    rr = np.linspace(r_lo, seed.r_nm[1], _GRID_R)
+    if start is not None:
+        try:
+            return _polish(field_, seed, *start)
+        except NoTrapError:
+            pass
+    rr = np.linspace(_r_floor(field_, seed), seed.r_nm[1], _GRID_R)
     pp = np.linspace(seed.phi[0], seed.phi[1], _GRID_PHI)
     zz = np.linspace(seed.z_nm[0], seed.z_nm[1], _GRID_Z)
     R, P, Z = np.meshgrid(rr, pp, zz, indexing="ij")
@@ -114,9 +128,18 @@ def find_minimum(field_, seed):
     if not np.isfinite(masked).any():
         raise NoTrapError("no interior potential minimum in the seed region")
     i, j, k = np.unravel_index(np.argmin(masked), masked.shape)
-    r, p, z = float(rr[i + 1]), float(pp[j]), float(zz[k])
+    return _polish(field_, seed, float(rr[i + 1]), float(pp[j]),
+                   float(zz[k]))
 
-    # Newton polish in the local orthonormal frame, analytic derivatives
+
+def _r_floor(field_, seed):
+    """Inner radial edge of the search: the seed box, at least 2 nm out."""
+    return max(seed.r_nm[0], field_.fiber.radius_nm + 2.0)
+
+
+def _polish(field_, seed, r, p, z):
+    """Curvature-gated Newton polish from (r, p, z); see find_minimum."""
+    a = field_.fiber.radius_nm
     for _ in range(40):
         g, h = potential.potential_derivatives(field_, r, p, z)
         if not np.all(np.linalg.eigvalsh(h) > 0.0):
@@ -135,9 +158,10 @@ def find_minimum(field_, seed):
     else:
         raise NoTrapError("minimum search did not converge")
 
-    for axis, value, (lo, hi) in (("radially", r, (r_lo, seed.r_nm[1])),
-                                  ("in phi", p, seed.phi),
-                                  ("in z", z, seed.z_nm)):
+    for axis, value, (lo, hi) in (
+            ("radially", r, (_r_floor(field_, seed), seed.r_nm[1])),
+            ("in phi", p, seed.phi),
+            ("in z", z, seed.z_nm)):
         if not lo <= value <= hi:
             raise NoTrapError(f"refined minimum left the seed region {axis}")
     return r, p, z
@@ -184,11 +208,14 @@ def _axis_1d(field_, minimum, axis):
             -9000.0, 9000.0)
 
 
-def _crossing(f1d, target, lo_lim, hi_lim, sign):
-    """First crossing of f1d(s) = target moving away from s = 0."""
+def _crossing(f1d, u0, target, lo_lim, hi_lim, sign):
+    """First crossing of f1d(s) = target moving away from s = 0.
+
+    u0 is f1d(0.0), the potential at the minimum, which the caller has.
+    """
     step = 1.0 * sign
     s_prev = 0.0
-    if f1d(0.0) - target >= 0.0:
+    if u0 - target >= 0.0:
         return None
     s_cur = step
     while abs(s_cur) <= abs(hi_lim if sign > 0 else lo_lim):
@@ -214,8 +241,8 @@ def turning_points(field_, minimum, energy_j):
     out = np.empty((3, 2))
     for axis in range(3):
         f1d, lo, hi = _axis_1d(field_, minimum, axis)
-        s_in = _crossing(f1d, target, lo, hi, -1.0)
-        s_out = _crossing(f1d, target, lo, hi, +1.0)
+        s_in = _crossing(f1d, u0, target, lo, hi, -1.0)
+        s_out = _crossing(f1d, u0, target, lo, hi, +1.0)
         if s_in is None or s_out is None:
             raise NoTrapError(
                 "thermal energy exceeds the trap barrier along axis "
@@ -245,14 +272,18 @@ def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
 
     A ray's barrier is its highest potential above umin, or infinite when
     the ray comes within the surface pad of the fiber (a surface channel,
-    not an escape path). Bound and prune: the maximum over every
-    _BOUND_STRIDE-th sample of a ray, taken with no surface test, bounds
-    its barrier from below; rays are marched in full in increasing order
-    of bound, _MARCH_BATCH at a time, until no unmarched bound is at or
-    below the lowest barrier found. Every ray that ties the minimum is
-    thus marched and every unmarched ray lies above it, so the index
-    (first of a tie) and the height are those of marching every ray. If
-    every ray hits the surface, all are marched and the height is inf.
+    not an escape path). Bound and prune over a ladder of nested sample
+    strides (_BOUND_LADDER): the maximum over every s-th sample of a ray,
+    taken with no surface test, bounds its barrier from below, and each
+    finer level adds samples to the bound of the rays still alive. At each
+    level the unmarched ray with the lowest bound is marched in full to
+    lower the best barrier found, and every ray whose bound lies above it
+    is dropped. The survivors of the last level are marched in full in
+    increasing order of bound, _MARCH_BATCH at a time, until no unmarched
+    bound is at or below the best barrier. Every ray that ties the minimum
+    is thus marched and every other ray lies above it, so the index (first
+    of a tie) and the height are those of marching every ray. If every ray
+    hits the surface, all are marched and the height is inf.
     """
     r, p, z = minimum
     a = field_.fiber.radius_nm
@@ -262,6 +293,7 @@ def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
     d_cart = d_local @ frame
     p0 = np.array([r * np.cos(p), r * np.sin(p), z])
     t = np.arange(1, int(reach_nm / step_nm) + 1) * step_nm
+    step = np.arange(1, t.size + 1)
 
     def samples(rays, ts):
         pts = p0[None, None, :] + ts[None, :, None] * d_cart[rays, None, :]
@@ -273,21 +305,44 @@ def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
             np.arctan2(pts[..., 1], pts[..., 0]), pts[..., 2])
         return uu.max(axis=1) - umin
 
-    # the bound of a ray stays its entry until the ray is marched in full
-    barrier = peak(*samples(slice(None), t[_BOUND_STRIDE - 1::_BOUND_STRIDE]))
-    order = np.argsort(barrier, kind="stable")
-    best = np.inf
-    for start in range(0, order.size, _MARCH_BATCH):
-        rays = order[start:start + _MARCH_BATCH]
-        if barrier[rays[0]] > best:
-            break
+    # a ray's value is its exact barrier once marched, else its bound so
+    # far; alive rays are neither marched nor dropped
+    value = np.full(len(d_cart), -np.inf)
+    alive = np.ones(len(d_cart), dtype=bool)
+
+    def march(rays, stride):
+        # the samples off the ladder level `stride` complete the bound
         pts, rr = samples(rays, t)
         free = ~(rr <= a + _SURFACE_PAD_NM).any(axis=1)
-        barrier[rays] = np.inf
-        barrier[rays[free]] = peak(pts[free], rr[free])
-        best = min(best, float(barrier[rays].min()))
-    k = int(np.argmin(barrier))
-    return k, float(barrier[k])
+        rest = step % stride != 0
+        value[rays[~free]] = np.inf
+        value[rays[free]] = np.maximum(
+            value[rays[free]], peak(pts[free][:, rest], rr[free][:, rest]))
+        alive[rays] = False
+        return float(value[rays].min())
+
+    best = np.inf
+    coarser = None
+    for stride in _BOUND_LADDER:
+        rays = np.flatnonzero(alive)
+        if rays.size == 0:
+            break
+        new = step % stride == 0
+        if coarser is not None:
+            new &= step % coarser != 0
+        value[rays] = np.maximum(value[rays], peak(*samples(rays, t[new])))
+        best = min(best, march(rays[[np.argmin(value[rays])]], stride))
+        alive &= value <= best
+        coarser = stride
+    order = np.flatnonzero(alive)
+    order = order[np.argsort(value[order], kind="stable")]
+    for start in range(0, order.size, _MARCH_BATCH):
+        rays = order[start:start + _MARCH_BATCH]
+        if value[rays[0]] > best:
+            break
+        best = min(best, march(rays, coarser))
+    k = int(np.argmin(value))
+    return k, float(value[k])
 
 
 def _refine_cap(center, half_deg, step_deg):
@@ -318,8 +373,9 @@ def escape_barrier(field_, minimum):
     Returns an EscapeResult with the depth U_barrier - U_min and the
     local-frame unit escape direction l. A coarse full-sphere fan picks the
     exit and a finer cap of rays around it refines it; both are searched
-    by bound and prune (see _march), which marches in full only the rays
-    whose sampled bound does not already exceed the lowest barrier found.
+    by bound and prune over a ladder of sample strides (see _march), which
+    marches in full only the rays whose sampled bound does not already
+    exceed the lowest barrier found.
     """
     umin = potential.total_potential(field_, *minimum)
     ndir = max(int(np.ceil(4.0 * np.pi / np.radians(_FAN_COARSE_DEG) ** 2)),
@@ -538,13 +594,25 @@ def tau_sensitivity(build_field, tau0, seed, base=None):
     near 0 or 1, yields a flagged row instead of an error. Each distinct
     split is built and searched once, so at sigma = 0 (tau0 = 0 or 1) the
     three rows share one search.
-    base, when given, is the (unfolded minimum, EscapeResult) already found
-    at tau0 (TrapReport.base); the tau0 row then reuses it instead of
-    building and searching the same field again.
+    The tau0 row is settled first: base, when given, is the (unfolded
+    minimum, EscapeResult) already found at tau0 (TrapReport.base) and is
+    reused; otherwise tau0 is searched from the seed scan. The perturbed
+    rows then start their Newton polish at the tau0 minimum, and fall back
+    to the seed scan where that polish fails (find_minimum's start).
     """
     sigma = power_split_sigma(tau0)
-    # split -> (minimum, EscapeResult), or the error that flags its rows
-    found = {} if base is None else {tau0: base}
+
+    def search(tau, start):
+        # (minimum, EscapeResult), or the error that flags the split's rows
+        try:
+            field_ = build_field(tau)
+            m = find_minimum(field_, seed, start=start)
+            return m, escape_barrier(field_, m)
+        except NoTrapError as err:
+            return err
+
+    found = {tau0: search(tau0, None) if base is None else base}
+    start = None if isinstance(found[tau0], Exception) else found[tau0][0]
     rows = []
     for tau in (tau0 - sigma, tau0, tau0 + sigma):
         if not 0.0 <= tau <= 1.0:
@@ -552,12 +620,7 @@ def tau_sensitivity(build_field, tau0, seed, base=None):
                          "reason": f"power split tau = {tau} outside [0, 1]"})
             continue
         if tau not in found:
-            try:
-                field_ = build_field(tau)
-                m = find_minimum(field_, seed)
-                found[tau] = (m, escape_barrier(field_, m))
-            except NoTrapError as err:
-                found[tau] = err
+            found[tau] = search(tau, start)
         if isinstance(found[tau], Exception):
             rows.append({"tau": tau, "trap": False,
                          "reason": str(found[tau])})
@@ -566,7 +629,7 @@ def tau_sensitivity(build_field, tau0, seed, base=None):
         rows.append({"tau": tau, "trap": True,
                      "depth_mk": potential.as_millikelvin(esc.depth_j),
                      "minimum": {"r_nm": m[0], "phi_rad": m[1], "z_nm": m[2]}})
-    if not isinstance(found[tau0], Exception):
+    if start is not None:
         base_mk = potential.as_millikelvin(found[tau0][1].depth_j)
         for row in rows:
             if row["trap"]:

@@ -41,6 +41,58 @@ def report1(suite):
     return suite.report("he11-te01")
 
 
+@pytest.fixture
+def seed_scans(monkeypatch):
+    """One entry per total_potential batch the size of a seed scan."""
+    total = potential.total_potential
+    size = trapanalysis._GRID_R * trapanalysis._GRID_PHI * trapanalysis._GRID_Z
+    scans = []
+
+    def counted(field_, r_nm, phi, z_nm):
+        if np.broadcast(r_nm, phi, z_nm).size == size:
+            scans.append(size)
+        return total(field_, r_nm, phi, z_nm)
+
+    monkeypatch.setattr(potential, "total_potential", counted)
+    return scans
+
+
+def _fan_with_spike(monkeypatch, center_nm, half_width_nm):
+    """escape_barrier over a synthetic potential with a spike near the exit.
+
+    The smooth barrier peaks at 1 on the ray along u, 1000 nm out, on a
+    sample of the coarsest ladder level of both fans; a spike of height 5
+    on the shell |s - center_nm| < half_width_nm lifts every ray within 10
+    degrees of u, so the rays with the lowest coarse bounds cannot be the
+    exit. Returns the search's and the dense reference's EscapeResult.
+    """
+    a, minimum = 250.0, (500.0, math.pi / 2, 0.0)
+    x0 = np.array([0.0, minimum[0], 0.0])
+    u = np.array([0.6, 0.8, 0.0])
+    cone = math.cos(math.radians(10.0))
+
+    def synthetic(field_, r_nm, phi, z_nm):
+        x, y, z = np.broadcast_arrays(r_nm * np.cos(phi) - x0[0],
+                                      r_nm * np.sin(phi) - x0[1],
+                                      z_nm - x0[2])
+        s = np.sqrt(x * x + y * y + z * z)
+        c = (x * u[0] + y * u[1] + z * u[2]) / np.maximum(s, 1e-9)
+        smooth = (2.0 - c) * np.exp(-((s - 1000.0) / 100.0) ** 2)
+        spike = np.where((c > cone) & (np.abs(s - center_nm) < half_width_nm),
+                         5.0, 0.0)
+        return smooth + spike
+
+    monkeypatch.setattr(potential, "total_potential", synthetic)
+    field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=a))
+    esc = trapanalysis.escape_barrier(field_, minimum)
+    # the exit lies just outside the spiked cone, not on the ray with the
+    # lowest coarse bound
+    frame = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.asarray(esc.direction) @ frame @ u < cone
+    assert esc.depth_j < 1.1
+    return esc, oracles.dense_escape_barrier(field_, minimum)
+
+
 class TestThermalState:
     def test_energy(self):
         st = trapanalysis.ThermalState(t_init_uk=100.0)
@@ -120,6 +172,16 @@ class TestFindMinimum:
         with pytest.raises(NoTrapError, match="saddle"):
             trapanalysis.find_minimum(field_, cfg.seed)
         assert 1 <= len(calls) <= 5
+
+    def test_start_at_a_saddle_falls_back_to_the_seed_scan(self, suite,
+                                                          field1, seed_scans):
+        # the polish from the saddle between two traps fails at its first
+        # iterate; the search then runs as if it had no start
+        seed = suite.cfg("he11-te01").seed
+        warm = trapanalysis.find_minimum(
+            field1, seed, start=(T1_MIN[0], math.pi / 2, T1_Z0 / 2.0))
+        assert len(seed_scans) == 1
+        assert warm == trapanalysis.find_minimum(field1, seed)
 
     @pytest.mark.parametrize("name,delta", [
         ("he11-te01", 0.0), ("he11-he21", 0.0), ("te01-he21", 0.0),
@@ -234,34 +296,44 @@ class TestEscapeBarrier:
             oracles.dense_escape_barrier(field_, m)
 
     def test_pruning_survives_a_spike_between_bound_samples(self, monkeypatch):
-        # the smooth barrier peaks at 1 on the ray along u, 1000 nm out, on
-        # a bound sample of both passes; a 6 nm spike at 1010 nm, between
-        # bound samples, lifts every ray within 10 degrees of u by 5, so
-        # the lowest bound belongs to a ray that cannot be the exit
-        a, minimum = 250.0, (500.0, math.pi / 2, 0.0)
+        # a 6 nm spike at 1010 nm covers the coarse-fan samples at 1008 nm,
+        # on the finest ladder level, and 1012 nm, on none
+        esc, dense = _fan_with_spike(monkeypatch, 1010.0, 3.0)
+        assert esc == dense
+
+    def test_pruning_survives_a_spike_only_the_finest_level_samples(
+            self, monkeypatch):
+        # the spike covers one sample of each fan, at 1008 nm: sample 252
+        # of the 4 nm coarse fan and sample 1008 of the 1 nm refine fan,
+        # both on the stride-2 level and on no coarser one
+        assert [s for s in trapanalysis._BOUND_LADDER
+                if 252 % s == 0 or 1008 % s == 0] == [2]
+        esc, dense = _fan_with_spike(monkeypatch, 1008.0, 0.5)
+        assert esc == dense
+
+    def test_every_ray_ties_on_a_radial_potential(self, monkeypatch):
+        # the potential depends on the distance from the minimum alone and
+        # is flat at 1 where every ray peaks, so every barrier is exactly
+        # 1: no ray can be pruned, and the first ray of each fan wins
+        minimum = (3000.0, math.pi / 2, 0.0)
         x0 = np.array([0.0, minimum[0], 0.0])
-        u = np.array([0.6, 0.8, 0.0])
-        cone = math.cos(math.radians(10.0))
 
-        def synthetic(field_, r_nm, phi, z_nm):
-            x, y, z = np.broadcast_arrays(r_nm * np.cos(phi) - x0[0],
-                                          r_nm * np.sin(phi) - x0[1],
-                                          z_nm - x0[2])
-            s = np.sqrt(x * x + y * y + z * z)
-            c = (x * u[0] + y * u[1] + z * u[2]) / np.maximum(s, 1e-9)
-            smooth = (2.0 - c) * np.exp(-((s - 1000.0) / 100.0) ** 2)
-            spike = np.where((c > cone) & (np.abs(s - 1010.0) < 3.0), 5.0, 0.0)
-            return smooth + spike
+        def radial(field_, r_nm, phi, z_nm):
+            s = np.sqrt((r_nm * np.cos(phi) - x0[0]) ** 2
+                        + (r_nm * np.sin(phi) - x0[1]) ** 2
+                        + (z_nm - x0[2]) ** 2)
+            return np.minimum(1.0, 2.0 * np.exp(-((s - 1000.0) / 100.0) ** 2))
 
-        monkeypatch.setattr(potential, "total_potential", synthetic)
-        field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=a))
+        monkeypatch.setattr(potential, "total_potential", radial)
+        # rays reach 2000 nm, so none comes near the 250 nm fiber
+        field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=250.0))
         esc = trapanalysis.escape_barrier(field_, minimum)
         assert esc == oracles.dense_escape_barrier(field_, minimum)
-        # the exit lies just outside the spiked cone, not on the ray
-        # with the lowest bound
-        frame = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.asarray(esc.direction) @ frame @ u < cone
-        assert esc.depth_j < 1.1
+        assert esc.depth_j == 1.0
+        ndir = max(int(np.ceil(4.0 * np.pi / np.radians(
+            trapanalysis._FAN_COARSE_DEG) ** 2)), 16)
+        assert esc.direction == tuple(
+            float(x) for x in trapanalysis._fib_sphere(ndir)[0])
 
     def test_fan_from_inside_the_fiber_raises(self, monkeypatch):
         # every ray starts inside the surface pad, so every ray is marched
@@ -273,7 +345,7 @@ class TestEscapeBarrier:
         with pytest.raises(NoTrapError, match="runs into the surface"):
             trapanalysis.escape_barrier(field_, (1.0, 0.0, 0.0))
 
-    def test_marches_under_a_tenth_of_the_dense_fan(self, suite, field1,
+    def test_marches_under_a_twentieth_of_the_dense_fan(self, suite, field1,
                                                     monkeypatch):
         total = potential.total_potential
         points = []
@@ -284,9 +356,9 @@ class TestEscapeBarrier:
 
         monkeypatch.setattr(potential, "total_potential", counted)
         trapanalysis.escape_barrier(field1, suite.minimum("he11-te01"))
-        # the dense fan: 4583 coarse rays of 500 samples, 289 refine rays
+        # the dense fan: 4584 coarse rays of 500 samples, 289 refine rays
         # of 2000 samples
-        assert sum(points) < 0.1 * (4583 * 500 + 289 * 2000)
+        assert sum(points) < 0.05 * (4584 * 500 + 289 * 2000)
 
     def test_depth_bounded_by_axis_barriers(self, suite, field1):
         # the full directional scan can only find a barrier at or below
@@ -468,6 +540,30 @@ class TestTauSensitivity:
         sens = trapanalysis.tau_sensitivity(
             config.field_builder(cfg), cfg.tau, cfg.seed, base=report1.base)
         assert sens == suite.sens("he11-te01")
+
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_warm_rows_match_cold_searches(self, suite, name):
+        # the perturbed rows are polished from the tau0 minimum; a search
+        # from the seed scan finds the same minimum and depth
+        cfg = suite.cfg(name)
+        rows = suite.sens(name)["rows"]
+        for row in (rows[0], rows[2]):
+            field_ = config.make_field(cfg, tau=row["tau"])
+            r, p, z = trapanalysis.find_minimum(field_, cfg.seed)
+            depth = potential.as_millikelvin(
+                trapanalysis.escape_barrier(field_, (r, p, z)).depth_j)
+            got = row["minimum"]
+            assert abs(got["r_nm"] - r) <= 1e-6
+            assert abs(got["phi_rad"] - p) * r <= 1e-6
+            assert abs(got["z_nm"] - z) <= 1e-6
+            assert row["depth_mk"] == pytest.approx(depth, rel=1e-10)
+
+    def test_report_runs_one_seed_scan(self, seed_scans, tmp_path):
+        # the characterization scans the seed box once; the tau0 row
+        # reuses its minimum and the perturbed rows start from it
+        assert cli.main(["report", "--preset", "he11-te01",
+                         "--out", str(tmp_path / "report.json")]) == 0
+        assert len(seed_scans) == 1
 
     def test_report_runs_three_fans_and_six_quadratures(self, monkeypatch,
                                                         tmp_path):
