@@ -17,6 +17,11 @@ The hybrid-mode fields reduce, outside the core, to combinations
 s = (1/u^2 + 1/w^2) / (J'_nu(u)/(u J_nu(u)) + K'_nu(w)/(w K_nu(w))),
 which is what fixes the azimuthal polarization structure of the evanescent
 field and therefore the interference pattern of two-mode superpositions.
+TE0m and TM0m are the nu = 0 case of the same field formulas (Snyder &
+Love, Optical Waveguide Theory, ch. 12), evaluated by the same kernel:
+every nu term vanishes, and the pattern angle psi = pi/2 for TE (axial
+constants Az = 0, Bz = i amp) or psi = 0 for TM (Az = i amp, Bz = 0)
+lets cos psi or sin psi select the family's components.
 
 Relative sign conventions between mode families are not physical on their
 own (each mode carries a free normalization constant); they are chosen here
@@ -144,8 +149,28 @@ def _char_te_tm(v, n1, n2, neff, eps1, eps2):
     (n1^2, n2^2) for TM.
     """
     u, w = _uw(v, n1, n2, neff)
-    return (eps1 * w * numerics.bessel_j(1, u) * numerics.bessel_k(0, w)
-            + eps2 * u * numerics.bessel_j(0, u) * numerics.bessel_k(1, w))
+    j0, j1 = numerics.bessel_j_orders(u, 0, 1)
+    k0, k1 = numerics.bessel_k_orders(w, 1)
+    return eps1 * w * j1 * k0 + eps2 * u * j0 * k1
+
+
+def _j_and_deriv(nu, x):
+    """J_nu(x) and J'_nu(x) from one series call.
+
+    J'_nu = (J_{nu-1} - J_{nu+1})/2, with J_{-1} = -J_1 at nu = 0.
+    """
+    js = numerics.bessel_j_orders(x, max(nu - 1, 0), nu + 1)
+    lower = js[0] if nu else -js[1]
+    return js[-2], 0.5 * (lower - js[-1])
+
+
+def _k_and_deriv(nu, x):
+    """K_nu(x) and K'_nu(x) from one call, x > 0.
+
+    K'_nu = -(K_{nu-1} + K_{nu+1})/2, with K_{-1} = K_1 at nu = 0.
+    """
+    ks = numerics.bessel_k_orders(x, nu + 1)
+    return ks[nu], -0.5 * (ks[abs(nu - 1)] + ks[nu + 1])
 
 
 def _char_hybrid(nu, v, n1, n2, neff):
@@ -157,10 +182,8 @@ def _char_hybrid(nu, v, n1, n2, neff):
     J_nu(u) = 0 are removed.
     """
     u, w = _uw(v, n1, n2, neff)
-    jn = numerics.bessel_j(nu, u)
-    kn = numerics.bessel_k(nu, w)
-    jd = numerics.bessel_j_deriv(nu, u)
-    kd = numerics.bessel_k_deriv(nu, w)
+    jn, jd = _j_and_deriv(nu, u)
+    kn, kd = _k_and_deriv(nu, w)
     t1 = jd * w * kn + kd * u * jn
     t2 = n1 * n1 * jd * w * kn + n2 * n2 * kd * u * jn
     rhs = (nu * neff * v * v * jn * kn) ** 2 / (u * w) ** 2
@@ -169,8 +192,9 @@ def _char_hybrid(nu, v, n1, n2, neff):
 
 def _bessel_ratios(nu, u, w):
     """J'_nu(u) / (u J_nu(u)) and K'_nu(w) / (w K_nu(w))."""
-    return (numerics.bessel_j_deriv(nu, u) / (u * numerics.bessel_j(nu, u)),
-            numerics.bessel_k_deriv(nu, w) / (w * numerics.bessel_k(nu, w)))
+    jn, jd = _j_and_deriv(nu, u)
+    kn, kd = _k_and_deriv(nu, w)
+    return jd / (u * jn), kd / (w * kn)
 
 
 def _hybrid_s(nu, u, w):
@@ -239,7 +263,7 @@ def supported_modes(fiber, wavelength_nm):
     ratio = (fiber.n_core / fiber.n_clad) ** 2 + 1.0
 
     def he41(x):
-        j3, j4 = numerics._j_orders(x, 3, 4)
+        j3, j4 = numerics.bessel_j_orders(x, 3, 4)
         return ratio * j3 - x / 3.0 * j4
 
     # the cutoff lies between the J_2 zero (weak guidance) and the J_3 zero
@@ -255,7 +279,12 @@ def cutoff_v(fiber, mode):
     """Cutoff V parameter of a mode branch, by bisection on existence.
 
     The fundamental HE11 branch has no cutoff and returns 0. The search
-    brackets the smallest V at which the branch appears in the census.
+    brackets the smallest V at which the branch appears in the census, so
+    this is the cutoff the solver can see: the smallest V at which the
+    branch's n_eff lies _NEFF_MARGIN (1e-9) above n_clad, slightly above
+    the physical cutoff. For HE12 that is V = 3.8774, against J_1(V) = 0
+    at 3.8317 (Snyder & Love, Table 12-4); in between, the root is too
+    close to n_clad for the scan to see it.
     """
     mode = parse_mode_name(mode) if isinstance(mode, str) else mode
     if (mode.family, mode.nu, mode.m) == ("HE", 1, 1):
@@ -362,18 +391,20 @@ def solve_mode(fiber, wavelength_nm, mode, orientation=None):
 
 
 def _z_amplitudes(sol):
-    """Complex axial-field constants (Az interior E_z, Bz interior H_z).
+    """Axial-field constants (Az interior E_z, Bz interior H_z) and psi.
 
-    The phase conventions reproduce the standard quasi-linearly-polarized
-    hybrid field expressions with a real positive normalization constant:
-    HE(nu=1) uses Az = i amp with pattern angle -phi0, HE(nu=2) uses
-    Az = -i amp with pattern angle +2 phi0.
+    psi is the pattern angle in chi = nu phi + psi. The phase conventions
+    reproduce the standard quasi-linearly-polarized hybrid field expressions
+    with a real positive normalization constant: HE(nu=1) uses Az = i amp
+    with pattern angle -phi0, HE(nu=2) uses Az = -i amp with pattern angle
+    +2 phi0. TE takes psi = pi/2, so sin chi = 1 carries its components,
+    and TM takes psi = 0, so cos chi = 1 carries its.
     """
     amp = sol.amplitude
     nu = sol.mode.nu
     phi0 = sol.mode.orientation
     if sol.mode.family == "TE":
-        return 0.0, 1j * amp, 0.0
+        return 0.0, 1j * amp, 0.5 * np.pi
     if sol.mode.family == "TM":
         return 1j * amp, 0.0, 0.0
     if (sol.mode.family, nu) == ("HE", 2):
@@ -397,7 +428,7 @@ def _edge_bessels(nu, u, w):
     Fixed per solution, so every exterior evaluation of a mode shares one
     pair of scalar Bessel calls.
     """
-    return numerics.bessel_j(nu, u), numerics.bessel_k(nu, w)
+    return _j_and_deriv(nu, u)[0], _k_and_deriv(nu, w)[0]
 
 
 def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
@@ -407,7 +438,9 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
     (Az, Bz); outside, from K_nu(q r) with those constants scaled by
     J_nu(u)/K_nu(w) so the axial fields are continuous at r = a. The
     transverse components follow from the axial ones through 1/h^2 inside
-    and -1/q^2 outside; sgn and pre carry that sign flip.
+    and -1/q^2 outside; pre carries that sign flip. TE and TM are the
+    nu = 0 case: every nu term vanishes and cos or sin of chi = psi picks
+    their components.
 
     With jacobian (E outside the core only) the result is (e, de_dr,
     de_dphi, d2e_dr2, d2e_drdphi): the three components and their first
@@ -418,63 +451,24 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
     nu = sol.mode.nu
     omega = sol.omega
     beta_m = sol.beta_per_m
-    if outside:
-        x = sol.q_per_nm * r
-        # K_{nu-1}, K_nu and K_{nu+1} serve both K and K'; the TE/TM
-        # derivative K'_1 takes K_2 as well
-        ks = numerics._k_orders(x, nu + 1 + (jacobian and nu == 0))
-        k_m = sol.q_per_nm * 1e9
-        eps = _EPS0 * sol.fiber.n_clad ** 2
-        sgn, pre = 1.0, 1j
-        j_u, k_w = _edge_bessels(nu, sol.u, sol.w)
-    else:
-        x = sol.h_per_nm * r
-        k_m = sol.h_per_nm * 1e9
-        eps = _EPS0 * sol.fiber.n_core ** 2
-        sgn, pre = -1.0, -1j
-
-    if nu == 0:
-        if outside:
-            f0, f1 = ks[0], ks[1]
-            amp = sol.amplitude * (j_u / k_w)
-        else:
-            f0, f1 = numerics.bessel_j(0, x), numerics.bessel_j(1, x)
-            amp = sol.amplitude
-        zero = np.zeros_like(f1)
-        te = sol.mode.family == "TE"
-        if want_h:
-            if te:
-                return ((sgn * (beta_m / k_m)) * amp * f1, zero, 1j * amp * f0)
-            return (zero, (sgn * (omega * eps / k_m)) * amp * f1, zero)
-        if te:
-            c = (-sgn * (omega * _MU0 / k_m)) * amp
-            e = (zero, c * f1, zero)
-        else:
-            c = (sgn * (beta_m / k_m)) * amp
-            e = (c * f1, zero, 1j * amp * f0)
-        if not jacobian:
-            return e
-        q = sol.q_per_nm
-        k1d = -0.5 * (ks[0] + ks[2])
-        # K1'' from the modified Bessel equation of order 1
-        dk1 = q * c * k1d
-        ddk1 = q * q * c * ((1.0 + 1.0 / x ** 2) * f1 - k1d / x)
-        flat = (zero, zero, zero)
-        if te:
-            return e, (zero, dk1, zero), flat, (zero, ddk1, zero), flat
-        return (e, (dk1, zero, -q * 1j * amp * f1), flat,
-                (ddk1, zero, -q * q * 1j * amp * k1d), flat)
-
     az, bz, psi = _z_amplitudes(sol)
     if outside:
-        f = ks[nu]
-        fd = -0.5 * (ks[nu - 1] + ks[nu + 1])
+        x = sol.q_per_nm * r
+        f, fd = _k_and_deriv(nu, x)
+        k_m = sol.q_per_nm * 1e9
+        eps = _EPS0 * sol.fiber.n_clad ** 2
+        pre = 1j
+        j_u, k_w = _edge_bessels(nu, sol.u, sol.w)
         az, bz = az * j_u / k_w, bz * j_u / k_w
     else:
-        f = numerics.bessel_j(nu, x)
-        fd = numerics.bessel_j_deriv(nu, x)
+        x = sol.h_per_nm * r
+        f, fd = _j_and_deriv(nu, x)
+        k_m = sol.h_per_nm * 1e9
+        eps = _EPS0 * sol.fiber.n_core ** 2
+        pre = -1j
     fox = f / x
-    chi = nu * phi + psi
+    # TE/TM have no phi dependence: a scalar chi spares the array cos/sin
+    chi = nu * phi + psi if nu else psi
     cc, ss = np.cos(chi), np.sin(chi)
     if want_h:
         return (pre * ((beta_m / k_m) * bz * fd

@@ -1,14 +1,14 @@
 """Low-level numerical kernels: Bessel evaluations, root finding, quadrature.
 
 Every routine validates its domain and raises early; the physics modules above
-rely on these contracts instead of re-checking. Bessel orders are limited to the
-set actually used by the mode solver. The Bessel kernels are numpy code over
-fixed polynomials, sized for the arguments the mode solver produces (J at
-|x| <= 6.5, K at x in (0, 45]): power series for J_0..J_4 and for K_0, K_1 at
-x <= 2 (Abramowitz & Stegun 9.1.10, 9.6.10-9.6.13), and beyond 2 a fit of
-e^x sqrt(x) K_0,1(x) in 4/x - 1. Root finding is a Python port of scipy's
-brentq.c (Brent's method), which gives the same roots bit for bit. The
-package imports no scipy module.
+rely on these contracts instead of re-checking. Each Bessel call returns a
+range of orders from one evaluation: J_lo..J_hi (0 <= lo <= hi <= 4) and
+K_0..K_top. The Bessel kernels are numpy code over fixed polynomials, sized
+for the arguments the mode solver produces (J at |x| <= 6.5, K at x in
+(0, 45]): power series for J_0..J_4 and for K_0, K_1 at x <= 2 (Abramowitz &
+Stegun 9.1.10, 9.6.10-9.6.13), and beyond 2 a fit of e^x sqrt(x) K_0,1(x) in
+4/x - 1. Root finding is a Python port of scipy's brentq.c (Brent's method),
+which gives the same roots bit for bit. The package imports no scipy module.
 """
 
 import functools
@@ -18,8 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError
-
-SUPPORTED_ORDERS = (0, 1, 2, 3)
 
 _ROOT_MAX_ITER = 200
 # relative root tolerance: the smallest rtol that scipy's brentq allows
@@ -77,10 +75,11 @@ def _harmonic(k):
 # the mode solver's range, where the largest term is about 33 and the
 # rounding error stays below 1e-14 absolute. Truncation takes over beyond
 # J_MAX_ARG (1e-12 at x = 9), so larger arguments raise.
+J_MAX_ARG = 8.0
+J_MAX_ORDER = 4
 _J_SERIES = _Polys(*(
     [Fraction((-1) ** k, math.factorial(k) * math.factorial(k + n))
-     for k in range(21)] for n in range(5)))
-J_MAX_ARG = 8.0
+     for k in range(21)] for n in range(J_MAX_ORDER + 1)))
 
 # K_0 and K_1 at x <= 2 from four series in y = x^2/4 (A&S 9.6.10, 9.6.11,
 # 9.6.13), H_k being the k-th harmonic number and psi(k+1) = H_k - gamma:
@@ -129,11 +128,6 @@ _K_FAR = _Polys(*zip(
 ))
 
 
-def _check_order(order):
-    if order not in SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported Bessel order {order!r}; supported: {SUPPORTED_ORDERS}")
-
-
 def _blocked(kernel, rows, x):
     """Run kernel(x_block, out_block) over _BLOCK-point blocks of x.
 
@@ -172,12 +166,17 @@ def _j_block(lo, hi):
     return kernel
 
 
-def _j_orders(x, lo, hi):
+def bessel_j_orders(x, lo, hi):
     """[J_lo(x), ..., J_hi(x)] for 0 <= lo <= hi <= 4, by power series.
 
     A scalar x gives np.float64 values, an array x arrays of its shape.
-    Raises ValueError where |x| > J_MAX_ARG, beyond the series' reach.
+    Accurate to 1e-14 absolute for |x| <= 6.5, the range the mode solver
+    uses. Raises ValueError for an order range outside 0..J_MAX_ORDER and
+    where |x| > J_MAX_ARG, beyond the series' reach.
     """
+    if not 0 <= lo <= hi <= J_MAX_ORDER:
+        raise ValueError(
+            f"Bessel J orders {lo}..{hi} outside 0..{J_MAX_ORDER}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     if (abs(float(arr)) if scalar else np.abs(arr).max(initial=0.0)) > J_MAX_ARG:
@@ -234,14 +233,20 @@ def _k01_block(x, out):
             out[:, mask] = part
 
 
-def _k_orders(arr, top):
-    """[K_0(x), ..., K_top(x)] at x = arr > 0 (unchecked).
+def bessel_k_orders(x, top):
+    """[K_0(x), ..., K_top(x)] at x > 0, for top >= 1.
 
     K_0 and K_1 come from one fused kernel: the series at x <= 2, the fit
     beyond, each run only on its own points. Higher orders follow the upward
-    recurrence, stable here because every term is positive.
+    recurrence, stable here because every term is positive. A scalar x gives
+    np.float64 values, an array x arrays of its shape. K diverges at 0 and is
+    undefined below, so x <= 0 raises ValueError, as does top < 1.
     """
-    x = np.asarray(arr, dtype=float)
+    if top < 1:
+        raise ValueError(f"Bessel K top order {top} below 1")
+    x = np.asarray(x, dtype=float)
+    if (x <= 0.0).any():
+        raise ValueError("Bessel K requires x > 0")
     if x.ndim == 0:
         x = float(x)
         ks = [np.float64(k) for k in
@@ -251,57 +256,6 @@ def _k_orders(arr, top):
     for n in range(1, top):
         ks.append(ks[-1] * (2.0 * n / x) + ks[-2])
     return ks
-
-
-def bessel_j(order, x):
-    """Bessel function of the first kind J_order(x).
-
-    Accepts scalars or arrays; order must be in SUPPORTED_ORDERS. Accurate
-    to 1e-14 absolute for |x| <= 6.5, the range the mode solver uses;
-    |x| > 8 raises ValueError.
-    """
-    _check_order(order)
-    return _j_orders(x, order, order)[0]
-
-
-def bessel_k(order, x):
-    """Modified Bessel function of the second kind K_order(x), x > 0.
-
-    K_nu diverges at 0 and is undefined for x <= 0, so those inputs raise.
-    """
-    _check_order(order)
-    arr = np.asarray(x, dtype=float)
-    if (arr <= 0.0).any():
-        raise ValueError("bessel_k requires x > 0")
-    return _k_orders(arr, order)[order]
-
-
-def bessel_j_deriv(order, x):
-    """First derivative of J_order at x.
-
-    J'_0 = -J_1 and J'_n = (J_{n-1} - J_{n+1})/2 for n >= 1, with J_4 from
-    the same series; a scalar x gives np.float64 for every order.
-    """
-    _check_order(order)
-    if order == 0:
-        return -_j_orders(x, 1, 1)[0]
-    lower, _, upper = _j_orders(x, order - 1, order + 1)
-    return 0.5 * (lower - upper)
-
-
-def bessel_k_deriv(order, x):
-    """First derivative of K_order at x, x > 0.
-
-    Uses K'_n = -(K_{n-1} + K_{n+1})/2, with K_{-1} = K_1 for the n = 0 case.
-    """
-    _check_order(order)
-    arr = np.asarray(x, dtype=float)
-    if (arr <= 0.0).any():
-        raise ValueError("bessel_k_deriv requires x > 0")
-    ks = _k_orders(arr, order + 1)
-    if order == 0:
-        return -ks[1]
-    return -0.5 * (ks[order - 1] + ks[order + 1])
 
 
 def find_root(f, lo, hi, tol=1e-12):

@@ -8,10 +8,11 @@ The batches are the exterior arguments x = q r of the 601 x 601 z = 0 grid
 (the preset's grid half-width) for both modes of each preset, the inputs
 of the field evaluator on the grid command. One line per (preset, mode)
 gives the x range, the share of points with x <= 2 (where the series
-branch runs), and ns per point of numerics._k_orders(x, nu + 1), best of
-7 runs. The scalar lines give us per 0-d call at x = 1.3 and x = 5.2.
-When scipy is installed, each line also gives the same recurrence on
-scipy.special.k0 and k1, the kernels fibertrap used before its own.
+branch runs), and ns per point of numerics.bessel_k_orders(x, nu + 1),
+best of 7 runs. The scalar lines give us per 0-d call at x = 1.3 and
+x = 5.2. When scipy is installed, each line also gives the same
+recurrence on scipy.special.k0 and k1, the kernels fibertrap used before
+its own.
 """
 
 import time
@@ -61,7 +62,7 @@ def scalar_cost(kernel, x, top):
 
 
 def main():
-    kernels = [("fibertrap", numerics._k_orders)]
+    kernels = [("fibertrap", numerics.bessel_k_orders)]
     if special is not None:
         kernels.append(("scipy", scipy_k_orders))
     names = "  ".join(f"{name:>9}" for name, _ in kernels)
@@ -81,7 +82,7 @@ def main():
     for x in (1.3, 5.2):
         costs = "  ".join(f"{scalar_cost(kernel, x, 2) * 1e6:9.2f}"
                           for _, kernel in kernels)
-        print(f"scalar _k_orders(x = {x}, 2)       {costs}   (us/call)")
+        print(f"scalar bessel_k_orders(x = {x}, 2) {costs}   (us/call)")
 
 
 if __name__ == "__main__":

@@ -86,6 +86,12 @@ class TestVParameterAndCensus:
                 2.404825557695773, abs=1e-3)
         assert modes.cutoff_v(FIBER, "HE21") == pytest.approx(2.762, abs=2e-3)
 
+    def test_order_beyond_the_census_raises(self):
+        # the J series stops at order 4, so HE41 (which needs J_5) is
+        # refused with a ValueError, not an IndexError
+        with pytest.raises(ValueError, match="orders 3..5"):
+            modes.solve_mode(FIBER, 850.5, modes.ModeId("HE", 4, 1))
+
     def test_below_cutoff_raises(self):
         wl = 1150.0  # V = 2.30, below the TE01 cutoff
         with pytest.raises(CutoffError) as err:
@@ -216,18 +222,36 @@ class TestExteriorProfiles:
         assert abs(ex) > 0 and abs(ez) > 0
         assert abs((ez * np.conj(ex)).real) < 1e-12 * abs(ez * ex)
 
+    @staticmethod
+    def assert_nu0_structure(sol, absent_e, absent_h):
+        # TE and TM are the nu = 0 case of the hybrid kernel: on both sides
+        # of the core the fields do not depend on phi, bit for bit, the
+        # components the family lacks are exactly zero, and so is every
+        # phi derivative of the exterior field
+        phis = (0.0, 1.1, -2.5)
+        for r in (300.0, 700.0):
+            for field, absent in ((modes.e_field, absent_e),
+                                  (modes.h_field, absent_h)):
+                vals = [field(sol, r, phi, 0.0) for phi in phis]
+                assert all(v.tobytes() == vals[0].tobytes() for v in vals)
+                for k in range(3):
+                    assert (vals[0][k] == 0.0) == (k in absent), (r, k)
+        _, de, d2e = modes.e_field_exterior_jacobian(sol, 700.0,
+                                                     np.array(phis), 0.0)
+        assert np.all(de[:, 1] == 0.0)
+        assert np.all(d2e[:, 1] == 0.0) and np.all(d2e[:, :, 1] == 0.0)
+
     def test_te01_profile(self, solved):
         sol = solved["TE01"]
-        for phi in (0.0, 1.1):
-            f = modes.e_field(sol, 700.0, phi, 0.0)
-            assert f[0] == 0.0 and f[2] == 0.0  # E_r = E_z = 0
+        # E_r = E_z = 0 and H_phi = 0
+        self.assert_nu0_structure(sol, absent_e=(0, 2), absent_h=(1,))
         assert abs(self.ratio(sol, 1, 0.3, cartesian=False)) == pytest.approx(
             self.k_ratio(sol, 1), rel=1e-10)
 
     def test_tm01_profile(self, solved):
         sol = solved["TM01"]
-        f = modes.e_field(sol, 700.0, 0.7, 0.0)
-        assert f[1] == 0.0  # E_phi = 0
+        # E_phi = 0 and H_r = H_z = 0
+        self.assert_nu0_structure(sol, absent_e=(1,), absent_h=(0, 2))
         assert abs(self.ratio(sol, 0, 0.7, cartesian=False)) == pytest.approx(
             self.k_ratio(sol, 1), rel=1e-10)
         assert abs(self.ratio(sol, 2, 0.7, cartesian=False)) == pytest.approx(
@@ -401,17 +425,23 @@ class TestFieldEvaluation:
     @pytest.mark.parametrize("name", ["HE11", "TE01"])
     def test_edge_bessels_once_per_solution(self, solved, name, monkeypatch):
         # J_nu(u) and K_nu(w) scale every exterior evaluation; they are
-        # computed once per solution, not once per call
+        # computed once per solution, not once per call, and each field
+        # evaluation makes one K call for its own points
         calls = []
-        for fn in ("bessel_j", "bessel_k"):
+        for fn in ("bessel_j_orders", "bessel_k_orders"):
             real = getattr(numerics, fn)
-            monkeypatch.setattr(numerics, fn, lambda n, x, real=real:
-                                calls.append(x) or real(n, x))
+            monkeypatch.setattr(numerics, fn, lambda x, *orders, fn=fn,
+                                real=real: calls.append((fn, x))
+                                or real(x, *orders))
+        sol = solved[name]
         modes._edge_bessels.cache_clear()
         for r in (450.0, 600.0, 800.0):
-            modes.e_field(solved[name], r, 0.3, 0.0)
-            modes.h_field(solved[name], np.array([r, r + 50.0]), 0.3, 0.0)
-        assert calls == [solved[name].u, solved[name].w]
+            modes.e_field(sol, r, 0.3, 0.0)
+            modes.h_field(sol, np.array([r, r + 50.0]), 0.3, 0.0)
+        edge = [(fn, x) for fn, x in calls if np.ndim(x) == 0
+                and x in (sol.u, sol.w)]
+        assert edge == [("bessel_j_orders", sol.u), ("bessel_k_orders", sol.w)]
+        assert len(calls) == 2 + 6
 
     def test_jacobian_requires_exterior_point(self, solved):
         with pytest.raises(ValueError):

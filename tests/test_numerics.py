@@ -26,15 +26,21 @@ K1_AT_1 = 0.6019072301972346
 J0_FIRST_ROOT = 2.404825557695773
 
 
+j_orders = numerics.bessel_j_orders
+k_orders = numerics.bessel_k_orders
+
+
 class TestBesselValues:
     def test_j_table_entries(self):
-        assert numerics.bessel_j(0, 1.0) == pytest.approx(J0_AT_1, rel=1e-14)
-        assert numerics.bessel_j(1, 1.0) == pytest.approx(J1_AT_1, rel=1e-14)
-        assert numerics.bessel_j(0, J0_FIRST_ROOT) == pytest.approx(0.0, abs=1e-14)
+        j0, j1 = j_orders(1.0, 0, 1)
+        assert j0 == pytest.approx(J0_AT_1, rel=1e-14)
+        assert j1 == pytest.approx(J1_AT_1, rel=1e-14)
+        assert j_orders(J0_FIRST_ROOT, 0, 0)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_k_table_entries(self):
-        assert numerics.bessel_k(0, 1.0) == pytest.approx(K0_AT_1, rel=1e-14)
-        assert numerics.bessel_k(1, 1.0) == pytest.approx(K1_AT_1, rel=1e-14)
+        k0, k1 = k_orders(1.0, 1)
+        assert k0 == pytest.approx(K0_AT_1, rel=1e-14)
+        assert k1 == pytest.approx(K1_AT_1, rel=1e-14)
 
     def test_k2_large_argument_asymptotics(self):
         # K_nu(x) ~ sqrt(pi/2x) e^-x [1 + (4nu^2-1)/8x + ...] for x >> nu^2
@@ -44,63 +50,73 @@ class TestBesselValues:
                   + (mu - 1) * (mu - 9) / (2 * (8 * x) ** 2)
                   + (mu - 1) * (mu - 9) * (mu - 25) / (6 * (8 * x) ** 3))
         expected = math.sqrt(math.pi / (2 * x)) * math.exp(-x) * series
-        assert numerics.bessel_k(2, x) == pytest.approx(expected, rel=1e-6)
+        assert k_orders(x, 2)[2] == pytest.approx(expected, rel=1e-6)
 
     def test_j_recurrence(self):
+        # J_{n-1} + J_{n+1} = (2n/x) J_n across the whole order range
         for x in (0.7, 2.3, 5.1):
-            lhs = numerics.bessel_j(0, x) + numerics.bessel_j(2, x)
-            rhs = (2.0 / x) * numerics.bessel_j(1, x)
-            assert lhs == pytest.approx(rhs, rel=1e-13)
+            js = j_orders(x, 0, 4)
+            for n in (1, 2, 3):
+                assert js[n - 1] + js[n + 1] == pytest.approx(
+                    (2.0 * n / x) * js[n], rel=1e-13)
 
     def test_k_recurrence(self):
         for x in (0.7, 2.3, 5.1):
-            lhs = numerics.bessel_k(2, x)
-            rhs = numerics.bessel_k(0, x) + (2.0 / x) * numerics.bessel_k(1, x)
-            assert lhs == pytest.approx(rhs, rel=1e-13)
+            k0, k1, k2 = k_orders(x, 2)
+            assert k2 == pytest.approx(k0 + (2.0 / x) * k1, rel=1e-13)
 
     def test_array_broadcast(self):
         x = np.array([0.5, 1.0, 2.0])
-        out = numerics.bessel_j(1, x)
+        out = j_orders(x, 1, 1)[0]
         assert out.shape == x.shape
         assert out[1] == pytest.approx(J1_AT_1, rel=1e-14)
 
     def test_unsupported_order_rejected(self):
+        # the J series holds orders 0..4; a reversed range is an error too,
+        # and so is a K range that stops short of K_1
+        for lo, hi in ((0, 5), (-1, 1), (2, 1), (5, 5)):
+            for x in (1.0, np.array([1.0, 2.0])):
+                with pytest.raises(ValueError, match="outside 0..4"):
+                    j_orders(x, lo, hi)
         with pytest.raises(ValueError):
-            numerics.bessel_j(4, 1.0)
-        with pytest.raises(ValueError):
-            numerics.bessel_k(-1, 1.0)
+            k_orders(1.0, 0)
 
     def test_k_requires_positive_argument(self):
         with pytest.raises(ValueError):
-            numerics.bessel_k(0, 0.0)
+            k_orders(0.0, 1)
         with pytest.raises(ValueError):
-            numerics.bessel_k(0, -1.0)
+            k_orders(-1.0, 1)
+        with pytest.raises(ValueError):
+            k_orders(np.array([1.0, 0.0]), 3)
 
 
 class TestBesselDerivatives:
+    """J'_nu and K'_nu as modes forms them, from one range call each."""
+
     def test_first_order_identities(self):
-        # J0' = -J1 and K0' = -K1
+        # J0' = -J1 and K0' = -K1, exactly
         for x in (0.6, 1.0, 3.7):
-            assert numerics.bessel_j_deriv(0, x) == pytest.approx(
-                -numerics.bessel_j(1, x), rel=1e-13)
-            assert numerics.bessel_k_deriv(0, x) == pytest.approx(
-                -numerics.bessel_k(1, x), rel=1e-13)
+            assert modes._j_and_deriv(0, x)[1] == -j_orders(x, 1, 1)[0]
+            assert modes._k_and_deriv(0, x)[1] == -k_orders(x, 1)[1]
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize("kind", ["J", "K"])
     def test_matches_central_difference(self, kind, order):
-        f, d = ((numerics.bessel_j, numerics.bessel_j_deriv) if kind == "J"
-                else (numerics.bessel_k, numerics.bessel_k_deriv))
+        pair = modes._j_and_deriv if kind == "J" else modes._k_and_deriv
         x, h = 2.31, 1e-6
-        fd = (f(order, x + h) - f(order, x - h)) / (2 * h)
-        assert d(order, x) == pytest.approx(fd, rel=1e-8)
-
+        fd = (pair(order, x + h)[0] - pair(order, x - h)[0]) / (2 * h)
+        assert pair(order, x)[1] == pytest.approx(fd, rel=1e-8)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_j_deriv_scalar_type(self, order):
-        # every order returns np.float64 for a scalar and an array for an array
-        assert type(numerics.bessel_j_deriv(order, 1.3)) is np.float64
-        assert numerics.bessel_j_deriv(order, np.array([1.3, 2.0])).shape == (2,)
+        # every order returns np.float64 for a scalar and an array for an
+        # array, from the range functions and from the helpers alike
+        for pair in (modes._j_and_deriv, modes._k_and_deriv):
+            assert all(type(v) is np.float64 for v in pair(order, 1.3))
+            assert all(v.shape == (2,) for v in
+                       pair(order, np.array([1.3, 2.0])))
+        assert all(type(v) is np.float64 for v in j_orders(1.3, 0, order))
+        assert all(type(v) is np.float64 for v in k_orders(1.3, order + 1))
 
 
 class TestBesselKernels:
@@ -114,21 +130,21 @@ class TestBesselKernels:
         special = pytest.importorskip("scipy.special")
         x = np.concatenate([np.geomspace(1e-6, 2.0, 100_001),
                             np.linspace(2.0, 45.0, 200_001), [100.0, 700.0]])
-        k0, k1 = numerics._k_orders(x, 1)
+        k0, k1 = k_orders(x, 1)
         assert self.ulps(k0, special.k0(x)).max() <= 32
         assert self.ulps(k1, special.k1(x)).max() <= 32
 
     def test_j0_to_j4_within_1e_14(self):
         special = pytest.importorskip("scipy.special")
         x = np.linspace(0.0, 6.5, 200_001)
-        for n, jn in enumerate(numerics._j_orders(x, 0, 4)):
+        for n, jn in enumerate(j_orders(x, 0, 4)):
             assert np.abs(jn - special.jv(n, x)).max() <= 1e-14, n
 
     def test_j_beyond_series_range_rejected(self):
         with pytest.raises(ValueError):
-            numerics.bessel_j(0, 8.5)
+            j_orders(8.5, 0, 0)
         with pytest.raises(ValueError):
-            numerics.bessel_j_deriv(1, np.array([1.0, -9.0]))
+            modes._j_and_deriv(1, np.array([1.0, -9.0]))
 
     @settings(deadline=None, max_examples=100)
     @given(st.lists(st.one_of(st.floats(min_value=1e-4, max_value=2.0),
@@ -139,9 +155,9 @@ class TestBesselKernels:
         # small blocks put near (x <= 2) and far points in one block and
         # spread a batch over several
         with mock.patch.object(numerics, "_BLOCK", block):
-            batched = numerics._k_orders(np.array(xs), 3)
+            batched = k_orders(np.array(xs), 3)
         for i, x in enumerate(xs):
-            single = numerics._k_orders(x, 3)
+            single = k_orders(x, 3)
             assert np.array([k[i] for k in batched]).tobytes() == (
                 np.array(single).tobytes())
 
@@ -151,10 +167,10 @@ class TestBesselKernels:
            st.sampled_from([1, 7, 32768]))
     def test_j_scalar_equals_batched_bits(self, xs, block):
         with mock.patch.object(numerics, "_BLOCK", block):
-            batched = numerics._j_orders(np.array(xs), 0, 4)
+            batched = j_orders(np.array(xs), 0, 4)
         for i, x in enumerate(xs):
             assert np.array([j[i] for j in batched]).tobytes() == (
-                np.array(numerics._j_orders(x, 0, 4)).tobytes())
+                np.array(j_orders(x, 0, 4)).tobytes())
 
 
 class TestFindRoot:
@@ -163,7 +179,7 @@ class TestFindRoot:
         assert root == pytest.approx(math.pi, abs=1e-11)
 
     def test_bessel_root(self):
-        root = numerics.find_root(lambda x: numerics.bessel_j(0, x), 2.0, 3.0)
+        root = numerics.find_root(lambda x: j_orders(x, 0, 0)[0], 2.0, 3.0)
         assert root == pytest.approx(J0_FIRST_ROOT, abs=1e-10)
 
     def test_endpoint_zero_returned(self):
@@ -301,7 +317,7 @@ class TestIntegrate:
         k2_at_1 = K0_AT_1 + 2.0 * K1_AT_1  # recurrence at x = 1
         expected = (K0_AT_1 * k2_at_1 - K1_AT_1 ** 2) / 2.0
         got = numerics.integrate(
-            lambda t: np.exp(2.0 * t) * numerics.bessel_k(1, np.exp(t)) ** 2,
+            lambda t: np.exp(2.0 * t) * k_orders(np.exp(t), 1)[1] ** 2,
             0.0, math.log(41.0))
         assert got == pytest.approx(expected, rel=1e-12)
 
