@@ -3,10 +3,11 @@
 One command per process. CSV output uses comma separators, dot decimals,
 a header row and LF line ends; reports are JSON (with --out) or a terminal
 table (without). Grid CSV holds only floats (nan and inf included) under
-fixed header names, so it is written unquoted; the dispersion and sweep-tau
-tables go through csv.writer, which quotes cells that need it. Files are
-written atomically: a temp file in the target directory is renamed over the
-destination.
+fixed header names, so it is written unquoted, in blocks of rows as they
+are computed; the dispersion and sweep-tau tables go through csv.writer,
+which quotes cells that need it. Every command returns its output as
+UTF-8 byte chunks. Files are written atomically: a temp file in the target
+directory is renamed over the destination.
 
 Exit codes: 0 success, 1 I/O failure, 2 configuration or validation error,
 3 no usable trap in the seeded region.
@@ -24,11 +25,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import config, modes, potential, superposition, trapanalysis
+from . import (config, floatrepr, modes, potential, superposition,
+               trapanalysis)
 from .errors import (ConfigError, CutoffError, FibertrapError, NoTrapError,
                      SaddleError)
 
 _SQRT2 = math.sqrt(2.0)
+# grid points per block of rows: the field temporaries and the block's
+# text stay small beside the plane's coordinate arrays
+_GRID_BLOCK_POINTS = 16384
 
 
 def _fmt(x):
@@ -36,36 +41,31 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _csv_text(header, rows):
+def _csv_chunks(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return [buf.getvalue().encode()]
 
 
-def _column_text(col):
-    """repr(float(v)) of every cell, each distinct bit pattern formatted once.
+def _emit(chunks, out_path):
+    """Write byte chunks to stdout, or atomically to out_path (temp + rename).
 
-    Cells are grouped by their bits, not their values: 0.0 and -0.0 compare
-    equal but print differently.
+    Each chunk is written as the iterable yields it.
     """
-    bits, index = np.unique(col.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    return text[index].tolist()
-
-
-def _emit(text, out_path):
-    """Write to stdout, or atomically to out_path (temp file + rename)."""
     if out_path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.buffer.write(chunk)
+        sys.stdout.buffer.flush()
         return
     out_path = os.path.abspath(out_path)
     fd, tmp = tempfile.mkstemp(prefix=".fibertrap-",
                                dir=os.path.dirname(out_path))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -77,8 +77,8 @@ def cmd_dispersion(cfg, args):
     """CSV sweep of beta/k0 against V for every branch up to the seventh mode."""
     rows = modes.dispersion_sweep(cfg.fiber, cfg.v_lo, cfg.v_hi,
                                   cfg.resolution)
-    return _csv_text(["V", "mode", "beta_over_k0"],
-                     [(_fmt(v), name, _fmt(neff)) for v, name, neff in rows])
+    return _csv_chunks(["V", "mode", "beta_over_k0"],
+                       [(_fmt(v), name, _fmt(neff)) for v, name, neff in rows])
 
 
 def _plane_points(cfg, fieldobj):
@@ -153,14 +153,48 @@ _GRID_HEADERS = {
 }
 
 
+def _distinct_bits(cols):
+    """Distinct bit patterns of each row of cols, and where each cell is.
+
+    Grouped by bits, not by value: 0.0 and -0.0 compare equal but print
+    apart. Returns (distinct, index): the distinct values of row 0, then of
+    row 1 and so on, and the (columns, points) index with
+    distinct[index] == cols bitwise.
+    """
+    bits = cols.view(np.int64)
+    order = bits.argsort(axis=1)
+    ranked = np.take_along_axis(bits, order, axis=1)
+    first = np.ones(bits.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    index = np.empty(bits.shape, dtype=np.intp)
+    np.put_along_axis(index, order,
+                      np.cumsum(first).reshape(bits.shape) - 1, axis=1)
+    return ranked[first].view(float), index
+
+
+def _grid_blocks(cfg, fieldobj, x, y, z):
+    """CSV bytes of the grid rows, one chunk per block of plane rows.
+
+    A block formats each distinct bit pattern of each column once, gathers
+    the cells' text rows in CSV order and ends each line's last cell with a
+    newline in place of the comma.
+    """
+    yield (",".join(_GRID_HEADERS[cfg.quantity]) + "\n").encode()
+    step = max(1, _GRID_BLOCK_POINTS // cfg.resolution) * cfg.resolution
+    for lo in range(0, x.size, step):
+        pts = (x[lo:lo + step], y[lo:lo + step], z[lo:lo + step])
+        cols = np.stack([*pts, *_grid_values(cfg, fieldobj, *pts)])
+        distinct, index = _distinct_bits(cols)
+        cells = np.take(floatrepr.repr_rows(distinct, b","), index.T, axis=0)
+        cells[:, -1, -1] = ord("\n")
+        yield cells[cells != 0].tobytes()
+
+
 def cmd_grid(cfg, args):
     """CSV grid of potential, intensity or the vector field on one plane."""
     fieldobj = config.make_field(cfg)
     x, y, z = _plane_points(cfg, fieldobj)
-    cols = _grid_values(cfg, fieldobj, x, y, z)
-    text = [_column_text(c) for c in (x, y, z, *cols)]
-    rows = map(",".join, zip(*text))
-    return "\n".join([",".join(_GRID_HEADERS[cfg.quantity]), *rows, ""])
+    return _grid_blocks(cfg, fieldobj, x, y, z)
 
 
 def _report_doc(cfg):
@@ -219,10 +253,10 @@ def cmd_report(cfg, args):
     """Full trap characterization: JSON with --out, a table without."""
     report, sens = _report_doc(cfg)
     if args.out is None:
-        return _report_table(report, sens)
+        return [_report_table(report, sens).encode()]
     doc = report.to_dict()
     doc["tau_sensitivity"] = sens
-    return json.dumps(doc, indent=2) + "\n"
+    return [(json.dumps(doc, indent=2) + "\n").encode()]
 
 
 def cmd_sweep_tau(cfg, args):
@@ -241,8 +275,8 @@ def cmd_sweep_tau(cfg, args):
         else:
             rows.append([_fmt(row["tau"]), "0", "", "", "", "", "",
                          row["reason"]])
-    return _csv_text(["tau", "trap", "depth_mk", "depth_change_pct", "r_nm",
-                      "phi_rad", "z_nm", "reason"], rows)
+    return _csv_chunks(["tau", "trap", "depth_mk", "depth_change_pct",
+                        "r_nm", "phi_rad", "z_nm", "reason"], rows)
 
 
 def _resolve_config(args):
@@ -309,13 +343,13 @@ def main(argv=None):
     try:
         cfg = _resolve_config(args)
         try:
-            text = args.func(cfg, args)
+            chunks = args.func(cfg, args)
         except NoTrapError as err:
             splits = " / ".join(str(config.preset(name).tau)
                                 for name in config.PRESET_NAMES)
             raise NoTrapError(f"{err} (power split tau = {cfg.tau}; "
                               f"presets use {splits})") from err
-        _emit(text, args.out)
+        _emit(chunks, args.out)
     except (NoTrapError, SaddleError) as err:
         print(f"fibertrap: no trap: {err}", file=sys.stderr)
         return 3

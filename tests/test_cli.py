@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fibertrap import cli, config
+from fibertrap import cli, config, floatrepr
 
 
 def run_cli(*args):
@@ -24,6 +24,13 @@ def run_cli(*args):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def repr_texts(col):
+    """Cell texts of the grid formatter: its rows without NUL and separator."""
+    rows = floatrepr.repr_rows(col, b",")
+    assert (rows[:, -1] == ord(",")).all()
+    return rows[rows != 0].tobytes().decode().split(",")[:-1]
 
 
 class TestDispersion:
@@ -141,6 +148,19 @@ class TestGrid:
         for x, y, _, _ in rows:
             assert float(y) == pytest.approx(-float(x), abs=1e-9)
 
+    def test_stdout_matches_file_output(self, tmp_path):
+        # 131 x 131 points span two blocks of rows, written one by one
+        out = tmp_path / "grid.csv"
+        args = [sys.executable, "-m", "fibertrap.cli", "grid", "--preset",
+                "te01-he21", "--plane", "z=0", "--resolution", "131"]
+        res_file = subprocess.run([*args, "--out", str(out)],
+                                  capture_output=True, timeout=300)
+        res_stdout = subprocess.run(args, capture_output=True, timeout=300)
+        assert res_file.returncode == 0 and res_stdout.returncode == 0
+        assert res_file.stdout == b""
+        assert res_stdout.stdout == out.read_bytes()
+        assert len(res_stdout.stdout.splitlines()) == 1 + 131 * 131
+
     def test_deterministic_output(self, tmp_path):
         args = ("grid", "--preset", "he11-te01", "--plane", "z=0",
                 "--resolution", "31")
@@ -149,15 +169,15 @@ class TestGrid:
         assert a.stdout == b.stdout
 
 
+QUANTITIES = [("he11-te01", "potential"), ("he11-he21", "intensity"),
+              ("te01-he21", "field")]
+
+
 class TestGridText:
     """The grid CSV against per-cell repr plus csv.writer (oracles)."""
 
-    @pytest.mark.parametrize("name, quantity", [
-        ("he11-te01", "potential"), ("he11-he21", "intensity"),
-        ("te01-he21", "field")])
-    def test_matches_per_cell_oracle(self, tmp_path, name, quantity):
-        cfg = replace(config.preset(name), quantity=quantity, plane="z=0",
-                      resolution=15)
+    @staticmethod
+    def grid_and_oracle(tmp_path, cfg):
         path = tmp_path / "run.cfg"
         config.save_config(cfg, str(path))
         out = tmp_path / "grid.csv"
@@ -166,13 +186,60 @@ class TestGridText:
         fieldobj = config.make_field(cfg)
         x, y, z = cli._plane_points(cfg, fieldobj)
         cols = [x, y, z, *cli._grid_values(cfg, fieldobj, x, y, z)]
-        expected = oracles.grid_csv_text(cli._GRID_HEADERS[quantity], cols)
-        text = out.read_text()
+        return out.read_text(), oracles.grid_csv_text(
+            cli._GRID_HEADERS[cfg.quantity], cols)
+
+    @pytest.mark.parametrize("name, quantity", QUANTITIES)
+    def test_matches_per_cell_oracle(self, tmp_path, name, quantity):
+        cfg = replace(config.preset(name), quantity=quantity, plane="z=0",
+                      resolution=15)
+        text, expected = self.grid_and_oracle(tmp_path, cfg)
         assert text == expected
         if quantity == "field":
             # Ex_im holds both zeros, which compare equal but print apart
             ex_im = [row[4] for row in parse_csv(text)[1]]
             assert "-0.0" in ex_im and "0.0" in ex_im
+
+    @pytest.mark.parametrize("name, quantity", QUANTITIES)
+    def test_rows_across_blocks(self, tmp_path, name, quantity):
+        # 181 x 181 points fill three blocks of rows; the first cut runs
+        # through the fiber, so interior nan rows lie on both sides of it
+        res = 181
+        cut = cli._GRID_BLOCK_POINTS // res
+        assert res * res > cli._GRID_BLOCK_POINTS and cut * 2 < res
+        cfg = replace(config.preset(name), quantity=quantity, plane="z=0",
+                      resolution=res)
+        text, expected = self.grid_and_oracle(tmp_path, cfg)
+        assert text == expected
+        if quantity == "potential":
+            rows = parse_csv(text)[1]
+            for side in (rows[(cut - 1) * res:cut * res],
+                         rows[cut * res:(cut + 1) * res]):
+                assert any(row[3] == "nan" for row in side)
+
+    def test_signed_zero_and_nan_cells_across_blocks(self, monkeypatch):
+        # every run of 8 cells holds 0.0, -0.0, nan and -nan, so both sides
+        # of the cut between the first two blocks repeat each of them
+        res = 131
+        values = np.resize([0.0, -0.0, math.nan, -math.nan, 1e-5, -1e16,
+                            5e-324, 0.1], res * res)
+        served = []
+
+        def block_values(cfg, fieldobj, x, y, z):
+            lo = sum(served)
+            served.append(x.size)
+            return [values[lo:lo + x.size]]
+
+        monkeypatch.setattr(cli, "_grid_values", block_values)
+        cfg = replace(config.preset("he11-he21"), quantity="intensity",
+                      plane="z=0", resolution=res)
+        fieldobj = config.make_field(cfg)
+        x, y, z = cli._plane_points(cfg, fieldobj)
+        text = b"".join(cli._grid_blocks(cfg, fieldobj, x, y, z)).decode()
+        assert served[0] == cli._GRID_BLOCK_POINTS // res * res
+        assert sum(served) == res * res and len(served) == 2
+        assert text == oracles.grid_csv_text(cli._GRID_HEADERS["intensity"],
+                                             [x, y, z, values])
 
     def test_column_text_edge_values(self):
         other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(float)
@@ -180,14 +247,14 @@ class TestGridText:
                         other_nan[0], math.inf, -math.inf, 5e-324, 1e-4,
                         9.9e-5, 1e16, 9999999999999998.0])
         col = np.concatenate([col, col[::-1], col])
-        assert cli._column_text(col) == [repr(float(v)) for v in col]
+        assert repr_texts(col) == [repr(float(v)) for v in col]
 
     def test_column_text_random_bits(self):
         info = np.iinfo(np.int64)
         col = np.random.default_rng(0).integers(
             info.min, info.max, size=10_000, dtype=np.int64,
             endpoint=True).view(float)
-        assert cli._column_text(col) == [repr(float(v)) for v in col]
+        assert repr_texts(col) == [repr(float(v)) for v in col]
 
 
 class TestReport:
