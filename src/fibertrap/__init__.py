@@ -4,7 +4,8 @@ The subpackages layer bottom-up: constants (CODATA 2022) and numerics
 (special functions, roots, quadrature), modes (guided-mode eigenproblem and
 vector fields), superposition (two-mode interference), potential (light
 shift plus surface attraction), trapanalysis (minima, depths, frequencies,
-extents, heating), and config/cli (presets, config files, command surface).
+extents, heating), and config/cli (presets, config files, command surface)
+with floatrepr (Python's float repr over numpy arrays, for the grid CSV).
 The names below cover the common workflow; the submodules stay importable
 for the rest.
 """

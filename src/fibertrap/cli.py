@@ -161,6 +161,7 @@ def _distinct_bits(cols):
     row 1 and so on, and the (columns, points) index with
     distinct[index] == cols bitwise.
     """
+    # not np.unique: for an inverse it sorts stably, 2-3 times slower here
     bits = cols.view(np.int64)
     order = bits.argsort(axis=1)
     ranked = np.take_along_axis(bits, order, axis=1)
