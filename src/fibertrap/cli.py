@@ -25,8 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import (config, floatrepr, modes, potential, superposition,
-               trapanalysis)
+from . import config, modes, potential, superposition, trapanalysis
 from .errors import (ConfigError, CutoffError, FibertrapError, NoTrapError,
                      SaddleError)
 
@@ -50,9 +49,10 @@ def _csv_chunks(header, rows):
 
 
 def _emit(chunks, out_path):
-    """Write byte chunks to stdout, or atomically to out_path (temp + rename).
+    """Write byte chunks to stdout, or atomically to out_path.
 
-    Each chunk is written as the iterable yields it.
+    Each chunk is written as the iterable yields it; a file is written to
+    a temp file in its directory, which is then renamed over out_path.
     """
     if out_path is None:
         for chunk in chunks:
@@ -78,7 +78,8 @@ def cmd_dispersion(cfg, args):
     rows = modes.dispersion_sweep(cfg.fiber, cfg.v_lo, cfg.v_hi,
                                   cfg.resolution)
     return _csv_chunks(["V", "mode", "beta_over_k0"],
-                       [(_fmt(v), name, _fmt(neff)) for v, name, neff in rows])
+                       [(_fmt(v), name, _fmt(neff))
+                        for v, name, neff in rows])
 
 
 def _plane_points(cfg, fieldobj):
@@ -180,6 +181,9 @@ def _grid_blocks(cfg, fieldobj, x, y, z):
     the cells' text rows in CSV order and ends each line's last cell with a
     newline in place of the comma.
     """
+    # imported here, so that no other command compiles or loads it
+    from . import floatrepr
+
     yield (",".join(_GRID_HEADERS[cfg.quantity]) + "\n").encode()
     step = max(1, _GRID_BLOCK_POINTS // cfg.resolution) * cfg.resolution
     for lo in range(0, x.size, step):

@@ -22,8 +22,8 @@ import functools
 
 import numpy as np
 
-# bytes per row: sign, 23 slots of zeros, digits and point, 5 of exponent,
-# separator
+# bytes per row: the sign, 23 slots for leading zeros, digits and the
+# point, 5 for the exponent, the separator
 WIDTH = 30
 # points per block: a block's uint64 temporaries stay in the L2 cache
 _BLOCK = 16384
@@ -56,7 +56,7 @@ def _special_rows():
 
 @functools.cache
 def _g_table():
-    """Halves of g = g1 2**63 + g0 for k = K_MIN..K_MAX, rows of a (5, 617) table.
+    """g = g1 2**63 + g0 for k = K_MIN..K_MAX, split into a (5, 617) table.
 
     2**125 <= g < 2**126 and (g - 1) 2**r <= 10**-k < g 2**r for an integer
     r. Exact integer arithmetic, built on first use; the rows are g1 >> 32,
@@ -98,9 +98,9 @@ def _rop(g, cp):
 
 
 def _decimal(bits):
-    """Shortest round-trip f and e with |v| = f 10**e, for finite v != 0.
+    """f, e with f 10**e the shortest decimal that reads back as |v|.
 
-    Other inputs give arbitrary f and e, without error.
+    f may end in zeros. For nan, inf and zeros, f and e are arbitrary.
     """
     t = bits & _U((1 << 52) - 1)
     bq = (bits >> _U(52)).astype(np.int64) & 0x7FF
@@ -140,7 +140,7 @@ def _decimal(bits):
 
 
 def _block_rows(bits, sep):
-    """Rows (WIDTH, n) in column order for one block of float64 bit patterns."""
+    """The rows of one block of float64 bit patterns, as (WIDTH, n)."""
     n = bits.size
     f, e10 = _decimal(bits)
     # zs[1 + i] holds Z[i]; zs[0] and zs[-1] are NUL for the shifted reads
@@ -172,10 +172,12 @@ def _block_rows(bits, sep):
     end = stop + (p < stop)
     rows = np.empty((WIDTH, n), dtype=np.uint8)
     shown = rows[1:_ZSLOTS + 2]
+    # slot o shows Z[o] before the point and Z[o - 1] after it, and only
+    # for start <= o < end (one unsigned compare)
     before = (_OUT_SLOTS < p).view(np.uint8)
-    z_hi = zs[:-1]
-    np.multiply(zs[1:] - z_hi, before, out=shown)
-    shown += z_hi
+    z_prev = zs[:-1]
+    np.multiply(zs[1:] - z_prev, before, out=shown)
+    shown += z_prev
     shown *= ((_OUT_SLOTS - start).view(np.uint16)
               < (end - start).view(np.uint16)).view(np.uint8)
     shown[p, np.arange(n)] = ord(".") * (p < stop)

@@ -11,7 +11,7 @@ from fibertrap import floatrepr
 
 
 def texts(values, sep=b","):
-    """The texts of repr_rows, after checking each row's shape and separator."""
+    """The texts of repr_rows, after checking row widths and separators."""
     values = np.asarray(values, dtype=float)
     rows = floatrepr.repr_rows(values, sep)
     assert rows.shape == (values.size, floatrepr.WIDTH)
