@@ -7,7 +7,9 @@ fixed header names, so it is written unquoted, in blocks of rows as they
 are computed; the dispersion and sweep-tau tables go through csv.writer,
 which quotes cells that need it. Every command returns its output as
 UTF-8 byte chunks. Files are written atomically: a temp file in the target
-directory is renamed over the destination.
+directory is renamed over the destination. Stdout gets each chunk as it
+is made, so a grid that fails part way has written its header and the
+rows before the failure there, and exits with the failure's code.
 
 Exit codes: 0 success, 1 I/O failure, 2 configuration or validation error,
 3 no usable trap in the seeded region.
@@ -31,7 +33,9 @@ from .errors import (ConfigError, CutoffError, FibertrapError, NoTrapError,
 
 _SQRT2 = math.sqrt(2.0)
 # grid points per block of rows: the field temporaries and the block's
-# text stay small beside the plane's coordinate arrays
+# text stay small beside the plane's coordinate arrays. The formatter
+# blocks its own work for the cache: a block's columns hold up to nine
+# times as many values, formatted in one floatrepr.repr_rows call.
 _GRID_BLOCK_POINTS = 16384
 
 
@@ -154,32 +158,13 @@ _GRID_HEADERS = {
 }
 
 
-def _distinct_bits(cols):
-    """Distinct bit patterns of each row of cols, and where each cell is.
-
-    Grouped by bits, not by value: 0.0 and -0.0 compare equal but print
-    apart. Returns (distinct, index): the distinct values of row 0, then of
-    row 1 and so on, and the (columns, points) index with
-    distinct[index] == cols bitwise.
-    """
-    # not np.unique: for an inverse it sorts stably, 2-3 times slower here
-    bits = cols.view(np.int64)
-    order = bits.argsort(axis=1)
-    ranked = np.take_along_axis(bits, order, axis=1)
-    first = np.ones(bits.shape, dtype=bool)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
-    index = np.empty(bits.shape, dtype=np.intp)
-    np.put_along_axis(index, order,
-                      np.cumsum(first).reshape(bits.shape) - 1, axis=1)
-    return ranked[first].view(float), index
-
-
 def _grid_blocks(cfg, fieldobj, x, y, z):
     """CSV bytes of the grid rows, one chunk per block of plane rows.
 
     A block formats each distinct bit pattern of each column once, gathers
     the cells' text rows in CSV order and ends each line's last cell with a
-    newline in place of the comma.
+    newline in place of the comma. Bit patterns, not values: 0.0 and -0.0
+    compare equal but print apart.
     """
     # imported here, so that no other command compiles or loads it
     from . import floatrepr
@@ -189,8 +174,14 @@ def _grid_blocks(cfg, fieldobj, x, y, z):
     for lo in range(0, x.size, step):
         pts = (x[lo:lo + step], y[lo:lo + step], z[lo:lo + step])
         cols = np.stack([*pts, *_grid_values(cfg, fieldobj, *pts)])
-        distinct, index = _distinct_bits(cols)
-        cells = np.take(floatrepr.repr_rows(distinct, b","), index.T, axis=0)
+        distinct, index, offset = [], [], 0
+        for col in cols:
+            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            distinct.append(bits)
+            index.append(inverse + offset)
+            offset += bits.size
+        rows = floatrepr.repr_rows(np.concatenate(distinct).view(float))
+        cells = np.take(rows, np.stack(index, axis=1), axis=0)
         cells[:, -1, -1] = ord("\n")
         yield cells[cells != 0].tobytes()
 
@@ -348,13 +339,12 @@ def main(argv=None):
     try:
         cfg = _resolve_config(args)
         try:
-            chunks = args.func(cfg, args)
+            _emit(args.func(cfg, args), args.out)
         except NoTrapError as err:
             splits = " / ".join(str(config.preset(name).tau)
                                 for name in config.PRESET_NAMES)
             raise NoTrapError(f"{err} (power split tau = {cfg.tau}; "
                               f"presets use {splits})") from err
-        _emit(chunks, args.out)
     except (NoTrapError, SaddleError) as err:
         print(f"fibertrap: no trap: {err}", file=sys.stderr)
         return 3

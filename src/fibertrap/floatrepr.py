@@ -14,8 +14,8 @@ The layout is Python's: positional for decimal exponents -4 < decpt <= 16,
 with ".0" after an integer, exponent form with at least two exponent digits
 otherwise, and "nan", "inf", "-inf", "0.0", "-0.0". A row is built in
 fixed slots, which hold NUL where a repr has no character: the sign, a
-run of zeros and the digits with the point inserted, the exponent, and the
-separator.
+run of zeros and the digits with the point inserted, the exponent, and a
+comma.
 """
 
 import functools
@@ -23,9 +23,12 @@ import functools
 import numpy as np
 
 # bytes per row: the sign, 23 slots for leading zeros, digits and the
-# point, 5 for the exponent, the separator
+# point, 5 for the exponent, the comma
 WIDTH = 30
-# points per block: a block's uint64 temporaries stay in the L2 cache
+# values per block: a block's uint64 temporaries stay in the L2 cache. A
+# call may pass any number of values; the grid command passes all of a
+# plane block's columns at once, since each call has a fixed cost of a
+# few hundred microseconds that small columns would otherwise pay alone.
 _BLOCK = 16384
 
 _U = np.uint64
@@ -45,7 +48,7 @@ _OUT_SLOTS = np.arange(_ZSLOTS + 1, dtype=np.int16)[:, np.newaxis]
 
 @functools.cache
 def _special_rows():
-    """Rows but the separator of nan, nan (signed), inf, -inf, 0.0, -0.0."""
+    """Rows but the comma of nan, nan (signed), inf, -inf, 0.0, -0.0."""
     table = np.zeros((WIDTH - 1, 6), dtype=np.uint8)
     for i, text in enumerate((b"nan", b"nan", b"inf", b"-inf", b"0.0",
                               b"-0.0")):
@@ -139,7 +142,7 @@ def _decimal(bits):
     return full + (short - full) * shorter, k - tiny
 
 
-def _block_rows(bits, sep):
+def _block_rows(bits):
     """The rows of one block of float64 bit patterns, as (WIDTH, n)."""
     n = bits.size
     f, e10 = _decimal(bits)
@@ -192,7 +195,7 @@ def _block_rows(bits, sep):
     tail[3] = mag // 10 % 10 + ord("0")
     tail[4] = mag % 10 + ord("0")
     tail[:5] *= (~fixed).view(np.uint8)
-    tail[5] = sep[0]
+    tail[5] = ord(",")
     magbits = bits & _MASK_63
     special = np.flatnonzero((magbits >= _EXP_BITS) | (magbits == 0))
     if special.size:
@@ -202,17 +205,15 @@ def _block_rows(bits, sep):
     return rows
 
 
-def repr_rows(values, sep=b","):
-    """Rows of WIDTH bytes: repr(float(v)), NUL padding, and sep last.
+def repr_rows(values):
+    """Rows of WIDTH bytes: repr(float(v)), NUL padding, and a comma last.
 
-    values is a float64 array, read flat in C order; sep is one byte. The
-    non-NUL bytes of the rows, in order, are the texts each followed by sep.
+    values is a float64 array, read flat in C order. The non-NUL bytes of
+    the rows, in order, are the texts each followed by a comma.
     """
-    if len(sep) != 1:
-        raise ValueError(f"separator must be one byte, not {sep!r}")
     bits = np.ascontiguousarray(values, dtype=np.float64).view(_U).ravel()
     rows = np.empty((bits.size, WIDTH), dtype=np.uint8)
     for start in range(0, bits.size, _BLOCK):
         stop = start + _BLOCK
-        rows[start:stop] = _block_rows(bits[start:stop], sep).T
+        rows[start:stop] = _block_rows(bits[start:stop]).T
     return rows

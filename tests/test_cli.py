@@ -27,8 +27,8 @@ def parse_csv(text):
 
 
 def repr_texts(col):
-    """Cell texts of the grid formatter: its rows without NUL and separator."""
-    rows = floatrepr.repr_rows(col, b",")
+    """Cell texts of the grid formatter: its rows without NUL and comma."""
+    rows = floatrepr.repr_rows(col)
     assert (rows[:, -1] == ord(",")).all()
     return rows[rows != 0].tobytes().decode().split(",")[:-1]
 
