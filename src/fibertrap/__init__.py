@@ -21,7 +21,7 @@ from .modes import (FiberSpec, LightSpec, ModeId, ModeSolution, cutoff_v,
 from .potential import (AtomSpec, PotentialField, SpectralLine,
                         as_millikelvin, cesium, dipole_potential,
                         from_millikelvin, intensity, local_scattering_rate,
-                        potential_gradient, total_potential, vdw_potential)
+                        total_potential, vdw_potential)
 from .superposition import (ModePair, beat_length, make_pair, mean_intensity,
                             total_e_field)
 from .trapanalysis import (EscapeResult, SeedRegion, ThermalState, TrapReport,
@@ -44,7 +44,7 @@ __all__ = [
     "harmonic_extents", "intensity", "lifetime", "load_config",
     "local_scattering_rate", "make_field", "make_pair", "mean_intensity",
     "mode_power", "normalize_power", "orbit_averaged_scattering",
-    "parse_mode_name", "potential_gradient", "power_split_sigma", "preset",
+    "parse_mode_name", "power_split_sigma", "preset",
     "save_config", "solve_mode", "supported_modes", "tau_sensitivity",
     "total_e_field", "total_potential", "trap_frequencies",
     "turning_points", "v_parameter", "vdw_potential", "__version__",

@@ -218,8 +218,3 @@ def potential_derivatives(field_, r_nm, phi, z_nm):
     grad[..., 0] += 3.0 * field_.atom.c3 / gap_m ** 4 * 1e-9
     hess[..., 0, 0] -= 12.0 * field_.atom.c3 / gap_m ** 5 * 1e-18
     return grad, hess
-
-
-def potential_gradient(field_, r_nm, phi, z_nm):
-    """Analytic gradient of the total potential: potential_derivatives[0]."""
-    return potential_derivatives(field_, r_nm, phi, z_nm)[0]

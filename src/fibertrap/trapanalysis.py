@@ -9,22 +9,23 @@ step is a descent step and the polished point is a minimum; the first
 iterate without them ends the search as a saddle. Around the minimum the
 potential is characterized by its analytic Hessian in the local orthonormal
 frame (r-hat, arc length, z-hat), by 1-D turning points at the reference
-thermal energy, and by a spherical fan of straight escape rays whose lowest
-barrier defines the trap depth and the escape direction l. Heating is
-modeled as two recoil energies per scattered photon at the orbit-averaged
-scattering rate.
+thermal energy, and by the first-order escape saddle: its height is the
+trap depth, its direction the escape direction l. Heating is modeled as two
+recoil energies per scattered photon at the orbit-averaged scattering rate.
 
-The fan is searched by bound and prune. The maximum of the potential over
-every s-th sample of a ray is a lower bound on that ray's barrier; a ladder
-of nested strides s = 50, 10, 2 tightens the bounds of the rays still in
-play, each level adding samples to the last. At each level the ray with the
+The saddle is polished from the exit ray of a spherical fan of straight
+rays, searched by bound and prune. The maximum of the potential over every
+s-th sample of a ray is a lower bound on that ray's barrier; a ladder of
+nested strides s = 50, 10, 2 tightens the bounds of the rays still in play,
+each level adding samples to the last. At each level the ray with the
 lowest bound is marched in full and every ray whose bound lies above the
 lowest barrier found is dropped; the survivors of the last level are
 marched in increasing order of bound until every unmarched bound lies above
-the lowest barrier. The depth and direction are the same, bit for bit, as
-those of marching every ray. The tau sensitivity rows polish the perturbed
-splits from the tau0 minimum, which lies tens of nm away, and scan the seed
-box only where that polish fails.
+the lowest barrier; the exit ray is that of marching every ray, bit for
+bit. A Newton polish from its highest sample, gated on the curvature signs
+(-, +, +), converges to the saddle, whose barrier the ray's bounds from
+above. The tau sensitivity rows polish the perturbed splits from the tau0
+minimum, tens of nm away, and scan the seed box only where that fails.
 """
 
 import math
@@ -40,13 +41,10 @@ from .errors import NoTrapError, SaddleError
 _GRID_R = 61
 _GRID_PHI = 25
 _GRID_Z = 49
-# Escape fan: coarse full-sphere resolution and the refinement cap around the
-# best coarse direction.
+# Escape fan: full-sphere resolution, ray length and sample step.
 _FAN_COARSE_DEG = 3.0
-_FAN_REFINE_DEG = 0.75
 _FAN_REACH_NM = 2000.0
 _FAN_STEP_NM = 4.0
-_FAN_REFINE_STEP_NM = 1.0
 # Straight rays that get this close to the surface are surface channels, not
 # escape paths.
 _SURFACE_PAD_NM = 0.5
@@ -96,24 +94,28 @@ class SeedRegion:
 def find_minimum(field_, seed, start=None):
     """Locate the potential minimum inside the seed region.
 
-    The best interior cell of a coarse seed scan starts a Newton polish in
-    the local (r-hat, arc, z-hat) frame: analytic gradient and Hessian from
-    one potential_derivatives call per iterate, steps capped at 5 nm. A
-    Newton step descends only where the Hessian is positive definite, so
-    every iterate must have three positive curvatures; the first that does
-    not ends the search as a saddle. Returns (r_nm, phi, z_nm), within
-    0.02 nm of the last such iterate. Raises NoTrapError when the region
-    holds no interior minimum (all candidate columns run monotonically into
-    the surface or out of the evanescent field), and when the polish meets a
-    saddle, steps into the surface, does not converge in 40 steps or ends
-    outside the seed region.
+    The best interior cell of a coarse seed scan starts _newton with no
+    negative curvature: a Newton step descends only where the Hessian is
+    positive definite, so the first iterate without three positive
+    curvatures ends the search as a saddle. Returns (r_nm, phi, z_nm).
+    Raises NoTrapError when the region holds no interior minimum (all
+    candidate columns run monotonically into the surface or out of the
+    evanescent field), when _newton does, and outside the seed region.
     start, when given, is a point (r_nm, phi, z_nm) near the minimum, such
     as the minimum of a nearby power split: the polish starts there and the
     seed scan runs only if that polish raises NoTrapError.
     """
+    def polish(point):
+        m = _newton(field_, point, 0)
+        box = ((_r_floor(field_, seed), seed.r_nm[1]), seed.phi, seed.z_nm)
+        for ax, x, (lo, hi) in zip(("radially", "in phi", "in z"), m, box):
+            if not lo <= x <= hi:
+                raise NoTrapError("refined minimum left the seed region " + ax)
+        return m
+
     if start is not None:
         try:
-            return _polish(field_, seed, *start)
+            return polish(start)
         except NoTrapError:
             pass
     rr = np.linspace(_r_floor(field_, seed), seed.r_nm[1], _GRID_R)
@@ -128,8 +130,7 @@ def find_minimum(field_, seed, start=None):
     if not np.isfinite(masked).any():
         raise NoTrapError("no interior potential minimum in the seed region")
     i, j, k = np.unravel_index(np.argmin(masked), masked.shape)
-    return _polish(field_, seed, float(rr[i + 1]), float(pp[j]),
-                   float(zz[k]))
+    return polish((float(rr[i + 1]), float(pp[j]), float(zz[k])))
 
 
 def _r_floor(field_, seed):
@@ -137,34 +138,43 @@ def _r_floor(field_, seed):
     return max(seed.r_nm[0], field_.fiber.radius_nm + 2.0)
 
 
-def _polish(field_, seed, r, p, z):
-    """Curvature-gated Newton polish from (r, p, z); see find_minimum."""
+def _newton(field_, point, negatives):
+    """Curvature-gated Newton polish from point (r_nm, phi, z_nm).
+
+    Steps in the local (r-hat, arc, z-hat) frame with the analytic gradient
+    and Hessian, one potential_derivatives call per iterate, capped at 5 nm.
+    Every iterate's Hessian must be finite with `negatives` negative and
+    the rest positive curvatures: 0 for a minimum, 1 for a first-order
+    saddle (minimal-mode eigenvector following, Cerjan & Miller, J. Chem.
+    Phys. 75, 2800, 1981). Returns the point within 0.02 nm of the last
+    iterate; raises NoTrapError when an iterate fails that gate, a step
+    enters the surface or 40 steps do not converge.
+    """
+    what = ("minimum", "saddle")[negatives]
+    gate = ("minimum search met a saddle: the Hessian lacks three positive "
+            "curvatures", "saddle search met a Hessian without the "
+            "curvature signs (-, +, +)")[negatives]
+    # eigvalsh sorts ascending, so the first `negatives` must be negative
+    sign = np.where(np.arange(3) < negatives, -1.0, 1.0)
     a = field_.fiber.radius_nm
+    r, p, z = point
     for _ in range(40):
         g, h = potential.potential_derivatives(field_, r, p, z)
-        if not np.all(np.linalg.eigvalsh(h) > 0.0):
-            raise NoTrapError("minimum search met a saddle: the Hessian "
-                              "lacks three positive curvatures")
+        # eigvalsh can return finite values for a Hessian holding NaN
+        if not (np.isfinite(h).all()
+                and np.all(sign * np.linalg.eigvalsh(h) > 0.0)):
+            raise NoTrapError(gate)
         step = np.linalg.solve(h, -g)
         n = float(np.linalg.norm(step))
         if n > _NEWTON_STEP_CAP_NM:
             step *= _NEWTON_STEP_CAP_NM / n
         r_new = r + float(step[0])
         if r_new <= a + 1.0:
-            raise NoTrapError("minimum search ran into the fiber surface")
+            raise NoTrapError(f"{what} search ran into the fiber surface")
         r, p, z = r_new, p + float(step[1]) / r, z + float(step[2])
         if n < 0.2 * _POSITION_TOL_NM:
-            break
-    else:
-        raise NoTrapError("minimum search did not converge")
-
-    for axis, value, (lo, hi) in (
-            ("radially", r, (_r_floor(field_, seed), seed.r_nm[1])),
-            ("in phi", p, seed.phi),
-            ("in z", z, seed.z_nm)):
-        if not lo <= value <= hi:
-            raise NoTrapError(f"refined minimum left the seed region {axis}")
-    return r, p, z
+            return r, p, z
+    raise NoTrapError(f"{what} search did not converge")
 
 
 def trap_frequencies(field_, minimum, mass_kg):
@@ -267,32 +277,39 @@ def _fib_sphere(n):
                      np.cos(theta)], axis=-1)
 
 
-def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
+def _frame(point):
+    """Cartesian (r_nm, phi, z_nm) and the rows r-hat, phi-hat, z-hat there."""
+    r, p, z = point
+    return (np.array([r * np.cos(p), r * np.sin(p), z]),
+            np.array([[np.cos(p), np.sin(p), 0.0],
+                      [-np.sin(p), np.cos(p), 0.0],
+                      [0.0, 0.0, 1.0]]))
+
+
+def _march(field_, minimum, umin, d_local):
     """Index and height of the lowest barrier over a fan of straight rays.
 
-    A ray's barrier is its highest potential above umin, or infinite when
-    the ray comes within the surface pad of the fiber (a surface channel,
-    not an escape path). Bound and prune over a ladder of nested sample
-    strides (_BOUND_LADDER): the maximum over every s-th sample of a ray,
-    taken with no surface test, bounds its barrier from below, and each
-    finer level adds samples to the bound of the rays still alive. At each
-    level the unmarched ray with the lowest bound is marched in full to
-    lower the best barrier found, and every ray whose bound lies above it
-    is dropped. The survivors of the last level are marched in full in
-    increasing order of bound, _MARCH_BATCH at a time, until no unmarched
-    bound is at or below the best barrier. Every ray that ties the minimum
-    is thus marched and every other ray lies above it, so the index (first
-    of a tie) and the height are those of marching every ray. If every ray
-    hits the surface, all are marched and the height is inf.
+    The rays leave the minimum along the local-frame unit vectors d_local,
+    sampled every _FAN_STEP_NM out to _FAN_REACH_NM. A ray's barrier is its
+    highest potential above umin, or infinite when the ray comes within the
+    surface pad of the fiber (a surface channel, not an escape path). Bound
+    and prune over a ladder of nested sample strides (_BOUND_LADDER): the
+    maximum over every s-th sample of a ray, taken with no surface test,
+    bounds its barrier from below, and each finer level adds samples to the
+    bound of the rays still alive. At each level the unmarched ray with the
+    lowest bound is marched in full to lower the best barrier found, and
+    every ray whose bound lies above it is dropped. The survivors of the
+    last level are marched in full in increasing order of bound,
+    _MARCH_BATCH at a time, until no unmarched bound is at or below the
+    best barrier. Every ray that ties the minimum is thus marched and every
+    other ray lies above it, so the index (first of a tie) and the height
+    are those of marching every ray. If every ray hits the surface, all are
+    marched and the height is inf.
     """
-    r, p, z = minimum
     a = field_.fiber.radius_nm
-    frame = np.array([[np.cos(p), np.sin(p), 0.0],
-                      [-np.sin(p), np.cos(p), 0.0],
-                      [0.0, 0.0, 1.0]])
+    p0, frame = _frame(minimum)
     d_cart = d_local @ frame
-    p0 = np.array([r * np.cos(p), r * np.sin(p), z])
-    t = np.arange(1, int(reach_nm / step_nm) + 1) * step_nm
+    t = np.arange(1, int(_FAN_REACH_NM / _FAN_STEP_NM) + 1) * _FAN_STEP_NM
     step = np.arange(1, t.size + 1)
 
     def samples(rays, ts):
@@ -345,56 +362,43 @@ def _march(field_, minimum, umin, d_local, reach_nm, step_nm):
     return k, float(value[k])
 
 
-def _refine_cap(center, half_deg, step_deg):
-    c = np.asarray(center, dtype=float)
-    c = c / np.linalg.norm(c)
-    seed = np.array([1.0, 0.0, 0.0])
-    if abs(float(c @ seed)) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(c, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(c, e1)
-    g = np.radians(np.arange(-half_deg, half_deg + 1e-9, step_deg))
-    A, B = np.meshgrid(g, g, indexing="ij")
-    d = (c[None, :] + A.ravel()[:, None] * e1[None, :]
-         + B.ravel()[:, None] * e2[None, :])
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class EscapeResult:
     depth_j: float
     direction: tuple
+    saddle: tuple   # (r_nm, phi, z_nm) of the certified escape saddle
 
 
 def escape_barrier(field_, minimum):
-    """Trap depth as the lowest barrier over a fan of straight escape rays.
+    """Trap depth as the barrier of the certified first-order escape saddle.
 
-    Returns an EscapeResult with the depth U_barrier - U_min and the
-    local-frame unit escape direction l. A coarse full-sphere fan picks the
-    exit and a finer cap of rays around it refines it; both are searched
-    by bound and prune over a ladder of sample strides (see _march), which
-    marches in full only the rays whose sampled bound does not already
-    exceed the lowest barrier found.
+    A full-sphere fan of straight rays (_march) picks the exit ray; from its
+    highest sample _newton with one negative curvature converges to the
+    saddle. Returns an EscapeResult with the depth U(saddle) - U(min), the
+    unit vector l from the minimum to the saddle in the local (r-hat,
+    phi-hat, z-hat) frame at the minimum, and the saddle. Raises NoTrapError
+    when every ray runs into the surface, when _newton does, and unless the
+    saddle's barrier is positive and at most the exit ray's, its bound.
     """
     umin = potential.total_potential(field_, *minimum)
-    ndir = max(int(np.ceil(4.0 * np.pi / np.radians(_FAN_COARSE_DEG) ** 2)),
-               16)
-    dirs = _fib_sphere(ndir)
-    k, best_b = _march(field_, minimum, umin, dirs, _FAN_REACH_NM,
-                       _FAN_STEP_NM)
-    if not np.isfinite(best_b):
+    dirs = _fib_sphere(max(int(np.ceil(
+        4.0 * np.pi / np.radians(_FAN_COARSE_DEG) ** 2)), 16))
+    k, fan_b = _march(field_, minimum, umin, dirs)
+    if not np.isfinite(fan_b):
         raise NoTrapError("every sampled direction runs into the surface")
-    best_d = dirs[k]
-    cap = _refine_cap(best_d, 2.0 * _FAN_COARSE_DEG, _FAN_REFINE_DEG)
-    kk, fine_b = _march(field_, minimum, umin, cap, _FAN_REACH_NM,
-                        _FAN_REFINE_STEP_NM)
-    if fine_b < best_b:
-        best_d, best_b = cap[kk], fine_b
-    if best_b <= 0.0:
-        raise NoTrapError("no positive escape barrier around the minimum")
-    return EscapeResult(depth_j=best_b,
-                        direction=tuple(float(x) for x in best_d))
+    p0, frame = _frame(minimum)
+    t = np.arange(1, int(_FAN_REACH_NM / _FAN_STEP_NM) + 1) * _FAN_STEP_NM
+    x, y, z = (p0 + t[:, None] * (dirs[k] @ frame)).T
+    r, p = np.hypot(x, y), np.arctan2(y, x)
+    i = np.argmax(potential.total_potential(field_, r, p, z))
+    saddle = _newton(field_, (float(r[i]), float(p[i]), float(z[i])), 1)
+    depth = float(potential.total_potential(field_, *saddle) - umin)
+    if not 0.0 < depth <= fan_b:
+        raise NoTrapError("saddle search found no positive barrier at or "
+                          "below the exit ray's")
+    d = frame @ (_frame(saddle)[0] - p0)
+    return EscapeResult(depth_j=depth, saddle=saddle, direction=tuple(
+        float(c) for c in d / np.linalg.norm(d)))
 
 
 def _inner_barrier(field_, minimum, umin, probe_e):

@@ -1,0 +1,73 @@
+"""Write the outputs that a byte-identical change must leave unchanged.
+
+Run as a script (pytest does not collect it), once per checkout:
+
+    PYTHONPATH=src python tests/contract_outputs.py OUTDIR
+
+then compare two such runs with `diff -r OUTDIR_A OUTDIR_B` (or `cmp` file
+by file). OUTDIR is created if needed and gets 53 files:
+
+* report-PRESET.json: `report --out` for each of the three presets;
+* report-he11-he21.txt: the readable `report` table that goes to stdout;
+* sweep-tau-PRESET.csv: `sweep-tau` for each preset;
+* grid-PRESET-QUANTITY-PLANE.csv: `grid --resolution 151` for each preset,
+  each quantity (potential, intensity, field) and each of the planes z=0,
+  z=trap, x=0, y=0 and d=0, 45 files; the quantity is set through a
+  configuration file that is the preset with grid.quantity changed;
+* dispersion.csv: `dispersion --resolution 20`.
+
+Each command runs in its own interpreter (`python -m fibertrap.cli`), one
+after another, and a command that exits non-zero stops the script.
+"""
+
+import dataclasses
+import os
+import subprocess
+import sys
+import tempfile
+
+from fibertrap import config
+
+PRESETS = ("he11-te01", "he11-he21", "te01-he21")
+QUANTITIES = ("potential", "intensity", "field")
+PLANES = ("z=0", "z=trap", "x=0", "y=0", "d=0")
+TABLE_PRESET = "he11-he21"
+
+
+def fibertrap(*args, stdout=None):
+    subprocess.run([sys.executable, "-m", "fibertrap.cli", *args],
+                   stdout=stdout, check=True)
+
+
+def main(outdir):
+    os.makedirs(outdir, exist_ok=True)
+
+    def out(name):
+        return os.path.join(outdir, name)
+
+    for name in PRESETS:
+        fibertrap("report", "--preset", name,
+                  "--out", out(f"report-{name}.json"))
+    with open(out(f"report-{TABLE_PRESET}.txt"), "wb") as fh:
+        fibertrap("report", "--preset", TABLE_PRESET, stdout=fh)
+    for name in PRESETS:
+        fibertrap("sweep-tau", "--preset", name,
+                  "--out", out(f"sweep-tau-{name}.csv"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PRESETS:
+            for quantity in QUANTITIES:
+                cfg_path = os.path.join(tmp, f"{name}-{quantity}.cfg")
+                config.save_config(dataclasses.replace(
+                    config.preset(name), quantity=quantity), cfg_path)
+                for plane in PLANES:
+                    fibertrap("grid", "--config", cfg_path, "--plane", plane,
+                              "--resolution", "151", "--out",
+                              out(f"grid-{name}-{quantity}-{plane}.csv"))
+    fibertrap("dispersion", "--resolution", "20",
+              "--out", out("dispersion.csv"))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/contract_outputs.py OUTDIR")
+    main(sys.argv[1])

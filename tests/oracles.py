@@ -4,12 +4,13 @@ The mode helpers are built from first principles on top of scipy.special
 and scipy.integrate only.  None of them goes through the package's own
 dispersion relation or power normalization, so tests that compare against
 them are not circular.  The escape-fan reference keeps the package's
-potential and ray geometry but evaluates every sample of every ray, so it
-checks that neither skipping the rays that hit the surface nor pruning the
-rays whose sampled bound exceeds the lowest barrier changes anything.  The
-scalar Hessian is a central-difference stencil, one potential call per
-point, so the analytic Hessian can be checked against it to the stencil's
-O(h^2) error, and to 1e-9 against its Richardson extrapolation.  The grid CSV
+potential and ray geometry but evaluates every sample of every ray of the
+full-sphere fan, so it checks that neither skipping the rays that hit the
+surface nor pruning the rays whose sampled bound exceeds the lowest barrier
+changes the exit ray or its barrier.  The scalar Hessian is a
+central-difference stencil, one potential call per point, so the analytic
+Hessian can be checked against it to the stencil's O(h^2) error, and to
+1e-9 against its Richardson extrapolation.  The grid CSV
 writer formats every cell with repr and writes the rows with csv.writer,
 so the grid command's deduplicated formatting can be checked byte for byte.
 The root oracle is scipy's own brentq with find_root's tolerances, so the
@@ -98,8 +99,16 @@ def mode_power_quadrature(sol):
     return (core + clad) * 1e-18 * 1e3
 
 
-def dense_march(field_, minimum, umin, d_local, reach_nm, step_nm):
-    """Barrier height along straight rays with every sample evaluated.
+def fan_directions():
+    """The local-frame unit vectors of escape_barrier's full-sphere fan."""
+    ta = trapanalysis
+    ndir = max(int(np.ceil(4.0 * np.pi / np.radians(ta._FAN_COARSE_DEG) ** 2)),
+               16)
+    return ta._fib_sphere(ndir)
+
+
+def dense_march(field_, minimum, umin, d_local):
+    """Barrier height along straight fan rays with every sample evaluated.
 
     Samples at and beyond a ray's first contact with the surface pad are
     masked out of its barrier; the hit flags are returned separately.
@@ -112,7 +121,8 @@ def dense_march(field_, minimum, umin, d_local, reach_nm, step_nm):
                       [0.0, 0.0, 1.0]])
     d_cart = d_local @ frame
     p0 = np.array([r * np.cos(p), r * np.sin(p), z])
-    t = np.arange(1, int(reach_nm / step_nm) + 1) * step_nm
+    t = np.arange(1, int(ta._FAN_REACH_NM / ta._FAN_STEP_NM) + 1) \
+        * ta._FAN_STEP_NM
     pts = p0[None, None, :] + t[None, :, None] * d_cart[:, None, :]
     rr = np.hypot(pts[..., 0], pts[..., 1])
     pp = np.arctan2(pts[..., 1], pts[..., 0])
@@ -127,26 +137,17 @@ def dense_march(field_, minimum, umin, d_local, reach_nm, step_nm):
 
 
 def dense_escape_barrier(field_, minimum):
-    """escape_barrier with every fan sample evaluated (see dense_march)."""
-    ta = trapanalysis
+    """escape_barrier's fan with every sample evaluated (see dense_march).
+
+    Returns (index, barrier) of the lowest ray, first of a tie, as
+    trapanalysis._march does; a ray that hits the surface pad has an
+    infinite barrier.
+    """
     umin = potential.total_potential(field_, *minimum)
-    ndir = max(int(np.ceil(4.0 * np.pi / np.radians(ta._FAN_COARSE_DEG) ** 2)),
-               16)
-    dirs = ta._fib_sphere(ndir)
-    barrier, hit = dense_march(field_, minimum, umin, dirs, ta._FAN_REACH_NM,
-                               ta._FAN_STEP_NM)
+    barrier, hit = dense_march(field_, minimum, umin, fan_directions())
     escape = np.where(hit, np.inf, barrier)
     k = int(np.argmin(escape))
-    best_d, best_b = dirs[k], float(escape[k])
-    cap = ta._refine_cap(best_d, 2.0 * ta._FAN_COARSE_DEG, ta._FAN_REFINE_DEG)
-    fb, fh = dense_march(field_, minimum, umin, cap, ta._FAN_REACH_NM,
-                         ta._FAN_REFINE_STEP_NM)
-    fesc = np.where(fh, np.inf, fb)
-    kk = int(np.argmin(fesc))
-    if float(fesc[kk]) < best_b:
-        best_d, best_b = cap[kk], float(fesc[kk])
-    return ta.EscapeResult(depth_j=best_b,
-                           direction=tuple(float(x) for x in best_d))
+    return k, float(escape[k])
 
 
 def scalar_hessian(f, point, steps):

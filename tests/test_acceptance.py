@@ -367,7 +367,7 @@ def test_criterion_14_invariance_properties(suite):
     # analytic gradient against central differences
     h = 1e-3
     for r, phi, z in samples:
-        g = potential.potential_gradient(f1, r, phi, z)
+        g = potential.potential_derivatives(f1, r, phi, z)[0]
         fd_r = (potential.total_potential(f1, r + h, phi, z)
                 - potential.total_potential(f1, r - h, phi, z)) / (2 * h)
         fd_phi = (potential.total_potential(f1, r, phi + h / r, z)

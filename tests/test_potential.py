@@ -120,7 +120,7 @@ class TestPotentialField:
         assert f.shift_coeff == potential.dipole_potential(1.0, f.atom, 850.5)
         r, phi, z = 520.0, 0.8, 130.0
         want = (potential.total_potential(f, r, phi, z),
-                potential.potential_gradient(f, r, phi, z),
+                potential.potential_derivatives(f, r, phi, z)[0],
                 potential.local_scattering_rate(f, r, phi, z))
 
         def refuse(*args):
@@ -128,7 +128,7 @@ class TestPotentialField:
 
         monkeypatch.setattr(potential, "_coefficients", refuse)
         got = (potential.total_potential(f, r, phi, z),
-               potential.potential_gradient(f, r, phi, z),
+               potential.potential_derivatives(f, r, phi, z)[0],
                potential.local_scattering_rate(f, r, phi, z))
         assert got[0] == want[0] and got[2] == want[2]
         assert np.array_equal(got[1], want[1])
@@ -138,7 +138,7 @@ class TestPotentialField:
         h = 1e-3
         for r, phi, z in [(470.0, 1.3, 200.0), (560.0, math.pi / 2, 0.0),
                           (700.0, 4.0, 900.0)]:
-            g = potential.potential_gradient(f, r, phi, z)
+            g = potential.potential_derivatives(f, r, phi, z)[0]
             fd_r = (potential.total_potential(f, r + h, phi, z)
                     - potential.total_potential(f, r - h, phi, z)) / (2 * h)
             fd_phi = (potential.total_potential(f, r, phi + h / r, z)

@@ -22,12 +22,12 @@ KB = 1.380649e-23
 
 # regression pins for the default configuration, rel 1e-6 unless noted
 T1_MIN = (533.7866747301084, math.pi / 2, 0.0)
-T1_DEPTH_MK = 0.8138832581610527
+T1_DEPTH_MK = 0.8138646315177027
 T1_FREQ_KHZ = (721.7673990509142, 1218.3302874129045, 495.94288613504506)
 T1_EXTENTS = (50.65702830901065, 29.227191115936094, 71.79965927410065)
 T1_HARMONIC = (49.33027735591884, 29.224411762140534, 71.79251276112976)
 T1_RATE = 44.25877429773816
-T1_LIFETIME = 80.97287679598107
+T1_LIFETIME = 80.97076405150898
 T1_Z0 = 4613.23625821996
 
 
@@ -57,14 +57,20 @@ def seed_scans(monkeypatch):
     return scans
 
 
+def _fan(field_, minimum):
+    """escape_barrier's fan alone: (index, barrier) of its lowest ray."""
+    umin = potential.total_potential(field_, *minimum)
+    return trapanalysis._march(field_, minimum, umin, oracles.fan_directions())
+
+
 def _fan_with_spike(monkeypatch, center_nm, half_width_nm):
-    """escape_barrier over a synthetic potential with a spike near the exit.
+    """The escape fan over a synthetic potential with a spike near the exit.
 
     The smooth barrier peaks at 1 on the ray along u, 1000 nm out, on a
-    sample of the coarsest ladder level of both fans; a spike of height 5
+    sample of the coarsest ladder level of the fan; a spike of height 5
     on the shell |s - center_nm| < half_width_nm lifts every ray within 10
     degrees of u, so the rays with the lowest coarse bounds cannot be the
-    exit. Returns the search's and the dense reference's EscapeResult.
+    exit. Returns the search's and the dense reference's (index, barrier).
     """
     a, minimum = 250.0, (500.0, math.pi / 2, 0.0)
     x0 = np.array([0.0, minimum[0], 0.0])
@@ -84,13 +90,13 @@ def _fan_with_spike(monkeypatch, center_nm, half_width_nm):
 
     monkeypatch.setattr(potential, "total_potential", synthetic)
     field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=a))
-    esc = trapanalysis.escape_barrier(field_, minimum)
+    k, barrier = _fan(field_, minimum)
     # the exit lies just outside the spiked cone, not on the ray with the
     # lowest coarse bound
     frame = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert np.asarray(esc.direction) @ frame @ u < cone
-    assert esc.depth_j < 1.1
-    return esc, oracles.dense_escape_barrier(field_, minimum)
+    assert oracles.fan_directions()[k] @ frame @ u < cone
+    assert barrier < 1.1
+    return (k, barrier), oracles.dense_escape_barrier(field_, minimum)
 
 
 class TestThermalState:
@@ -118,7 +124,8 @@ class TestFindMinimum:
         assert z == pytest.approx(T1_MIN[2], abs=0.5)
 
     def test_is_a_stationary_point(self, suite, field1):
-        g = potential.potential_gradient(field1, *suite.minimum("he11-te01"))
+        g = potential.potential_derivatives(
+            field1, *suite.minimum("he11-te01"))[0]
         hess_scale = abs(potential.total_potential(field1, *T1_MIN)) / 30.0
         assert np.all(np.abs(g) < 1e-4 * hess_scale)
 
@@ -292,29 +299,26 @@ class TestEscapeBarrier:
         # are never marched in full; the dense reference evaluates every
         # sample of every ray and masks the hit rays out afterwards
         field_, m = suite.field(name), suite.minimum(name)
-        assert trapanalysis.escape_barrier(field_, m) == \
-            oracles.dense_escape_barrier(field_, m)
+        assert _fan(field_, m) == oracles.dense_escape_barrier(field_, m)
 
     def test_pruning_survives_a_spike_between_bound_samples(self, monkeypatch):
-        # a 6 nm spike at 1010 nm covers the coarse-fan samples at 1008 nm,
+        # a 6 nm spike at 1010 nm covers the fan samples at 1008 nm,
         # on the finest ladder level, and 1012 nm, on none
-        esc, dense = _fan_with_spike(monkeypatch, 1010.0, 3.0)
-        assert esc == dense
+        fan, dense = _fan_with_spike(monkeypatch, 1010.0, 3.0)
+        assert fan == dense
 
     def test_pruning_survives_a_spike_only_the_finest_level_samples(
             self, monkeypatch):
-        # the spike covers one sample of each fan, at 1008 nm: sample 252
-        # of the 4 nm coarse fan and sample 1008 of the 1 nm refine fan,
-        # both on the stride-2 level and on no coarser one
-        assert [s for s in trapanalysis._BOUND_LADDER
-                if 252 % s == 0 or 1008 % s == 0] == [2]
-        esc, dense = _fan_with_spike(monkeypatch, 1008.0, 0.5)
-        assert esc == dense
+        # the spike covers one sample of the 4 nm fan, sample 252 at
+        # 1008 nm, which is on the stride-2 level and on no coarser one
+        assert [s for s in trapanalysis._BOUND_LADDER if 252 % s == 0] == [2]
+        fan, dense = _fan_with_spike(monkeypatch, 1008.0, 0.5)
+        assert fan == dense
 
     def test_every_ray_ties_on_a_radial_potential(self, monkeypatch):
         # the potential depends on the distance from the minimum alone and
         # is flat at 1 where every ray peaks, so every barrier is exactly
-        # 1: no ray can be pruned, and the first ray of each fan wins
+        # 1: no ray can be pruned, and the first ray of the fan wins
         minimum = (3000.0, math.pi / 2, 0.0)
         x0 = np.array([0.0, minimum[0], 0.0])
 
@@ -327,13 +331,8 @@ class TestEscapeBarrier:
         monkeypatch.setattr(potential, "total_potential", radial)
         # rays reach 2000 nm, so none comes near the 250 nm fiber
         field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=250.0))
-        esc = trapanalysis.escape_barrier(field_, minimum)
-        assert esc == oracles.dense_escape_barrier(field_, minimum)
-        assert esc.depth_j == 1.0
-        ndir = max(int(np.ceil(4.0 * np.pi / np.radians(
-            trapanalysis._FAN_COARSE_DEG) ** 2)), 16)
-        assert esc.direction == tuple(
-            float(x) for x in trapanalysis._fib_sphere(ndir)[0])
+        assert _fan(field_, minimum) == (0, 1.0)
+        assert oracles.dense_escape_barrier(field_, minimum) == (0, 1.0)
 
     def test_fan_from_inside_the_fiber_raises(self, monkeypatch):
         # every ray starts inside the surface pad, so every ray is marched
@@ -356,9 +355,59 @@ class TestEscapeBarrier:
 
         monkeypatch.setattr(potential, "total_potential", counted)
         trapanalysis.escape_barrier(field1, suite.minimum("he11-te01"))
-        # the dense fan: 4584 coarse rays of 500 samples, 289 refine rays
-        # of 2000 samples
-        assert sum(points) < 0.05 * (4584 * 500 + 289 * 2000)
+        # the dense fan: 4584 rays of 500 samples
+        assert sum(points) < 0.05 * 4584 * 500
+
+    @pytest.mark.parametrize("row", (0, 1, 2))
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_saddle_is_certified(self, suite, name, row):
+        # rows are tau0 - sigma, tau0 and tau0 + sigma
+        row = suite.sens(name)["rows"][row]
+        field_ = config.make_field(suite.cfg(name), tau=row["tau"])
+        m = (row["minimum"]["r_nm"], row["minimum"]["phi_rad"],
+             row["minimum"]["z_nm"])
+        esc = trapanalysis.escape_barrier(field_, m)
+        g, h = potential.potential_derivatives(field_, *esc.saddle)
+        curv = np.linalg.eigvalsh(h)
+        assert curv[0] < 0.0 < curv[1]
+        # the Newton step from the saddle is below the polish's stop
+        assert (np.linalg.norm(np.linalg.solve(h, g))
+                < 0.2 * trapanalysis._POSITION_TOL_NM)
+        # the exit ray's barrier bounds the saddle's from above
+        assert 0.0 < esc.depth_j <= _fan(field_, m)[1]
+        assert potential.as_millikelvin(esc.depth_j) == row["depth_mk"]
+        d = np.asarray(esc.direction)
+        assert np.linalg.norm(d) == pytest.approx(1.0, rel=1e-12)
+        if name == "he11-he21":
+            assert abs(d[0]) < 0.9
+        else:
+            # the saddle lies on the radial line through the minimum
+            assert np.abs(d[1:]).max() <= 1e-6
+
+    @pytest.mark.parametrize("bad", ("positive definite", "nan", "nan above"))
+    def test_uncertified_saddle_raises(self, suite, field1, monkeypatch, bad):
+        # the squared Hessian keeps the eigenvectors with every curvature
+        # positive; eigvalsh reads the lower triangle only, so it returns
+        # the clean curvatures of a Hessian with NaN above the diagonal
+        derivatives = potential.potential_derivatives
+
+        def broken(*args):
+            g, h = derivatives(*args)
+            if bad == "positive definite":
+                return g, h @ h
+            if bad == "nan":
+                return g, np.full((3, 3), np.nan)
+            h[0, 1] = np.nan
+            return g, h
+
+        m = suite.minimum("he11-te01")
+        monkeypatch.setattr(potential, "potential_derivatives", broken)
+        with pytest.raises(NoTrapError, match="saddle search"):
+            trapanalysis.escape_barrier(field1, m)
+        if bad != "positive definite":
+            with pytest.raises(NoTrapError, match="minimum search"):
+                trapanalysis.find_minimum(field1,
+                                          suite.cfg("he11-te01").seed)
 
     def test_depth_bounded_by_axis_barriers(self, suite, field1):
         # the full directional scan can only find a barrier at or below
@@ -374,8 +423,8 @@ class TestEscapeBarrier:
         coarse, r_peak = wall(np.linspace(m[0] + 1.0, 2000.0, 400))
         fine, _ = wall(np.linspace(r_peak - 5.0, r_peak + 5.0, 400))
         radial_wall = max(coarse, fine) - u0
-        # the fan samples directions at finite angular resolution, so its
-        # minimum can overshoot the exact radial cut by the discretization
+        # here the saddle lies on the radial cut, whose maximum the 0.025 nm
+        # sampling can miss by a little
         assert esc.depth_j <= radial_wall * (1.0 + 1e-4)
 
 
