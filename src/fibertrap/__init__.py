@@ -19,9 +19,8 @@ from .modes import (FiberSpec, LightSpec, ModeId, ModeSolution, cutoff_v,
                     normalize_power, parse_mode_name, solve_mode,
                     supported_modes, v_parameter)
 from .potential import (AtomSpec, PotentialField, SpectralLine,
-                        as_millikelvin, cesium, dipole_potential,
-                        from_millikelvin, intensity, local_scattering_rate,
-                        total_potential, vdw_potential)
+                        as_millikelvin, cesium, intensity,
+                        local_scattering_rate, total_potential, vdw_potential)
 from .superposition import (ModePair, beat_length, make_pair, mean_intensity,
                             total_e_field)
 from .trapanalysis import (EscapeResult, SeedRegion, ThermalState, TrapReport,
@@ -39,8 +38,8 @@ __all__ = [
     "PotentialField", "RunConfig", "SaddleError",
     "SeedRegion", "SpectralLine", "ThermalState", "TrapReport",
     "as_millikelvin", "beat_length", "cesium", "characterize_trap",
-    "cutoff_v", "dipole_potential", "dispersion_sweep", "e_field",
-    "escape_barrier", "find_minimum", "from_millikelvin", "h_field",
+    "cutoff_v", "dispersion_sweep", "e_field", "escape_barrier",
+    "find_minimum", "h_field",
     "harmonic_extents", "intensity", "lifetime", "load_config",
     "local_scattering_rate", "make_field", "make_pair", "mean_intensity",
     "mode_power", "normalize_power", "orbit_averaged_scattering",

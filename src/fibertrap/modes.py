@@ -23,6 +23,14 @@ every nu term vanishes, and the pattern angle psi = pi/2 for TE (axial
 constants Az = 0, Bz = i amp) or psi = 0 for TM (Az = i amp, Bz = 0)
 lets cos psi or sin psi select the family's components.
 
+They are also the nu = 0 case of the dispersion relation (_char), whose
+right-hand side vanishes there, leaving the TE and TM relations as its two
+factors. Each factor gets its own root scan, not their product: TE01 and
+TM01 share the cutoff J_0(V) = 0, and just above it their roots lie within
+one scan cell, where the product shows no sign change. HE and EH of one
+order share one cached scan and are told apart afterwards, so a census
+runs five scans: TE, TM and the hybrid orders 1 to 3.
+
 Relative sign conventions between mode families are not physical on their
 own (each mode carries a free normalization constant); they are chosen here
 so that, at zero relative phase, two-mode trapping minima form at z = 0
@@ -142,18 +150,6 @@ def _uw(v, n1, n2, neff):
     return u, w
 
 
-def _char_te_tm(v, n1, n2, neff, eps1, eps2):
-    """Rationalized TE0m / TM0m characteristic function (pole-free in neff).
-
-    The relative permittivity weights (eps1, eps2) are (1, 1) for TE and
-    (n1^2, n2^2) for TM.
-    """
-    u, w = _uw(v, n1, n2, neff)
-    j0, j1 = numerics.bessel_j_orders(u, 0, 1)
-    k0, k1 = numerics.bessel_k_orders(w, 1)
-    return eps1 * w * j1 * k0 + eps2 * u * j0 * k1
-
-
 def _j_and_deriv(nu, x):
     """J_nu(x) and J'_nu(x) from one series call.
 
@@ -173,19 +169,28 @@ def _k_and_deriv(nu, x):
     return ks[nu], -0.5 * (ks[abs(nu - 1)] + ks[nu + 1])
 
 
-def _char_hybrid(nu, v, n1, n2, neff):
-    """Rationalized hybrid characteristic function for azimuthal order nu.
+def _char(family, nu, v, n1, n2, neff):
+    """Rationalized characteristic function of one family at order nu.
 
-    Both factors of the two-factor dispersion relation are multiplied by
-    u J_nu(u) w K_nu(w); the right-hand side picks up the square of that, so
-    roots of this function are exactly the hybrid eigenvalues and the poles at
-    J_nu(u) = 0 are removed.
+    The hybrid relation (J'/(uJ) + K'/(wK)) (n1^2 J'/(uJ) + n2^2 K'/(wK))
+    = (nu neff V^2 / (u^2 w^2))^2, Bessels of order nu at u and w, has both
+    factors multiplied by u J_nu(u) w K_nu(w), giving t1 = J' w K + K' u J
+    and t2 = n1^2 J' w K + n2^2 K' u J; the right-hand side picks up the
+    square of that, so roots of t1 t2 - rhs are exactly the HE/EH
+    eigenvalues and the poles at J_nu(u) = 0 are removed. At nu = 0 the
+    right-hand side vanishes and t1 and t2 are the TE and TM relations,
+    which family "TE" and "TM" return alone; any other family gets the
+    hybrid function.
     """
     u, w = _uw(v, n1, n2, neff)
     jn, jd = _j_and_deriv(nu, u)
     kn, kd = _k_and_deriv(nu, w)
     t1 = jd * w * kn + kd * u * jn
+    if family == "TE":
+        return t1
     t2 = n1 * n1 * jd * w * kn + n2 * n2 * kd * u * jn
+    if family == "TM":
+        return t2
     rhs = (nu * neff * v * v * jn * kn) ** 2 / (u * w) ** 2
     return t1 * t2 - rhs
 
@@ -211,18 +216,15 @@ def _classify_hybrid(nu, v, n1, n2, neff):
 
 
 @lru_cache(maxsize=512)
-def _family_roots(v, n1, n2, family, nu):
-    """All n_eff roots of one (family, nu) branch family at fixed V, descending.
+def _char_roots(v, n1, n2, family, nu):
+    """All n_eff roots of _char(family, nu) at fixed V, descending.
 
     Dense sign scan over (n2 + margin, n1 - margin) followed by bracketed
     refinement; the rationalized characteristic functions are continuous, so
-    every sign change brackets a genuine eigenvalue.
+    every sign change brackets a genuine eigenvalue. HE and EH share one
+    function, so callers pass "HE" for both and classify the roots.
     """
-    if family in ("TE", "TM"):
-        eps1, eps2 = (1.0, 1.0) if family == "TE" else (n1 * n1, n2 * n2)
-        f = lambda ne: _char_te_tm(v, n1, n2, ne, eps1, eps2)
-    else:
-        f = lambda ne: _char_hybrid(nu, v, n1, n2, ne)
+    f = lambda ne: _char(family, nu, v, n1, n2, ne)
     grid = np.linspace(n2 + _NEFF_MARGIN, n1 - _NEFF_MARGIN, _SCAN_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = f(grid)
@@ -233,9 +235,15 @@ def _family_roots(v, n1, n2, family, nu):
              numerics.find_root(f, grid[i], grid[i + 1], tol=1e-15)
              for i in np.flatnonzero(zero | (finite & change))]
     roots.sort(reverse=True)
-    if family in ("HE", "EH"):
-        roots = [r for r in roots if _classify_hybrid(nu, v, n1, n2, r) == family]
     return tuple(roots)
+
+
+def _family_roots(v, n1, n2, family, nu):
+    """All n_eff roots of one (family, nu) branch family at fixed V, descending."""
+    if family in ("TE", "TM"):
+        return _char_roots(v, n1, n2, family, nu)
+    return tuple(r for r in _char_roots(v, n1, n2, "HE", nu)
+                 if _classify_hybrid(nu, v, n1, n2, r) == family)
 
 
 def _census(v, n1, n2):

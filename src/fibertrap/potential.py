@@ -42,11 +42,6 @@ def as_millikelvin(energy_j):
     return np.asarray(energy_j) / _KB * 1e3
 
 
-def from_millikelvin(energy_mk):
-    """Convert an energy in millikelvin to joules via k_B."""
-    return np.asarray(energy_mk) * _KB * 1e-3
-
-
 @dataclass(frozen=True)
 class SpectralLine:
     """One atomic transition: vacuum wavelength, linewidth, weight."""
@@ -113,16 +108,6 @@ def _coefficients(atom, wavelength_nm):
         scatter += (line.weight * 3.0 * np.pi * _C0 ** 2
                     / (2.0 * _HBAR * line.omega ** 3) * (line.gamma / delta) ** 2)
     return shift, scatter
-
-
-def dipole_potential(intensity_w_m2, atom, wavelength_nm):
-    """Repulsive light-shift energy (J) of a blue-detuned intensity.
-
-    Linear in intensity; raises ConfigError when the wavelength is
-    red-detuned with respect to any included line.
-    """
-    shift, _ = _coefficients(atom, wavelength_nm)
-    return shift * np.asarray(intensity_w_m2, dtype=float)
 
 
 def vdw_potential(r_nm, fiber, atom):

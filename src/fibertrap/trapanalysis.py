@@ -181,10 +181,12 @@ def trap_frequencies(field_, minimum, mass_kg):
     """Harmonic angular frequencies (omega_r, omega_phi, omega_z) in rad/s.
 
     Eigenvalues of the analytic local-frame Hessian (potential_derivatives)
-    assigned to axes by the dominant eigenvector component; any non-positive
-    eigenvalue raises SaddleError.
+    assigned to axes by the dominant eigenvector component; a non-finite
+    Hessian entry or any non-positive eigenvalue raises SaddleError.
     """
     _, h = potential.potential_derivatives(field_, *minimum)
+    if not np.isfinite(h).all():
+        raise SaddleError(f"Hessian {h.tolist()} has non-finite entries")
     evals, evecs = np.linalg.eigh(h)
     if np.any(evals <= 0.0):
         raise SaddleError(

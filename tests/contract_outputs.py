@@ -5,7 +5,7 @@ Run as a script (pytest does not collect it), once per checkout:
     PYTHONPATH=src python tests/contract_outputs.py OUTDIR
 
 then compare two such runs with `diff -r OUTDIR_A OUTDIR_B` (or `cmp` file
-by file). OUTDIR is created if needed and gets 53 files:
+by file). OUTDIR is created if needed and gets 54 files:
 
 * report-PRESET.json: `report --out` for each of the three presets;
 * report-he11-he21.txt: the readable `report` table that goes to stdout;
@@ -14,7 +14,9 @@ by file). OUTDIR is created if needed and gets 53 files:
   each quantity (potential, intensity, field) and each of the planes z=0,
   z=trap, x=0, y=0 and d=0, 45 files; the quantity is set through a
   configuration file that is the preset with grid.quantity changed;
-* dispersion.csv: `dispersion --resolution 20`.
+* dispersion.csv: `dispersion --resolution 20`;
+* dispersion-default.csv: `dispersion` at its default resolution (201 V
+  points), where a last-digit move of a root shows in more rows.
 
 Each command runs in its own interpreter (`python -m fibertrap.cli`), one
 after another, and a command that exits non-zero stops the script.
@@ -65,6 +67,7 @@ def main(outdir):
                               out(f"grid-{name}-{quantity}-{plane}.csv"))
     fibertrap("dispersion", "--resolution", "20",
               "--out", out("dispersion.csv"))
+    fibertrap("dispersion", "--out", out("dispersion-default.csv"))
 
 
 if __name__ == "__main__":

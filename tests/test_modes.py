@@ -55,6 +55,14 @@ class TestVParameterAndCensus:
         neffs = [s.neff for s in sols]
         assert neffs == sorted(neffs, reverse=True)
 
+    def test_census_runs_one_scan_per_function(self):
+        # TE, TM and the hybrid orders 1 to 3: HE and EH of one order are
+        # roots of one characteristic function and share its scan
+        v = modes.v_parameter(FIBER, WL)
+        modes._char_roots.cache_clear()
+        modes._census(v, FIBER.n_core, FIBER.n_clad)
+        assert modes._char_roots.cache_info().misses == 5
+
     def test_census_below_he41_cutoff(self):
         # HE41 cuts in at V = 5.5788; below it the census is complete
         wl = 2.0 * math.pi * FIBER.radius_nm * math.sqrt(
@@ -116,9 +124,21 @@ class TestDispersion:
             assert abs(d0) < 1e-6 * off
 
     def test_roots_match_independent_determinant(self, solved):
-        for sol in solved.values():
+        # the operating point; every census row at V = 5, where EH11, HE31
+        # and HE12 are told apart from HE11 and HE21 on a shared scan; and
+        # TE01 and TM01 at V = 2.42, 2.9 scan cells apart above their
+        # shared cutoff
+        sols = list(solved.values())
+        for v, names in ((5.0, None), (2.42, ("TE01", "TM01"))):
+            wl = 2.0 * math.pi * FIBER.radius_nm * math.sqrt(
+                FIBER.n_core ** 2 - FIBER.n_clad ** 2) / v
+            names = names or modes.supported_modes(FIBER, wl)
+            sols += [modes.solve_mode(FIBER, wl, name) for name in names]
+        assert len(sols) == 13
+        for sol in sols:
             root = oracles.determinant_root(
-                FIBER, WL, sol.mode.nu, sol.neff - 1e-4, sol.neff + 1e-4)
+                FIBER, sol.wavelength_nm, sol.mode.nu, sol.neff - 1e-4,
+                sol.neff + 1e-4)
             assert sol.neff == pytest.approx(root, abs=1e-9)
 
     def test_beta_ordering_at_operating_point(self, solved):

@@ -19,7 +19,7 @@ TRAP1_MIN = (533.7866747301084, math.pi / 2, 0.0)
 class TestUnits:
     def test_millikelvin_round_trip(self):
         e = 3.7e-27
-        assert potential.from_millikelvin(potential.as_millikelvin(e)) == (
+        assert potential.as_millikelvin(e) * KB * 1e-3 == (
             pytest.approx(e, rel=1e-14))
 
     def test_one_millikelvin(self):
@@ -60,20 +60,34 @@ class TestAtomSpec:
                                    weight=1.0)
 
 
+def light_shift(field_, r, phi, z):
+    """The light-shift part of the total potential, in joules."""
+    return (potential.total_potential(field_, r, phi, z)
+            - potential.vdw_potential(r, field_.fiber, field_.atom))
+
+
 class TestDipolePotential:
-    def test_blue_detuning_is_repulsive(self):
-        u = potential.dipole_potential(1e9, potential.cesium(), 850.5)
-        assert u > 0.0
+    def test_blue_detuning_is_repulsive(self, suite):
+        f = suite.field("he11-te01")
+        assert f.shift_coeff > 0.0
+        assert light_shift(f, 520.0, 0.8, 130.0) > 0.0
 
     def test_linear_in_intensity(self):
         cs = potential.cesium()
-        u1 = potential.dipole_potential(1e9, cs, 850.5)
-        u2 = potential.dipole_potential(2e9, cs, 850.5)
-        assert u2 == pytest.approx(2.0 * u1, rel=1e-12)
+        shifts = []
+        for p in (10.0, 20.0):
+            pair = superposition.make_pair(FIBER, 850.5, "HE11", "TE01",
+                                           p, 0.72)
+            f = potential.PotentialField(pair=pair, atom=cs)
+            shifts.append(light_shift(f, 520.0, 0.8, 40.0))
+        assert shifts[1] == pytest.approx(2.0 * shifts[0], rel=1e-12)
 
     def test_red_detuning_rejected(self):
+        # 870 nm is blue of the 894.6 nm line but red of the 852.3 nm one
+        pair = superposition.make_pair(FIBER, 870.0, "HE11", "TE01",
+                                       10.0, 0.5)
         with pytest.raises(ConfigError) as err:
-            potential.dipole_potential(1e9, potential.cesium(), 900.0)
+            potential.PotentialField(pair=pair, atom=potential.cesium())
         assert err.value.key == "light.wavelength_nm"
 
 
@@ -104,8 +118,7 @@ class TestPotentialField:
         f = suite.field("he11-te01")
         r, phi, z = 520.0, 0.8, 130.0
         total = potential.total_potential(f, r, phi, z)
-        light = potential.dipole_potential(
-            potential.intensity(f, r, phi, z), f.atom, 850.5)
+        light = f.shift_coeff * potential.intensity(f, r, phi, z)
         vdw = potential.vdw_potential(r, FIBER, f.atom)
         assert total == pytest.approx(light + vdw, rel=1e-12)
 
@@ -117,7 +130,8 @@ class TestPotentialField:
 
     def test_coefficients_fixed_at_construction(self, suite, monkeypatch):
         f = suite.field("he11-te01")
-        assert f.shift_coeff == potential.dipole_potential(1.0, f.atom, 850.5)
+        assert (f.shift_coeff, f.scatter_coeff) == potential._coefficients(
+            f.atom, 850.5)
         r, phi, z = 520.0, 0.8, 130.0
         want = (potential.total_potential(f, r, phi, z),
                 potential.potential_derivatives(f, r, phi, z)[0],

@@ -217,6 +217,24 @@ class TestTrapFrequencies:
                 field1, (T1_MIN[0], T1_MIN[1], T1_Z0 / 2.0),
                 field1.atom.mass_kg)
 
+    @pytest.mark.parametrize("entries", [((0, 1), (1, 0)), ((0, 1),)])
+    def test_non_finite_hessian_rejected(self, suite, field1, monkeypatch,
+                                         entries):
+        # eigh reads the lower triangle only, so NaN above the diagonal
+        # alone leaves clean eigenvalues; NaN on both sides gives NaN ones
+        derivatives = potential.potential_derivatives
+
+        def broken(*args):
+            g, h = derivatives(*args)
+            for ij in entries:
+                h[ij] = np.nan
+            return g, h
+
+        m = suite.minimum("he11-te01")
+        monkeypatch.setattr(potential, "potential_derivatives", broken)
+        with pytest.raises(SaddleError, match="non-finite"):
+            trapanalysis.trap_frequencies(field1, m, field1.atom.mass_kg)
+
     @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21",
                                       "saddle"])
     def test_analytic_hessian_matches_stencil(self, suite, name):
@@ -456,14 +474,14 @@ class TestLifetime:
     def test_reference_value(self):
         st = trapanalysis.ThermalState(t_init_uk=100.0)
         got = trapanalysis.lifetime(
-            potential.from_millikelvin(T1_DEPTH_MK), st, T1_RATE,
+            T1_DEPTH_MK * KB * 1e-3, st, T1_RATE,
             1.3751229573732417e-30)
         assert got == pytest.approx(T1_LIFETIME, rel=1e-6)
 
     def test_no_heating_means_unbounded(self):
         st = trapanalysis.ThermalState(t_init_uk=100.0)
         assert trapanalysis.lifetime(
-            potential.from_millikelvin(1.0), st, 0.0, 1e-30) == math.inf
+            1.0 * KB * 1e-3, st, 0.0, 1e-30) == math.inf
 
     def test_requires_energy_headroom(self):
         st = trapanalysis.ThermalState(t_init_uk=100.0)
