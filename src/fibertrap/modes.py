@@ -631,18 +631,30 @@ def mode_power(sol):
     return weight * (inner + outer) * 1e-18
 
 
+@lru_cache(maxsize=64)
+def _unit_power(sol):
+    """mode_power of a unit-amplitude solution, which no power split changes.
+
+    Raises ConvergenceError, and so caches nothing, unless it is positive.
+    """
+    p_unit = mode_power(sol)
+    if not p_unit > 0.0:
+        raise ConvergenceError("mode power integral is not positive")
+    return p_unit
+
+
 def normalize_power(sol, power_mw):
     """Rescale the mode amplitude so its Poynting flux equals power_mw.
 
-    Returns a new solution; zero power gives a zero field.
+    Returns a new solution; zero power gives a zero field. The power of the
+    unit-amplitude solution is computed once per solution (_unit_power), so
+    the builds of one configuration at other splits reuse it.
     """
     if power_mw < 0.0:
         raise ValueError("power must be non-negative")
     if power_mw == 0.0:
         return replace(sol, amplitude=0.0, power_mw=0.0)
-    p_unit = mode_power(replace(sol, amplitude=1.0, power_mw=None))
-    if not p_unit > 0.0:
-        raise ConvergenceError("mode power integral is not positive")
+    p_unit = _unit_power(replace(sol, amplitude=1.0, power_mw=None))
     amp = np.sqrt(power_mw * 1e-3 / p_unit)
     return replace(sol, amplitude=float(amp), power_mw=float(power_mw))
 

@@ -26,6 +26,11 @@ bit. A Newton polish from its highest sample, gated on the curvature signs
 (-, +, +), converges to the saddle, whose barrier the ray's bounds from
 above. The tau sensitivity rows polish the perturbed splits from the tau0
 minimum, tens of nm away, and scan the seed box only where that fails.
+Their saddles continue the same way from the tau0 saddle, without a fan:
+the continued saddle is taken when _newton certifies it, with the signs
+(-, +, +) at every iterate, and its barrier is positive and at most that
+of the tau0 exit ray marched from the new minimum (one ray, 500 samples).
+Where either fails the fan runs as for tau0, so every error is the fan's.
 """
 
 import math
@@ -368,21 +373,38 @@ def _march(field_, minimum, umin, d_local):
 class EscapeResult:
     depth_j: float
     direction: tuple
-    saddle: tuple   # (r_nm, phi, z_nm) of the certified escape saddle
+    saddle: tuple    # (r_nm, phi, z_nm) of the certified escape saddle
+    exit_ray: tuple  # local-frame unit vector of the fan ray that found it
 
 
-def escape_barrier(field_, minimum):
+def escape_barrier(field_, minimum, start=None):
     """Trap depth as the barrier of the certified first-order escape saddle.
 
     A full-sphere fan of straight rays (_march) picks the exit ray; from its
     highest sample _newton with one negative curvature converges to the
     saddle. Returns an EscapeResult with the depth U(saddle) - U(min), the
     unit vector l from the minimum to the saddle in the local (r-hat,
-    phi-hat, z-hat) frame at the minimum, and the saddle. Raises NoTrapError
-    when every ray runs into the surface, when _newton does, and unless the
-    saddle's barrier is positive and at most the exit ray's, its bound.
+    phi-hat, z-hat) frame at the minimum, the saddle and the exit ray.
+    Raises NoTrapError when every ray runs into the surface, when _newton
+    does, and unless the saddle's barrier is positive and at most the exit
+    ray's, its bound.
+    start, when given, is the EscapeResult of a nearby minimum, such as
+    that of a nearby power split: _newton starts at its saddle, and the
+    saddle it reaches is taken, with start's exit ray, when its barrier is
+    positive and at most that of start's exit ray marched from this
+    minimum. The fan runs only if _newton raises NoTrapError or that bound
+    fails, so every error comes from the fan.
     """
     umin = potential.total_potential(field_, *minimum)
+    if start is not None:
+        try:
+            saddle = _newton(field_, start.saddle, 1)
+            _, ray_b = _march(field_, minimum, umin,
+                              np.asarray(start.exit_ray)[None])
+            return _certified(field_, minimum, umin, saddle, start.exit_ray,
+                              ray_b)
+        except NoTrapError:
+            pass
     dirs = _fib_sphere(max(int(np.ceil(
         4.0 * np.pi / np.radians(_FAN_COARSE_DEG) ** 2)), 16))
     k, fan_b = _march(field_, minimum, umin, dirs)
@@ -394,13 +416,25 @@ def escape_barrier(field_, minimum):
     r, p = np.hypot(x, y), np.arctan2(y, x)
     i = np.argmax(potential.total_potential(field_, r, p, z))
     saddle = _newton(field_, (float(r[i]), float(p[i]), float(z[i])), 1)
+    return _certified(field_, minimum, umin, saddle,
+                      tuple(float(c) for c in dirs[k]), fan_b)
+
+
+def _certified(field_, minimum, umin, saddle, exit_ray, ray_b):
+    """EscapeResult of a saddle whose barrier lies in (0, ray_b], ray_b finite.
+
+    ray_b is the barrier of the exit ray marched from minimum; a saddle
+    outside that bound raises NoTrapError.
+    """
     depth = float(potential.total_potential(field_, *saddle) - umin)
-    if not 0.0 < depth <= fan_b:
+    if not 0.0 < depth <= ray_b < np.inf:
         raise NoTrapError("saddle search found no positive barrier at or "
                           "below the exit ray's")
+    p0, frame = _frame(minimum)
     d = frame @ (_frame(saddle)[0] - p0)
-    return EscapeResult(depth_j=depth, saddle=saddle, direction=tuple(
-        float(c) for c in d / np.linalg.norm(d)))
+    return EscapeResult(depth_j=depth, saddle=saddle, exit_ray=exit_ray,
+                        direction=tuple(float(c)
+                                        for c in d / np.linalg.norm(d)))
 
 
 def _inner_barrier(field_, minimum, umin, probe_e):
@@ -602,23 +636,28 @@ def tau_sensitivity(build_field, tau0, seed, base=None):
     three rows share one search.
     The tau0 row is settled first: base, when given, is the (unfolded
     minimum, EscapeResult) already found at tau0 (TrapReport.base) and is
-    reused; otherwise tau0 is searched from the seed scan. The perturbed
-    rows then start their Newton polish at the tau0 minimum, and fall back
-    to the seed scan where that polish fails (find_minimum's start).
+    reused; otherwise tau0 is searched from the seed scan and the fan. The
+    perturbed rows then start from the tau0 row: the minimum's Newton
+    polish at the tau0 minimum, falling back to the seed scan where that
+    polish fails (find_minimum's start), and the saddle's at the tau0
+    saddle, falling back to the fan where the saddle it reaches is not
+    certified (escape_barrier's start).
     """
     sigma = power_split_sigma(tau0)
 
     def search(tau, start):
-        # (minimum, EscapeResult), or the error that flags the split's rows
+        # (minimum, EscapeResult), or the error that flags the split's rows;
+        # start is the tau0 pair, or None for a search from scratch
+        m0, esc0 = start or (None, None)
         try:
             field_ = build_field(tau)
-            m = find_minimum(field_, seed, start=start)
-            return m, escape_barrier(field_, m)
+            m = find_minimum(field_, seed, start=m0)
+            return m, escape_barrier(field_, m, start=esc0)
         except NoTrapError as err:
             return err
 
     found = {tau0: search(tau0, None) if base is None else base}
-    start = None if isinstance(found[tau0], Exception) else found[tau0][0]
+    start = None if isinstance(found[tau0], Exception) else found[tau0]
     rows = []
     for tau in (tau0 - sigma, tau0, tau0 + sigma):
         if not 0.0 <= tau <= 1.0:

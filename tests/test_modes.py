@@ -394,6 +394,9 @@ class TestPower:
             modes.normalize_power(solved["TE01"], -1.0)
 
     def test_nan_power_rejected(self, solved, monkeypatch):
+        # the unit-amplitude power is cached per solution, so clear it to
+        # have this solution's quadrature run again
+        modes._unit_power.cache_clear()
         monkeypatch.setattr(modes, "mode_power", lambda sol: math.nan)
         with pytest.raises(ConvergenceError):
             modes.normalize_power(solved["TE01"], 1.0)

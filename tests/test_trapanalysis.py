@@ -63,6 +63,16 @@ def _fan(field_, minimum):
     return trapanalysis._march(field_, minimum, umin, oracles.fan_directions())
 
 
+def _tau0_escape(suite, name):
+    """The tau0 EscapeResult that the perturbed sensitivity rows continue."""
+    return suite.report(name).base[1]
+
+
+def _row_minimum(row):
+    return (row["minimum"]["r_nm"], row["minimum"]["phi_rad"],
+            row["minimum"]["z_nm"])
+
+
 def _fan_with_spike(monkeypatch, center_nm, half_width_nm):
     """The escape fan over a synthetic potential with a spike near the exit.
 
@@ -379,12 +389,14 @@ class TestEscapeBarrier:
     @pytest.mark.parametrize("row", (0, 1, 2))
     @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
     def test_saddle_is_certified(self, suite, name, row):
-        # rows are tau0 - sigma, tau0 and tau0 + sigma
+        # rows are tau0 - sigma, tau0 and tau0 + sigma; each is recomputed
+        # by its own route: the fan at tau0, the continuation of the tau0
+        # saddle at tau0 -/+ sigma
+        start = None if row == 1 else _tau0_escape(suite, name)
         row = suite.sens(name)["rows"][row]
         field_ = config.make_field(suite.cfg(name), tau=row["tau"])
-        m = (row["minimum"]["r_nm"], row["minimum"]["phi_rad"],
-             row["minimum"]["z_nm"])
-        esc = trapanalysis.escape_barrier(field_, m)
+        m = _row_minimum(row)
+        esc = trapanalysis.escape_barrier(field_, m, start=start)
         g, h = potential.potential_derivatives(field_, *esc.saddle)
         curv = np.linalg.eigvalsh(h)
         assert curv[0] < 0.0 < curv[1]
@@ -401,6 +413,60 @@ class TestEscapeBarrier:
         else:
             # the saddle lies on the radial line through the minimum
             assert np.abs(d[1:]).max() <= 1e-6
+
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_continued_saddle_matches_fan(self, suite, name):
+        # the tau0 -/+ sigma saddles continue from the tau0 saddle; the cold
+        # fan finds the same barrier at the same saddle or, where two
+        # saddles tie (he11-he21 at tau0 + sigma), at its mirror image in
+        # the azimuth of the minimum
+        cfg, start = suite.cfg(name), _tau0_escape(suite, name)
+        rows = suite.sens(name)["rows"]
+        for row in (rows[0], rows[2]):
+            field_ = config.make_field(cfg, tau=row["tau"])
+            m = _row_minimum(row)
+            cont = trapanalysis.escape_barrier(field_, m, start=start)
+            fan = trapanalysis.escape_barrier(field_, m)
+            assert cont.depth_j == pytest.approx(fan.depth_j, rel=1e-12)
+            assert cont.exit_ray == start.exit_ray
+            r, p, z = fan.saddle
+            apart = min(np.linalg.norm(trapanalysis._frame(cont.saddle)[0]
+                                       - trapanalysis._frame(s)[0])
+                        for s in ((r, p, z), (r, 2.0 * m[1] - p, z)))
+            assert apart <= 1e-6
+
+    @pytest.mark.parametrize("fault", ("newton", "bound"))
+    def test_uncertified_continuation_falls_back_to_the_fan(
+            self, suite, monkeypatch, fault):
+        # with start given, a continuation that _newton does not certify,
+        # or whose barrier exceeds the re-marched exit ray's, gives way to
+        # the fan, whose result is the cold search's bit for bit
+        start = _tau0_escape(suite, "he11-te01")
+        row = suite.sens("he11-te01")["rows"][2]
+        field_ = config.make_field(suite.cfg("he11-te01"), tau=row["tau"])
+        m = _row_minimum(row)
+        cold = trapanalysis.escape_barrier(field_, m)
+        # the certified continuation differs from the fan in the last bits
+        assert trapanalysis.escape_barrier(field_, m, start=start) != cold
+        if fault == "newton":
+            newton = trapanalysis._newton
+
+            def failing(field_, point, negatives):
+                if point == start.saddle:
+                    raise NoTrapError("saddle search did not converge")
+                return newton(field_, point, negatives)
+
+            monkeypatch.setattr(trapanalysis, "_newton", failing)
+        else:
+            march = trapanalysis._march
+
+            def lowered(field_, minimum, umin, d_local):
+                # the one-ray march of the exit ray reads half its barrier
+                k, barrier = march(field_, minimum, umin, d_local)
+                return k, 0.5 * barrier if len(d_local) == 1 else barrier
+
+            monkeypatch.setattr(trapanalysis, "_march", lowered)
+        assert trapanalysis.escape_barrier(field_, m, start=start) == cold
 
     @pytest.mark.parametrize("bad", ("positive definite", "nan", "nan above"))
     def test_uncertified_saddle_raises(self, suite, field1, monkeypatch, bad):
@@ -419,9 +485,13 @@ class TestEscapeBarrier:
             return g, h
 
         m = suite.minimum("he11-te01")
+        start = _tau0_escape(suite, "he11-te01")
         monkeypatch.setattr(potential, "potential_derivatives", broken)
         with pytest.raises(NoTrapError, match="saddle search"):
             trapanalysis.escape_barrier(field1, m)
+        # a continuation that fails too leaves the fan's error
+        with pytest.raises(NoTrapError, match="saddle search"):
+            trapanalysis.escape_barrier(field1, m, start=start)
         if bad != "positive definite":
             with pytest.raises(NoTrapError, match="minimum search"):
                 trapanalysis.find_minimum(field1,
@@ -632,8 +702,11 @@ class TestTauSensitivity:
                          "--out", str(tmp_path / "report.json")]) == 0
         assert len(seed_scans) == 1
 
-    def test_report_runs_three_fans_and_six_quadratures(self, monkeypatch,
-                                                        tmp_path):
+    def test_report_runs_three_escape_searches_and_two_quadratures(
+            self, monkeypatch, tmp_path):
+        # the unit-amplitude powers are cached per mode solution; start
+        # from an empty cache, as a fresh process does
+        modes._unit_power.cache_clear()
         counts = {}
 
         def count(module, name):
@@ -651,7 +724,27 @@ class TestTauSensitivity:
         out = tmp_path / "report.json"
         assert cli.main(["report", "--preset", "he11-te01",
                          "--out", str(out)]) == 0
-        # the tau0 row reuses the characterization; each field build
-        # normalizes both of its modes
+        # the tau0 row reuses the characterization; the first field build
+        # integrates the power of both modes, and the builds at the other
+        # splits reuse it
         assert counts == {"escape_barrier": 3, "make_field": 3,
-                          "mode_power": 6}
+                          "mode_power": 2}
+
+    @pytest.mark.parametrize("command", ("report", "sweep-tau"))
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_one_escape_fan_per_command(self, monkeypatch, tmp_path, command,
+                                        name):
+        # the full-sphere fan runs at tau0 only; each perturbed row marches
+        # the tau0 exit ray alone to bound its continued saddle
+        march = trapanalysis._march
+        rays = []
+
+        def counted(field_, minimum, umin, d_local):
+            rays.append(len(d_local))
+            return march(field_, minimum, umin, d_local)
+
+        monkeypatch.setattr(trapanalysis, "_march", counted)
+        assert cli.main([command, "--preset", name,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert rays[0] > 1
+        assert rays[1:] == [1, 1]
