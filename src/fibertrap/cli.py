@@ -197,8 +197,8 @@ def _report_doc(cfg):
     fieldobj = config.make_field(cfg)
     state = config.thermal_state(cfg)
     report = trapanalysis.characterize_trap(fieldobj, cfg.seed, state)
-    sens = trapanalysis.tau_sensitivity(config.field_builder(cfg), cfg.tau,
-                                        cfg.seed, base=report.base)
+    sens = trapanalysis.tau_sensitivity(fieldobj, cfg.seed,
+                                        base=report.base)
     return report, sens
 
 
@@ -257,8 +257,7 @@ def cmd_report(cfg, args):
 
 def cmd_sweep_tau(cfg, args):
     """CSV table of trap depth and position at tau0 and tau0 +- sigma."""
-    sens = trapanalysis.tau_sensitivity(config.field_builder(cfg), cfg.tau,
-                                        cfg.seed)
+    sens = trapanalysis.tau_sensitivity(config.make_field(cfg), cfg.seed)
     rows = []
     for row in sens["rows"]:
         if row["trap"]:

@@ -298,24 +298,18 @@ def save_config(cfg, path):
         fh.write(format_config(cfg))
 
 
-def make_pair(cfg, tau=None):
-    """Solve and compose the configured mode pair (tau overridable)."""
-    tau = cfg.tau if tau is None else tau
+def make_pair(cfg):
+    """Solve and compose the configured mode pair."""
     return superposition.make_pair(
         cfg.fiber, cfg.light.wavelength_nm, cfg.mode_a, cfg.mode_b,
-        cfg.light.power_mw, tau, delta=cfg.delta,
+        cfg.light.power_mw, cfg.tau, delta=cfg.delta,
         orientation_a=cfg.orientation_a, orientation_b=cfg.orientation_b)
 
 
-def make_field(cfg, tau=None):
-    """Total potential field of the configured trap (tau overridable)."""
-    return potential.PotentialField(pair=make_pair(cfg, tau=tau),
+def make_field(cfg):
+    """Total potential field of the configured trap."""
+    return potential.PotentialField(pair=make_pair(cfg),
                                     atom=potential.cesium(c3=cfg.c3))
-
-
-def field_builder(cfg):
-    """tau -> PotentialField closure, as tau_sensitivity expects."""
-    return lambda tau: make_field(cfg, tau=tau)
 
 
 def thermal_state(cfg):

@@ -41,7 +41,6 @@ closed form, and the HE21 axial amplitude is -i times the HE11 one.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -215,14 +214,14 @@ def _classify_hybrid(nu, v, n1, n2, neff):
     return "HE" if g < 0.0 else "EH"
 
 
-@lru_cache(maxsize=512)
 def _char_roots(v, n1, n2, family, nu):
     """All n_eff roots of _char(family, nu) at fixed V, descending.
 
     Dense sign scan over (n2 + margin, n1 - margin) followed by bracketed
     refinement; the rationalized characteristic functions are continuous, so
     every sign change brackets a genuine eigenvalue. HE and EH share one
-    function, so callers pass "HE" for both and classify the roots.
+    function, so callers pass "HE" for both and classify the roots
+    (_hybrid_roots).
     """
     f = lambda ne: _char(family, nu, v, n1, n2, ne)
     grid = np.linspace(n2 + _NEFF_MARGIN, n1 - _NEFF_MARGIN, _SCAN_POINTS)
@@ -238,23 +237,30 @@ def _char_roots(v, n1, n2, family, nu):
     return tuple(roots)
 
 
+def _hybrid_roots(v, n1, n2, nu):
+    """{"HE": roots, "EH": roots} of order nu at fixed V, from one scan."""
+    split = {"HE": [], "EH": []}
+    for r in _char_roots(v, n1, n2, "HE", nu):
+        split[_classify_hybrid(nu, v, n1, n2, r)].append(r)
+    return split
+
+
 def _family_roots(v, n1, n2, family, nu):
     """All n_eff roots of one (family, nu) branch family at fixed V, descending."""
     if family in ("TE", "TM"):
         return _char_roots(v, n1, n2, family, nu)
-    return tuple(r for r in _char_roots(v, n1, n2, "HE", nu)
-                 if _classify_hybrid(nu, v, n1, n2, r) == family)
+    return _hybrid_roots(v, n1, n2, nu)[family]
 
 
 def _census(v, n1, n2):
     """All guided modes at V, as (name, family, nu, m, neff), descending in beta."""
     rows = []
     for fam in ("TE", "TM"):
-        for m, ne in enumerate(_family_roots(v, n1, n2, fam, 0), start=1):
+        for m, ne in enumerate(_char_roots(v, n1, n2, fam, 0), start=1):
             rows.append((f"{fam}0{m}", fam, 0, m, ne))
     for nu in _HYBRID_ORDERS:
-        for fam in ("HE", "EH"):
-            for m, ne in enumerate(_family_roots(v, n1, n2, fam, nu), start=1):
+        for fam, roots in _hybrid_roots(v, n1, n2, nu).items():
+            for m, ne in enumerate(roots, start=1):
                 rows.append((f"{fam}{nu}{m}", fam, nu, m, ne))
     rows.sort(key=lambda row: -row[4])
     return rows
@@ -321,9 +327,13 @@ class ModeSolution:
     """One solved guided mode, ready for field evaluation.
 
     neff is beta/k0; u and w are the transverse arguments at the core
-    boundary; s is the hybrid polarization parameter (0 for TE/TM);
-    amplitude is the real normalization constant multiplying the fields and
-    power_mw records the power it was normalized to (None when unnormalized).
+    boundary; s is the hybrid polarization parameter (0 for TE/TM); j_u and
+    k_w are J_nu(u) and K_nu(w), which scale every exterior evaluation;
+    unit_power_w is the mode's power (W) at unit amplitude, which no
+    normalization changes. amplitude is the real normalization constant
+    multiplying the fields and power_mw records the power it was normalized
+    to (None when unnormalized). solve_mode fills in every field once and
+    replace carries them.
     """
 
     mode: ModeId
@@ -333,8 +343,11 @@ class ModeSolution:
     u: float
     w: float
     s: float
+    j_u: float
+    k_w: float
     amplitude: float = 1.0
     power_mw: float = None
+    unit_power_w: float = None
 
     @property
     def name(self):
@@ -381,8 +394,10 @@ def solve_mode(fiber, wavelength_nm, mode, orientation=None):
     """Solve the eigenvalue problem for one mode at one wavelength.
 
     mode may be a ModeId or a name like "HE11"; orientation (rad) overrides
-    the ModeId's stored pattern rotation. Raises CutoffError when the branch
-    does not propagate at this V.
+    the ModeId's stored pattern rotation. The result has unit amplitude and
+    carries its power there (unit_power_w), integrated once here. Raises
+    CutoffError when the branch does not propagate at this V, and
+    ConvergenceError unless that power is positive.
     """
     mode = parse_mode_name(mode) if isinstance(mode, str) else mode
     if orientation is not None:
@@ -394,8 +409,15 @@ def solve_mode(fiber, wavelength_nm, mode, orientation=None):
     neff = roots[mode.m - 1]
     u, w = _uw(v, fiber.n_core, fiber.n_clad, neff)
     s = 0.0 if mode.nu == 0 else float(_hybrid_s(mode.nu, u, w))
-    return ModeSolution(mode=mode, fiber=fiber, wavelength_nm=wavelength_nm,
-                        neff=float(neff), u=float(u), w=float(w), s=s)
+    u, w = float(u), float(w)
+    sol = ModeSolution(mode=mode, fiber=fiber, wavelength_nm=wavelength_nm,
+                       neff=float(neff), u=u, w=w, s=s,
+                       j_u=_j_and_deriv(mode.nu, u)[0],
+                       k_w=_k_and_deriv(mode.nu, w)[0])
+    p_unit = mode_power(sol)
+    if not p_unit > 0.0:
+        raise ConvergenceError("mode power integral is not positive")
+    return replace(sol, unit_power_w=p_unit)
 
 
 def _z_amplitudes(sol):
@@ -429,16 +451,6 @@ def _phase(sol, z_nm):
     return np.exp(-1j * sol.beta_per_nm * np.asarray(z_nm, dtype=float))
 
 
-@lru_cache(maxsize=64)
-def _edge_bessels(nu, u, w):
-    """J_nu(u) and K_nu(w): the core-edge values that scale the exterior field.
-
-    Fixed per solution, so every exterior evaluation of a mode shares one
-    pair of scalar Bessel calls.
-    """
-    return _j_and_deriv(nu, u)[0], _k_and_deriv(nu, w)[0]
-
-
 def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
     """E or H cylindrical components (three arrays) on one side of the core.
 
@@ -466,8 +478,7 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
         k_m = sol.q_per_nm * 1e9
         eps = _EPS0 * sol.fiber.n_clad ** 2
         pre = 1j
-        j_u, k_w = _edge_bessels(nu, sol.u, sol.w)
-        az, bz = az * j_u / k_w, bz * j_u / k_w
+        az, bz = az * sol.j_u / sol.k_w, bz * sol.j_u / sol.k_w
     else:
         x = sol.h_per_nm * r
         f, fd = _j_and_deriv(nu, x)
@@ -631,31 +642,18 @@ def mode_power(sol):
     return weight * (inner + outer) * 1e-18
 
 
-@lru_cache(maxsize=64)
-def _unit_power(sol):
-    """mode_power of a unit-amplitude solution, which no power split changes.
-
-    Raises ConvergenceError, and so caches nothing, unless it is positive.
-    """
-    p_unit = mode_power(sol)
-    if not p_unit > 0.0:
-        raise ConvergenceError("mode power integral is not positive")
-    return p_unit
-
-
 def normalize_power(sol, power_mw):
     """Rescale the mode amplitude so its Poynting flux equals power_mw.
 
-    Returns a new solution; zero power gives a zero field. The power of the
-    unit-amplitude solution is computed once per solution (_unit_power), so
-    the builds of one configuration at other splits reuse it.
+    Returns a new solution; zero power gives a zero field. The amplitude
+    follows from the unit-amplitude power that solve_mode stored
+    (unit_power_w), so no normalization integrates the fields again.
     """
     if power_mw < 0.0:
         raise ValueError("power must be non-negative")
     if power_mw == 0.0:
         return replace(sol, amplitude=0.0, power_mw=0.0)
-    p_unit = _unit_power(replace(sol, amplitude=1.0, power_mw=None))
-    amp = np.sqrt(power_mw * 1e-3 / p_unit)
+    amp = np.sqrt(power_mw * 1e-3 / sol.unit_power_w)
     return replace(sol, amplitude=float(amp), power_mw=float(power_mw))
 
 

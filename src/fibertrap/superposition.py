@@ -9,7 +9,7 @@ All evaluators are pure functions of immutable inputs and broadcast
 elementwise over numpy arrays: each value depends only on its own point.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,74 +18,74 @@ from .constants import c as _C0
 from .constants import epsilon_0 as _EPS0
 from .errors import ConfigError
 
-# Relative slack when checking that the stored solutions carry the power
-# split the pair declares.
-_POWER_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ModePair:
-    """Two power-normalized co-propagating modes with split tau and phase delta.
+    """Two co-propagating modes with power split tau and phase delta.
 
-    sol_a carries tau * power_mw, sol_b the remainder. Both solutions must
-    share the fiber and the vacuum wavelength; transverse-magnetic modes are
-    rejected because their polarization cannot cancel against the other
-    mode families anywhere on a circle, so no interference trap forms.
+    unit_a and unit_b are the solved modes (modes.solve_mode); sol_a and
+    sol_b are derived from them: sol_a carries tau * power_mw, sol_b the
+    remainder, each composed as _compose_member describes. A split only
+    re-weights the solved modes, so the pair at another split is
+    replace(pair, tau=t), with no mode solved or integrated again. Both
+    modes must share the fiber and the vacuum wavelength;
+    transverse-magnetic modes are rejected because their polarization
+    cannot cancel against the other mode families anywhere on a circle, so
+    no interference trap forms.
     """
 
-    sol_a: modes.ModeSolution
-    sol_b: modes.ModeSolution
+    unit_a: modes.ModeSolution
+    unit_b: modes.ModeSolution
     tau: float
     power_mw: float
     delta: float = 0.0
+    sol_a: modes.ModeSolution = field(init=False, repr=False, compare=False)
+    sol_b: modes.ModeSolution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"power split tau = {self.tau} outside [0, 1]",
                               key="pair.tau")
-        for sol in (self.sol_a, self.sol_b):
+        for sol in (self.unit_a, self.unit_b):
             if sol.mode.family == "TM":
                 raise ConfigError(
                     f"{sol.name} is transverse magnetic and unsupported for "
                     "two-mode traps", key="pair.modes")
-        if self.sol_a.fiber != self.sol_b.fiber:
+        if self.unit_a.fiber != self.unit_b.fiber:
             raise ConfigError("pair modes solved on different fibers",
                               key="pair.modes")
-        if self.sol_a.wavelength_nm != self.sol_b.wavelength_nm:
+        if self.unit_a.wavelength_nm != self.unit_b.wavelength_nm:
             raise ConfigError("pair modes solved at different wavelengths",
                               key="pair.modes")
-        for sol, frac in ((self.sol_a, self.tau), (self.sol_b, 1.0 - self.tau)):
-            want = frac * self.power_mw
-            if sol.power_mw is None or abs(sol.power_mw - want) > _POWER_RTOL * max(want, 1.0):
-                raise ConfigError(
-                    f"{sol.name} carries {sol.power_mw} mW, pair requires {want} mW",
-                    key="pair.tau")
+        object.__setattr__(self, "sol_a", _compose_member(
+            self.unit_a, self.tau * self.power_mw))
+        object.__setattr__(self, "sol_b", _compose_member(
+            self.unit_b, (1.0 - self.tau) * self.power_mw))
 
     @property
     def fiber(self):
-        return self.sol_a.fiber
+        return self.unit_a.fiber
 
     @property
     def wavelength_nm(self):
-        return self.sol_a.wavelength_nm
+        return self.unit_a.wavelength_nm
 
 
-def _compose_member(fiber, wavelength_nm, name, orientation, member_power_mw):
+def _compose_member(sol, member_power_mw):
     """Normalize one pair member and apply the hybrid composition convention.
 
     A quasi-linearly polarized hybrid mode is the equal-weight sum of its two
     counter-circulating constituents, and the convention here assigns the
     member power to each constituent, so the composed hybrid field enters the
-    superposition with sqrt(2) times the single-field normalized amplitude.
-    The circularly symmetric TE family has a single constituent and enters
-    unscaled. The trap geometry (cancellation radius and depth scale of the
-    two-mode minima) fixes this choice; equal-field normalization leaves a
-    hybrid member too weak to cancel against a TE partner at the radii where
-    the traps form.
+    superposition with sqrt(2) times the single-field normalized amplitude
+    and carries twice the member power. The circularly symmetric TE family
+    has a single constituent and enters unscaled. The trap geometry
+    (cancellation radius and depth scale of the two-mode minima) fixes this
+    choice; equal-field normalization leaves a hybrid member too weak to
+    cancel against a TE partner at the radii where the traps form.
+    power_mw stays the nominal member share.
     """
-    sol = modes.normalize_power(
-        modes.solve_mode(fiber, wavelength_nm, name, orientation),
-        member_power_mw)
+    sol = modes.normalize_power(sol, member_power_mw)
     if sol.mode.family in ("HE", "EH"):
         sol = replace(sol, amplitude=sol.amplitude * np.sqrt(2.0))
     return sol
@@ -93,21 +93,11 @@ def _compose_member(fiber, wavelength_nm, name, orientation, member_power_mw):
 
 def make_pair(fiber, wavelength_nm, name_a, name_b, power_mw, tau, delta=0.0,
               orientation_a=0.0, orientation_b=0.0):
-    """Solve, normalize and pair two modes in one step.
-
-    Each member is power-normalized to its share of power_mw and hybrid
-    members then pick up the sqrt(2) composition factor (see _compose_member).
-    The stored power_mw of each member remains its nominal share.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"power split tau = {tau} outside [0, 1]",
-                          key="pair.tau")
-    sol_a = _compose_member(fiber, wavelength_nm, name_a, orientation_a,
-                            tau * power_mw)
-    sol_b = _compose_member(fiber, wavelength_nm, name_b, orientation_b,
-                            (1.0 - tau) * power_mw)
-    return ModePair(sol_a=sol_a, sol_b=sol_b, tau=float(tau),
-                    power_mw=float(power_mw), delta=float(delta))
+    """Solve and pair two modes in one step (see ModePair)."""
+    return ModePair(
+        unit_a=modes.solve_mode(fiber, wavelength_nm, name_a, orientation_a),
+        unit_b=modes.solve_mode(fiber, wavelength_nm, name_b, orientation_b),
+        tau=float(tau), power_mw=float(power_mw), delta=float(delta))
 
 
 def total_e_field(pair, r_nm, phi, z_nm):

@@ -34,7 +34,7 @@ Where either fails the fan runs as for tau0, so every error is the fan's.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -625,15 +625,17 @@ def characterize_trap(field_, seed, state):
         base=((r, p, z), esc))
 
 
-def tau_sensitivity(build_field, tau0, seed, base=None):
+def tau_sensitivity(field_, seed, base=None):
     """Depth and position response to the power-split precision sigma.
 
-    build_field(tau) must return the PotentialField of the configuration at
-    that split. Rows cover tau0 - sigma, tau0, tau0 + sigma; a perturbed
+    field_ is the PotentialField at the split tau0 = field_.pair.tau; the
+    field at another split tau is the same field with its pair re-split,
+    replace(field_, pair=replace(field_.pair, tau=tau)), so no mode is
+    solved again. Rows cover tau0 - sigma, tau0, tau0 + sigma; a perturbed
     split where the trap vanishes, or that falls outside [0, 1] for tau0
     near 0 or 1, yields a flagged row instead of an error. Each distinct
-    split is built and searched once, so at sigma = 0 (tau0 = 0 or 1) the
-    three rows share one search.
+    split is searched once, so at sigma = 0 (tau0 = 0 or 1) the three rows
+    share one search.
     The tau0 row is settled first: base, when given, is the (unfolded
     minimum, EscapeResult) already found at tau0 (TrapReport.base) and is
     reused; otherwise tau0 is searched from the seed scan and the fan. The
@@ -643,20 +645,20 @@ def tau_sensitivity(build_field, tau0, seed, base=None):
     saddle, falling back to the fan where the saddle it reaches is not
     certified (escape_barrier's start).
     """
+    tau0 = field_.pair.tau
     sigma = power_split_sigma(tau0)
 
-    def search(tau, start):
+    def search(split, start):
         # (minimum, EscapeResult), or the error that flags the split's rows;
         # start is the tau0 pair, or None for a search from scratch
         m0, esc0 = start or (None, None)
         try:
-            field_ = build_field(tau)
-            m = find_minimum(field_, seed, start=m0)
-            return m, escape_barrier(field_, m, start=esc0)
+            m = find_minimum(split, seed, start=m0)
+            return m, escape_barrier(split, m, start=esc0)
         except NoTrapError as err:
             return err
 
-    found = {tau0: search(tau0, None) if base is None else base}
+    found = {tau0: search(field_, None) if base is None else base}
     start = None if isinstance(found[tau0], Exception) else found[tau0]
     rows = []
     for tau in (tau0 - sigma, tau0, tau0 + sigma):
@@ -665,7 +667,8 @@ def tau_sensitivity(build_field, tau0, seed, base=None):
                          "reason": f"power split tau = {tau} outside [0, 1]"})
             continue
         if tau not in found:
-            found[tau] = search(tau, start)
+            found[tau] = search(
+                replace(field_, pair=replace(field_.pair, tau=tau)), start)
         if isinstance(found[tau], Exception):
             rows.append({"tau": tau, "trap": False,
                          "reason": str(found[tau])})

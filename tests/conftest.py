@@ -56,9 +56,8 @@ class TrapSuite:
             config.thermal_state(self.cfg(name))))
 
     def sens(self, name):
-        cfg = self.cfg(name)
         return self._get(("sens", name), lambda: trapanalysis.tau_sensitivity(
-            config.field_builder(cfg), cfg.tau, cfg.seed))
+            self.field(name), self.cfg(name).seed))
 
     def sens_all(self):
         # the three sweeps are independent; the heavy array evaluations

@@ -68,9 +68,11 @@ def main():
     for name in config.PRESET_NAMES:
         for delta in DELTAS:
             cfg = dataclasses.replace(config.preset(name), delta=delta)
-            start = search(config.make_field(cfg), cfg.seed, None)[2]
+            base = config.make_field(cfg)
+            start = search(base, cfg.seed, None)[2]
             for kind, tau in _splits(cfg):
-                field_ = config.make_field(cfg, tau=tau)
+                field_ = dataclasses.replace(
+                    base, pair=dataclasses.replace(base.pair, tau=tau))
                 cold = search(field_, cfg.seed, None)
                 warm = search(field_, cfg.seed, start)
                 outcomes[cold[0]] += 1

@@ -236,12 +236,8 @@ class TestBuilders:
         assert f.atom.c3 == 5.6e-49
 
     def test_make_field_tau_override(self):
-        f = config.make_field(config.preset("he11-te01"), tau=0.5)
+        f = config.make_field(replace(config.preset("he11-te01"), tau=0.5))
         assert f.pair.tau == 0.5
-
-    def test_field_builder_closure(self):
-        build = config.field_builder(config.preset("he11-te01"))
-        assert build(0.6).pair.tau == 0.6
 
     def test_thermal_state(self):
         st = config.thermal_state(config.preset("he11-te01"))

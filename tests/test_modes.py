@@ -55,13 +55,21 @@ class TestVParameterAndCensus:
         neffs = [s.neff for s in sols]
         assert neffs == sorted(neffs, reverse=True)
 
-    def test_census_runs_one_scan_per_function(self):
+    def test_census_runs_one_scan_per_function(self, monkeypatch):
         # TE, TM and the hybrid orders 1 to 3: HE and EH of one order are
         # roots of one characteristic function and share its scan
         v = modes.v_parameter(FIBER, WL)
-        modes._char_roots.cache_clear()
+        scans = []
+        char_roots = modes._char_roots
+
+        def counted(*args):
+            scans.append(args[3:])
+            return char_roots(*args)
+
+        monkeypatch.setattr(modes, "_char_roots", counted)
         modes._census(v, FIBER.n_core, FIBER.n_clad)
-        assert modes._char_roots.cache_info().misses == 5
+        assert scans == [("TE", 0), ("TM", 0), ("HE", 1), ("HE", 2),
+                         ("HE", 3)]
 
     def test_census_below_he41_cutoff(self):
         # HE41 cuts in at V = 5.5788; below it the census is complete
@@ -393,13 +401,22 @@ class TestPower:
         with pytest.raises(ValueError):
             modes.normalize_power(solved["TE01"], -1.0)
 
-    def test_nan_power_rejected(self, solved, monkeypatch):
-        # the unit-amplitude power is cached per solution, so clear it to
-        # have this solution's quadrature run again
-        modes._unit_power.cache_clear()
+    def test_nan_power_rejected(self, monkeypatch):
+        # solve_mode integrates the unit-amplitude power once and stores it
+        # for normalize_power; a power that is not positive is an error
+        for power in (math.nan, 0.0, -1.0):
+            monkeypatch.setattr(modes, "mode_power", lambda sol: power)
+            with pytest.raises(ConvergenceError):
+                modes.solve_mode(FIBER, WL, "TE01")
+
+    def test_normalization_reads_the_stored_power(self, solved,
+                                                  monkeypatch):
+        sol = solved["HE11"]
+        assert sol.unit_power_w == modes.mode_power(sol)
         monkeypatch.setattr(modes, "mode_power", lambda sol: math.nan)
-        with pytest.raises(ConvergenceError):
-            modes.normalize_power(solved["TE01"], 1.0)
+        norm = modes.normalize_power(sol, 10.0)
+        assert norm.unit_power_w == sol.unit_power_w
+        assert norm.amplitude == math.sqrt(10.0 * 1e-3 / sol.unit_power_w)
 
 
 class TestFieldEvaluation:
@@ -447,24 +464,23 @@ class TestFieldEvaluation:
 
     @pytest.mark.parametrize("name", ["HE11", "TE01"])
     def test_edge_bessels_once_per_solution(self, solved, name, monkeypatch):
-        # J_nu(u) and K_nu(w) scale every exterior evaluation; they are
-        # computed once per solution, not once per call, and each field
-        # evaluation makes one K call for its own points
+        # J_nu(u) and K_nu(w) scale every exterior evaluation; solve_mode
+        # computes them once per solution, so each field evaluation makes
+        # one K call for its own points and none at the core edge
+        sol = solved[name]
+        nu = sol.mode.nu
+        assert sol.j_u == pytest.approx(special.jv(nu, sol.u), rel=1e-12)
+        assert sol.k_w == pytest.approx(special.kv(nu, sol.w), rel=1e-12)
         calls = []
         for fn in ("bessel_j_orders", "bessel_k_orders"):
             real = getattr(numerics, fn)
             monkeypatch.setattr(numerics, fn, lambda x, *orders, fn=fn,
                                 real=real: calls.append((fn, x))
                                 or real(x, *orders))
-        sol = solved[name]
-        modes._edge_bessels.cache_clear()
         for r in (450.0, 600.0, 800.0):
             modes.e_field(sol, r, 0.3, 0.0)
             modes.h_field(sol, np.array([r, r + 50.0]), 0.3, 0.0)
-        edge = [(fn, x) for fn, x in calls if np.ndim(x) == 0
-                and x in (sol.u, sol.w)]
-        assert edge == [("bessel_j_orders", sol.u), ("bessel_k_orders", sol.w)]
-        assert len(calls) == 2 + 6
+        assert [fn for fn, _ in calls] == ["bessel_k_orders"] * 6
 
     def test_jacobian_requires_exterior_point(self, solved):
         with pytest.raises(ValueError):

@@ -282,7 +282,7 @@ class TestFindRootMatchesBrentq:
         for v in np.linspace(0.5, 6.0, 30):
             for family, nu in (("TE", 0), ("TM", 0), ("HE", 1), ("HE", 2),
                                ("HE", 3)):
-                modes._char_roots.__wrapped__(
+                modes._char_roots(
                     float(v), fiber.n_core, fiber.n_clad, family, nu)
         assert len(root_calls) > 50
         self.assert_brentq_roots(root_calls)

@@ -1,12 +1,13 @@
 """Unit tests for two-mode composition and interference geometry."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from fibertrap import config, modes, superposition
+from fibertrap import config, modes, superposition, trapanalysis
 from fibertrap.errors import ConfigError
 
 FIBER = config.preset("he11-te01").fiber
@@ -74,12 +75,47 @@ class TestPowerBookkeeping:
     def test_hybrid_member_carries_double_flux(self, suite):
         # hybrid members stand for two counter-rotating constituents: the
         # stored field doubles the Poynting flux of the quasi-linear
-        # representative while power_mw keeps the nominal share
-        pair = suite.pair("he11-te01")
-        flux_a = oracles.mode_power_quadrature(pair.sol_a)
-        assert flux_a == pytest.approx(2.0 * 0.72 * 50.0, rel=1e-6)
-        flux_b = oracles.mode_power_quadrature(pair.sol_b)
-        assert flux_b == pytest.approx(0.28 * 50.0, rel=1e-6)
+        # representative while power_mw keeps the nominal share; the same
+        # holds at the re-split tau0 -/+ sigma pairs. At tau0 the presets
+        # deliver 86.0 / 50.0 / 39.6 mW against a nominal 50 / 25 / 30 mW
+        delivered = {"he11-te01": (50.0, 86.0), "he11-he21": (25.0, 50.0),
+                     "te01-he21": (30.0, 39.6)}
+        for name, (nominal, at_tau0) in delivered.items():
+            pair = suite.pair(name)
+            assert pair.power_mw == nominal
+            sigma = trapanalysis.power_split_sigma(pair.tau)
+            for tau in (pair.tau - sigma, pair.tau, pair.tau + sigma):
+                split = replace(pair, tau=tau)
+                total = 0.0
+                for sol, share in ((split.sol_a, tau),
+                                   (split.sol_b, 1.0 - tau)):
+                    weight = 2.0 if sol.mode.family in ("HE", "EH") else 1.0
+                    flux = oracles.mode_power_quadrature(sol)
+                    assert sol.power_mw == pytest.approx(share * nominal,
+                                                         rel=1e-12)
+                    assert flux == pytest.approx(weight * share * nominal,
+                                                 rel=1e-6)
+                    total += flux
+                if tau == pair.tau:
+                    assert total == pytest.approx(at_tau0, rel=1e-6)
+
+
+class TestResplit:
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_resplit_members_equal_a_fresh_pair(self, suite, name):
+        # a split only re-weights the solved modes: the re-split pair's
+        # members are those of a pair solved at that split, bit for bit
+        cfg, pair = suite.cfg(name), suite.pair(name)
+        sigma = trapanalysis.power_split_sigma(cfg.tau)
+        for tau in (cfg.tau - sigma, cfg.tau + sigma):
+            split = replace(pair, tau=tau)
+            fresh = config.make_pair(replace(cfg, tau=tau))
+            assert split == fresh
+            for got, want in ((split.sol_a, fresh.sol_a),
+                              (split.sol_b, fresh.sol_b)):
+                assert got.amplitude == want.amplitude
+                assert got.power_mw == want.power_mw
+                assert got == want
 
 
 class TestPowerSplitLimits:
@@ -114,7 +150,24 @@ class TestValidation:
         assert err.value.key == "pair.modes"
 
     def test_mismatched_wavelengths_rejected(self):
-        a = modes.normalize_power(modes.solve_mode(FIBER, 850.0, "HE11"), 5.0)
-        b = modes.normalize_power(modes.solve_mode(FIBER, 851.0, "TE01"), 5.0)
-        with pytest.raises(ConfigError):
-            superposition.ModePair(sol_a=a, sol_b=b, tau=0.5, power_mw=10.0)
+        a = modes.solve_mode(FIBER, 850.0, "HE11")
+        b = modes.solve_mode(FIBER, 851.0, "TE01")
+        with pytest.raises(ConfigError) as err:
+            superposition.ModePair(unit_a=a, unit_b=b, tau=0.5, power_mw=10.0)
+        assert err.value.key == "pair.modes"
+
+    def test_direct_pair_validates_tau_and_tm(self):
+        he11 = modes.solve_mode(FIBER, 850.5, "HE11")
+        te01 = modes.solve_mode(FIBER, 850.5, "TE01")
+        pair = superposition.ModePair(unit_a=he11, unit_b=te01, tau=0.5,
+                                      power_mw=10.0)
+        for tau in (-0.1, 1.2):
+            with pytest.raises(ConfigError) as err:
+                replace(pair, tau=tau)
+            assert err.value.key == "pair.tau"
+        tm01 = modes.solve_mode(FIBER, 850.5, "TM01")
+        for a, b in ((tm01, te01), (he11, tm01)):
+            with pytest.raises(ConfigError) as err:
+                superposition.ModePair(unit_a=a, unit_b=b, tau=0.5,
+                                       power_mw=10.0)
+            assert err.value.key == "pair.modes"

@@ -42,6 +42,19 @@ def report1(suite):
 
 
 @pytest.fixture
+def searched_splits(monkeypatch):
+    """The pair.tau of every field find_minimum is called on, which fails."""
+    taus = []
+
+    def stub(field_, seed, start=None):
+        taus.append(field_.pair.tau)
+        raise NoTrapError("stub field")
+
+    monkeypatch.setattr(trapanalysis, "find_minimum", stub)
+    return taus
+
+
+@pytest.fixture
 def seed_scans(monkeypatch):
     """One entry per total_potential batch the size of a seed scan."""
     total = potential.total_potential
@@ -159,7 +172,7 @@ class TestFindMinimum:
 
     def test_no_minimum_at_extreme_split(self, suite):
         cfg = suite.cfg("he11-te01")
-        f99 = config.make_field(cfg, tau=0.99)
+        f99 = config.make_field(replace(cfg, tau=0.99))
         with pytest.raises(NoTrapError):
             trapanalysis.find_minimum(f99, cfg.seed)
 
@@ -169,15 +182,15 @@ class TestFindMinimum:
         # point with one negative curvature
         cfg = suite.cfg("he11-he21")
         with pytest.raises(NoTrapError, match="saddle"):
-            trapanalysis.find_minimum(config.make_field(cfg, tau=0.62),
-                                      cfg.seed)
+            trapanalysis.find_minimum(
+                config.make_field(replace(cfg, tau=0.62)), cfg.seed)
 
     def test_non_convex_search_stops_at_first_saddle(self, suite,
                                                      monkeypatch):
         # without the per-iterate gate the iterates bounce 55-61 nm off the
         # surface for all 40 steps and the search ends as "did not converge"
         cfg = suite.cfg("he11-te01")
-        field_ = config.make_field(cfg, tau=0.66)
+        field_ = config.make_field(replace(cfg, tau=0.66))
         calls = []
         derivatives = potential.potential_derivatives
 
@@ -394,7 +407,7 @@ class TestEscapeBarrier:
         # saddle at tau0 -/+ sigma
         start = None if row == 1 else _tau0_escape(suite, name)
         row = suite.sens(name)["rows"][row]
-        field_ = config.make_field(suite.cfg(name), tau=row["tau"])
+        field_ = config.make_field(replace(suite.cfg(name), tau=row["tau"]))
         m = _row_minimum(row)
         esc = trapanalysis.escape_barrier(field_, m, start=start)
         g, h = potential.potential_derivatives(field_, *esc.saddle)
@@ -423,7 +436,7 @@ class TestEscapeBarrier:
         cfg, start = suite.cfg(name), _tau0_escape(suite, name)
         rows = suite.sens(name)["rows"]
         for row in (rows[0], rows[2]):
-            field_ = config.make_field(cfg, tau=row["tau"])
+            field_ = config.make_field(replace(cfg, tau=row["tau"]))
             m = _row_minimum(row)
             cont = trapanalysis.escape_barrier(field_, m, start=start)
             fan = trapanalysis.escape_barrier(field_, m)
@@ -443,7 +456,8 @@ class TestEscapeBarrier:
         # the fan, whose result is the cold search's bit for bit
         start = _tau0_escape(suite, "he11-te01")
         row = suite.sens("he11-te01")["rows"][2]
-        field_ = config.make_field(suite.cfg("he11-te01"), tau=row["tau"])
+        field_ = config.make_field(replace(suite.cfg("he11-te01"),
+                                           tau=row["tau"]))
         m = _row_minimum(row)
         cold = trapanalysis.escape_barrier(field_, m)
         # the certified continuation differs from the fan in the last bits
@@ -633,49 +647,43 @@ class TestTauSensitivity:
 
     def test_trapless_splits_are_flagged(self, suite):
         cfg = suite.cfg("he11-te01")
+        field_ = suite.field("he11-te01")
         sens = trapanalysis.tau_sensitivity(
-            config.field_builder(cfg), 0.985, cfg.seed)
+            replace(field_, pair=replace(field_.pair, tau=0.985)), cfg.seed)
         for row in sens["rows"]:
             assert row["trap"] is False
             assert "reason" in row
             assert "depth_change_pct" not in row
 
-    def test_split_outside_unit_interval_is_flagged_unbuilt(self, suite):
+    def test_split_outside_unit_interval_is_flagged_unbuilt(
+            self, suite, searched_splits):
         # at tau0 = 0.001 the tau0 - sigma row lies below 0
-        built = []
-
-        def build_field(tau):
-            built.append(tau)
-            raise NoTrapError("stub field")
-
+        field_ = suite.field("he11-te01")
         sens = trapanalysis.tau_sensitivity(
-            build_field, 0.001, suite.cfg("he11-te01").seed)
+            replace(field_, pair=replace(field_.pair, tau=0.001)),
+            suite.cfg("he11-te01").seed)
         low, base, high = sens["rows"]
         assert low["tau"] < 0.0
         assert low["trap"] is False
         assert "outside [0, 1]" in low["reason"]
-        assert built == [base["tau"], high["tau"]]
+        assert searched_splits == [base["tau"], high["tau"]]
 
     @pytest.mark.parametrize("tau0", [0.0, 1.0])
-    def test_zero_sigma_builds_one_field(self, suite, tau0):
+    def test_zero_sigma_builds_one_field(self, suite, searched_splits, tau0):
         # at tau0 = 0 or 1 sigma is 0 and the three rows share one split
-        built = []
-
-        def build_field(tau):
-            built.append(tau)
-            raise NoTrapError("stub field")
-
+        field_ = suite.field("he11-te01")
         sens = trapanalysis.tau_sensitivity(
-            build_field, tau0, suite.cfg("he11-te01").seed)
-        assert built == [tau0]
+            replace(field_, pair=replace(field_.pair, tau=tau0)),
+            suite.cfg("he11-te01").seed)
+        assert searched_splits == [tau0]
         assert [row["tau"] for row in sens["rows"]] == [tau0] * 3
         assert all(row == {"tau": tau0, "trap": False, "reason": "stub field"}
                    for row in sens["rows"])
 
     def test_base_row_reuse_changes_nothing(self, suite, report1):
-        cfg = suite.cfg("he11-te01")
         sens = trapanalysis.tau_sensitivity(
-            config.field_builder(cfg), cfg.tau, cfg.seed, base=report1.base)
+            suite.field("he11-te01"), suite.cfg("he11-te01").seed,
+            base=report1.base)
         assert sens == suite.sens("he11-te01")
 
     @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
@@ -685,7 +693,7 @@ class TestTauSensitivity:
         cfg = suite.cfg(name)
         rows = suite.sens(name)["rows"]
         for row in (rows[0], rows[2]):
-            field_ = config.make_field(cfg, tau=row["tau"])
+            field_ = config.make_field(replace(cfg, tau=row["tau"]))
             r, p, z = trapanalysis.find_minimum(field_, cfg.seed)
             depth = potential.as_millikelvin(
                 trapanalysis.escape_barrier(field_, (r, p, z)).depth_j)
@@ -704,9 +712,6 @@ class TestTauSensitivity:
 
     def test_report_runs_three_escape_searches_and_two_quadratures(
             self, monkeypatch, tmp_path):
-        # the unit-amplitude powers are cached per mode solution; start
-        # from an empty cache, as a fresh process does
-        modes._unit_power.cache_clear()
         counts = {}
 
         def count(module, name):
@@ -720,15 +725,16 @@ class TestTauSensitivity:
 
         count(trapanalysis, "escape_barrier")
         count(config, "make_field")
+        count(modes, "solve_mode")
         count(modes, "mode_power")
         out = tmp_path / "report.json"
         assert cli.main(["report", "--preset", "he11-te01",
                          "--out", str(out)]) == 0
-        # the tau0 row reuses the characterization; the first field build
-        # integrates the power of both modes, and the builds at the other
-        # splits reuse it
-        assert counts == {"escape_barrier": 3, "make_field": 3,
-                          "mode_power": 2}
+        # the tau0 row reuses the characterization; the one field build
+        # solves both modes and integrates their powers, and the other
+        # splits re-weight the solved pair
+        assert counts == {"escape_barrier": 3, "make_field": 1,
+                          "solve_mode": 2, "mode_power": 2}
 
     @pytest.mark.parametrize("command", ("report", "sweep-tau"))
     @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
