@@ -531,12 +531,16 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
 
 
 def _fields_cyl(sol, r_nm, phi, z_nm, want_h):
-    """Shared evaluator for e_field / h_field, vectorized over broadcastable inputs."""
+    """Shared evaluator for e_field / h_field, vectorized over broadcastable inputs.
+
+    z enters a guided mode only through its phase, E(r, phi, z) =
+    E_perp(r, phi) e^{-i beta z}, so the transverse part is evaluated on the
+    broadcast of r and phi alone and the phase on z's own shape; their
+    elementwise product broadcasts to the full shape.
+    """
     r = np.maximum(np.asarray(r_nm, dtype=float), _R_FLOOR_NM)
-    phi = np.asarray(phi, dtype=float)
-    z = np.asarray(z_nm, dtype=float)
-    r, phi, z = np.broadcast_arrays(r, phi, z)
-    phase = _phase(sol, z)[..., np.newaxis]
+    r, phi = np.broadcast_arrays(r, np.asarray(phi, dtype=float))
+    phase = _phase(sol, z_nm)[..., np.newaxis]
     inner = r <= sol.fiber.radius_nm
     if not inner.any():
         # all-exterior batches (escape fans, the outer power quadrature)
@@ -557,12 +561,20 @@ def e_field(sol, r_nm, phi, z_nm):
 
     Inputs broadcast; the result has one trailing axis of length 3. Valid on
     both sides of the core boundary; on-axis points return the finite limit.
+    E(r, phi, z) = E_perp(r, phi) e^{-i beta z}: the transverse part is
+    evaluated on the broadcast of r and phi alone, so open axes such as
+    r[:, None, None], phi[None, :, None], z[None, None, :] cost one
+    transverse evaluation per (r, phi), whatever the number of z values.
     """
     return _fields_cyl(sol, r_nm, phi, z_nm, want_h=False)
 
 
 def h_field(sol, r_nm, phi, z_nm):
-    """Complex magnetic field in cylindrical components (H_r, H_phi, H_z), A/m."""
+    """Complex magnetic field in cylindrical components (H_r, H_phi, H_z), A/m.
+
+    Broadcasts as e_field: H(r, phi, z) = H_perp(r, phi) e^{-i beta z}, with
+    the transverse part evaluated on the broadcast of r and phi alone.
+    """
     return _fields_cyl(sol, r_nm, phi, z_nm, want_h=True)
 
 
@@ -574,14 +586,15 @@ def e_field_exterior_jacobian(sol, r_nm, phi, z_nm):
     and d2e[..., i, j, :] are its derivatives along coordinates i and j of
     (r, phi, z), per nm of r and z and per rad of phi. d2/dphi2 is a factor
     of -nu^2 and d/dz one of -i beta. Valid only for r > a (raises
-    ValueError otherwise).
+    ValueError otherwise). As in e_field, E(r, phi, z) = E_perp(r, phi)
+    e^{-i beta z}: the transverse part and its derivatives are evaluated on
+    the broadcast of r and phi alone and multiplied by the phase.
     """
     r = np.asarray(r_nm, dtype=float)
     if np.any(r <= sol.fiber.radius_nm):
         raise ValueError("exterior jacobian requires r > fiber radius")
-    r, phi, z = np.broadcast_arrays(r, np.asarray(phi, dtype=float),
-                                    np.asarray(z_nm, dtype=float))
-    phase = _phase(sol, z)[..., np.newaxis]
+    r, phi = np.broadcast_arrays(r, np.asarray(phi, dtype=float))
+    phase = _phase(sol, z_nm)[..., np.newaxis]
     e, dr, dphi, drr, drphi = (
         np.stack(vals, axis=-1) * phase for vals in
         _side_fields(sol, r, phi, False, True, jacobian=True))

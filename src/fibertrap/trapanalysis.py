@@ -3,7 +3,9 @@
 The trap minimum is found by a coarse grid scan over a seed region (keeping
 only radial interior local minima, so the attractive surface run never wins)
 and a Newton polish from the best seed cell with the analytic gradient and
-Hessian, both from one evaluation of the exterior field kernel. Every Newton
+Hessian, both from one evaluation of the exterior field kernel. The scan is
+61 x 25 transverse points (r, phi) times 49 phases in z, on open axes, so
+the field kernel computes each transverse profile once. Every Newton
 iterate must have a local Hessian with three positive eigenvalues, so each
 step is a descent step and the polished point is a minimum; the first
 iterate without them ends the search as a saddle. Around the minimum the
@@ -109,6 +111,9 @@ def find_minimum(field_, seed, start=None):
     start, when given, is a point (r_nm, phi, z_nm) near the minimum, such
     as the minimum of a nearby power split: the polish starts there and the
     seed scan runs only if that polish raises NoTrapError.
+    The seed scan is 61 x 25 transverse points (r, phi) times 49 phases in
+    z, on open axes: the field kernel evaluates each transverse profile
+    once and multiplies it by the 49 phases e^{-i beta z}.
     """
     def polish(point):
         m = _newton(field_, point, 0)
@@ -126,8 +131,8 @@ def find_minimum(field_, seed, start=None):
     rr = np.linspace(_r_floor(field_, seed), seed.r_nm[1], _GRID_R)
     pp = np.linspace(seed.phi[0], seed.phi[1], _GRID_PHI)
     zz = np.linspace(seed.z_nm[0], seed.z_nm[1], _GRID_Z)
-    R, P, Z = np.meshgrid(rr, pp, zz, indexing="ij")
-    u = potential.total_potential(field_, R, P, Z)
+    u = potential.total_potential(field_, rr[:, None, None], pp[None, :, None],
+                                  zz[None, None, :])
     # keep only radial interior local minima so the monotone van der Waals
     # descent toward the surface can never seed the search
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
@@ -229,21 +234,27 @@ def _crossing(f1d, u0, target, lo_lim, hi_lim, sign):
     """First crossing of f1d(s) = target moving away from s = 0.
 
     u0 is f1d(0.0), the potential at the minimum, which the caller has.
+    The march is geometric, steps of 1 nm growing by 1.25 out to the limit,
+    so its samples are known in advance and f1d evaluates them as one
+    batch; the first sample at or above target and the one before it
+    (or s = 0) bracket the root.
     """
-    step = 1.0 * sign
-    s_prev = 0.0
     if u0 - target >= 0.0:
         return None
-    s_cur = step
-    while abs(s_cur) <= abs(hi_lim if sign > 0 else lo_lim):
-        if f1d(s_cur) - target >= 0.0:
-            return numerics.find_root(lambda s: f1d(s) - target,
-                                      min(s_prev, s_cur), max(s_prev, s_cur),
-                                      tol=1e-9)
-        s_prev = s_cur
+    lim = abs(hi_lim if sign > 0 else lo_lim)
+    s = []
+    step = s_cur = 1.0 * sign
+    while abs(s_cur) <= lim:
+        s.append(s_cur)
         step *= 1.25
         s_cur += step
-    return None
+    above = np.flatnonzero(f1d(np.array(s)) - target >= 0.0)
+    if above.size == 0:
+        return None
+    k = int(above[0])
+    s_prev = s[k - 1] if k else 0.0
+    return numerics.find_root(lambda x: f1d(x) - target,
+                              min(s_prev, s[k]), max(s_prev, s[k]), tol=1e-9)
 
 
 def turning_points(field_, minimum, energy_j):

@@ -17,7 +17,10 @@ The root oracle is scipy's own brentq with find_root's tolerances, so the
 port of it in numerics can be checked bit for bit.  The halving minimum
 search is the earlier Newton polish, which halved a step that raised the
 potential and checked the curvatures only after converging, so the
-curvature-gated search can be checked to return the same minima.
+curvature-gated search can be checked to return the same minima.  The
+scalar turning points march each axis one potential call per sample and
+stop at the first sample at or above the target, so the batched march of
+trapanalysis can be checked to bracket and return the same roots.
 """
 
 import csv
@@ -243,3 +246,41 @@ def grid_csv_text(header, cols):
     writer.writerow(header)
     writer.writerows(zip(*([repr(float(v)) for v in c] for c in cols)))
     return buf.getvalue()
+
+
+def scalar_crossing(f1d, u0, target, lo_lim, hi_lim, sign):
+    """First crossing of f1d(s) = target moving away from s = 0.
+
+    u0 is f1d(0.0), the potential at the minimum, which the caller has.
+    """
+    step = 1.0 * sign
+    s_prev = 0.0
+    if u0 - target >= 0.0:
+        return None
+    s_cur = step
+    while abs(s_cur) <= abs(hi_lim if sign > 0 else lo_lim):
+        if f1d(s_cur) - target >= 0.0:
+            return numerics.find_root(lambda s: f1d(s) - target,
+                                      min(s_prev, s_cur), max(s_prev, s_cur),
+                                      tol=1e-9)
+        s_prev = s_cur
+        step *= 1.25
+        s_cur += step
+    return None
+
+
+def scalar_turning_points(field_, minimum, energy_j):
+    """trapanalysis.turning_points with each axis marched by scalar_crossing."""
+    u0 = potential.total_potential(field_, *minimum)
+    target = u0 + energy_j
+    out = np.empty((3, 2))
+    for axis in range(3):
+        f1d, lo, hi = trapanalysis._axis_1d(field_, minimum, axis)
+        s_in = scalar_crossing(f1d, u0, target, lo, hi, -1.0)
+        s_out = scalar_crossing(f1d, u0, target, lo, hi, +1.0)
+        if s_in is None or s_out is None:
+            raise NoTrapError(
+                "thermal energy exceeds the trap barrier along axis "
+                f"{('radial', 'azimuthal', 'axial')[axis]}")
+        out[axis] = (s_in, s_out)
+    return out

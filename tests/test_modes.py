@@ -328,6 +328,59 @@ class TestExteriorFastPath:
                                       mixed[out])
 
 
+class TestOpenOperands:
+    """Open axes give the bits of the meshgrid arrays they broadcast to.
+
+    The field kernel evaluates the transverse part on the broadcast of r and
+    phi alone and multiplies it by the phase on z's own shape, so each
+    element is still its transverse value times its phase.
+    """
+
+    PHI = np.linspace(-math.pi, math.pi, 7)
+    Z = np.linspace(-2500.0, 2500.0, 5)
+
+    def operands(self, r):
+        opened = (r[:, None, None], self.PHI[None, :, None],
+                  self.Z[None, None, :])
+        return opened, np.meshgrid(r, self.PHI, self.Z, indexing="ij")
+
+    @pytest.mark.parametrize("name", ["HE11", "TE01", "TM01", "HE21"])
+    def test_open_operands_equal_full_operands(self, solved, name):
+        sol = solved[name]
+        # from the axis across the core edge (r = a is a sample) outward
+        opened, full = self.operands(
+            np.linspace(0.0, 3.0 * FIBER.radius_nm, 13))
+        for fn in (modes.e_field, modes.h_field):
+            got = fn(sol, *opened)
+            assert got.shape == (13, 7, 5, 3)
+            assert np.array_equal(got, fn(sol, *full))
+        opened, full = self.operands(
+            np.linspace(1.01, 3.0, 9) * FIBER.radius_nm)
+        got = modes.e_field_exterior_jacobian(sol, *opened)
+        want = modes.e_field_exterior_jacobian(sol, *full)
+        assert [g.shape for g in got] == [(9, 7, 5, 3), (9, 7, 5, 3, 3),
+                                          (9, 7, 5, 3, 3, 3)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_z_with_more_dimensions_than_r_and_phi(self, solved):
+        r = np.linspace(200.0, 900.0, 6)
+        phi = np.linspace(0.0, 2.0, 6)
+        z = np.linspace(-1000.0, 1000.0, 24).reshape(4, 6)
+        full = np.broadcast_arrays(r, phi, z)
+        for sol in solved.values():
+            for fn in (modes.e_field, modes.h_field):
+                got = fn(sol, r, phi, z)
+                assert got.shape == (4, 6, 3)
+                assert np.array_equal(got, fn(sol, *full))
+            outside = (r + 300.0, phi, z)
+            got = modes.e_field_exterior_jacobian(sol, *outside)
+            want = modes.e_field_exterior_jacobian(
+                sol, *np.broadcast_arrays(*outside))
+            assert [g.shape for g in got] == [(4, 6, 3), (4, 6, 3, 3),
+                                              (4, 6, 3, 3, 3)]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestBoundaryContinuity:
     def test_tangential_components_continuous(self, solved):
         rng = np.random.default_rng(20260822)

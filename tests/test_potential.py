@@ -177,6 +177,20 @@ class TestPotentialField:
             single = [potential.total_potential(f, *p) for p in zip(r, phi, z)]
             assert np.array_equal(batched, single)
 
+    @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21"])
+    def test_open_operands_equal_full_operands(self, suite, name):
+        # the seed scan's open axes give the bits of the meshgrid arrays
+        f = suite.field(name)
+        r = np.linspace(405.0, 900.0, 11)
+        phi = np.linspace(-math.pi, math.pi, 9)
+        z = np.linspace(-3000.0, 3000.0, 7)
+        got = potential.total_potential(f, r[:, None, None],
+                                        phi[None, :, None], z[None, None, :])
+        want = potential.total_potential(
+            f, *np.meshgrid(r, phi, z, indexing="ij"))
+        assert got.shape == (11, 9, 7)
+        assert np.array_equal(got, want)
+
 
 class TestInterferenceCancellation:
     def test_trap1_minimum_nearly_dark(self, suite):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fibertrap import cli, config, modes, potential, trapanalysis
+from fibertrap import cli, config, modes, numerics, potential, trapanalysis
 from fibertrap.errors import NoTrapError, SaddleError
 
 KB = 1.380649e-23
@@ -203,6 +203,25 @@ class TestFindMinimum:
             trapanalysis.find_minimum(field_, cfg.seed)
         assert 1 <= len(calls) <= 5
 
+    def test_seed_scan_evaluates_each_transverse_point_once(
+            self, suite, seed_scans, monkeypatch):
+        # the scan is 61 x 25 transverse points times 49 phases in z; each
+        # field kernel call evaluates the transverse part on r and phi alone
+        cases = [(suite.field(name), suite.cfg(name).seed)
+                 for name in suite.names]
+        side_fields = modes._side_fields
+        sizes = []
+
+        def counted(sol, r, *args, **kwargs):
+            sizes.append(np.size(r))
+            return side_fields(sol, r, *args, **kwargs)
+
+        monkeypatch.setattr(modes, "_side_fields", counted)
+        for field_, seed in cases:
+            trapanalysis.find_minimum(field_, seed)
+        assert len(seed_scans) == len(cases)
+        assert max(sizes) <= trapanalysis._GRID_R * trapanalysis._GRID_PHI
+
     def test_start_at_a_saddle_falls_back_to_the_seed_scan(self, suite,
                                                           field1, seed_scans):
         # the polish from the saddle between two traps fails at its first
@@ -309,6 +328,53 @@ class TestTurningPoints:
         with pytest.raises(NoTrapError):
             trapanalysis.turning_points(
                 field1, suite.minimum("he11-te01"), KB * 2e-3)
+
+    @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21"])
+    def test_batched_march_matches_scalar_march(self, suite, name):
+        # the batch evaluates samples past the crossing that the scalar
+        # march never reaches, and brackets each root between the same two
+        field_, m = suite.field(name), suite.minimum(name)
+
+        def outcome(fn, energy):
+            try:
+                return fn(field_, m, energy).tolist()
+            except NoTrapError as err:
+                return str(err)
+
+        e_ref = config.thermal_state(suite.cfg(name)).e_init
+        above = 2.0 * suite.report(name).base[1].depth_j
+        for energy in (e_ref, 10.0 * e_ref, above):
+            want = outcome(oracles.scalar_turning_points, energy)
+            assert outcome(trapanalysis.turning_points, energy) == want
+        assert want.startswith("thermal energy exceeds the trap barrier")
+
+    def test_one_potential_batch_per_direction(self, suite, monkeypatch):
+        # U_min, then one batch per axis and direction; find_root's own
+        # evaluations on the bracket are not counted
+        cases = [(suite.field(name), suite.minimum(name),
+                  config.thermal_state(suite.cfg(name)).e_init)
+                 for name in suite.names]
+        total, find_root = potential.total_potential, numerics.find_root
+        calls, rooting = [], [False]
+
+        def counted(*args):
+            if not rooting[0]:
+                calls.append(args)
+            return total(*args)
+
+        def root(*args, **kwargs):
+            rooting[0] = True
+            try:
+                return find_root(*args, **kwargs)
+            finally:
+                rooting[0] = False
+
+        monkeypatch.setattr(potential, "total_potential", counted)
+        monkeypatch.setattr(numerics, "find_root", root)
+        for case in cases:
+            calls.clear()
+            trapanalysis.turning_points(*case)
+            assert len(calls) <= 7
 
 
 class TestExtents:
