@@ -28,8 +28,8 @@ right-hand side vanishes there, leaving the TE and TM relations as its two
 factors. Each factor gets its own root scan, not their product: TE01 and
 TM01 share the cutoff J_0(V) = 0, and just above it their roots lie within
 one scan cell, where the product shows no sign change. HE and EH of one
-order share one cached scan and are told apart afterwards, so a census
-runs five scans: TE, TM and the hybrid orders 1 to 3.
+order come from one scan and are told apart afterwards, so a census runs
+five scans: TE, TM and the hybrid orders 1 to 3.
 
 Relative sign conventions between mode families are not physical on their
 own (each mode carries a free normalization constant); they are chosen here

@@ -124,6 +124,23 @@ def mean_intensity(pair, r_nm, phi, z_nm):
     return 0.5 * _C0 * _EPS0 * np.sum(np.abs(e) ** 2, axis=-1)
 
 
+def beat_terms(pair, r_nm, phi):
+    """The z-independent terms (S, X) of the two-mode beat at (r, phi).
+
+    Each mode is E_perp(r, phi) e^{-i beta z}, so with dbeta = beta_a -
+    beta_b, S = |E_a,perp|^2 + |E_b,perp|^2 and X = e^{i delta} E_a,perp .
+    conj(E_b,perp), the intensity is exactly
+
+        mean_intensity = (c eps0 / 2) [S + 2 Re(X e^{-i dbeta z})],
+
+    one harmonic in z. S is real, X complex; both broadcast over r and phi.
+    """
+    ea = modes.e_field(pair.sol_a, r_nm, phi, 0.0)
+    eb = modes.e_field(pair.sol_b, r_nm, phi, 0.0)
+    s = np.sum(np.abs(ea) ** 2 + np.abs(eb) ** 2, axis=-1)
+    return s, np.exp(1j * pair.delta) * np.sum(ea * np.conj(eb), axis=-1)
+
+
 def beat_length(pair):
     """Beat length z0 = 2 pi / |beta_a - beta_b| in nm."""
     dbeta = pair.sol_a.beta_per_nm - pair.sol_b.beta_per_nm

@@ -1,66 +1,63 @@
 """Locate and characterize the interference microtraps of a two-mode field.
 
-The trap minimum is found by a coarse grid scan over a seed region (keeping
-only radial interior local minima, so the attractive surface run never wins)
-and a Newton polish from the best seed cell with the analytic gradient and
-Hessian, both from one evaluation of the exterior field kernel. The scan is
-61 x 25 transverse points (r, phi) times 49 phases in z, on open axes, so
-the field kernel computes each transverse profile once. Every Newton
-iterate must have a local Hessian with three positive eigenvalues, so each
-step is a descent step and the polished point is a minimum; the first
-iterate without them ends the search as a saddle. Around the minimum the
-potential is characterized by its analytic Hessian in the local orthonormal
-frame (r-hat, arc length, z-hat), by 1-D turning points at the reference
-thermal energy, and by the first-order escape saddle: its height is the
-trap depth, its direction the escape direction l. Heating is modeled as two
-recoil energies per scattered photon at the orbit-averaged scattering rate.
+Each mode is E_perp(r, phi) e^{-i beta z}, so along z at fixed (r, phi) the
+potential is one harmonic, kappa' [S + 2 |X| cos(theta - dbeta z)] +
+U_vdW(r), with (S, X) = superposition.beat_terms, theta = arg X and
+kappa' = kappa c eps0 / 2. Its lowest value over z is the valley floor
+V(r, phi) = kappa' (S - 2 |X|) + U_vdW, reached at the dark phase
+z* = (theta + pi) / dbeta modulo the beat length, so both searches run on
+the 2-D floor and end in the same 3-D Newton polish.
 
-The saddle is polished from the exit ray of a spherical fan of straight
-rays, searched by bound and prune. The maximum of the potential over every
-s-th sample of a ray is a lower bound on that ray's barrier; a ladder of
-nested strides s = 50, 10, 2 tightens the bounds of the rays still in play,
-each level adding samples to the last. At each level the ray with the
-lowest bound is marched in full and every ray whose bound lies above the
-lowest barrier found is dropped; the survivors of the last level are
-marched in increasing order of bound until every unmarched bound lies above
-the lowest barrier; the exit ray is that of marching every ray, bit for
-bit. A Newton polish from its highest sample, gated on the curvature signs
-(-, +, +), converges to the saddle, whose barrier the ray's bounds from
-above. The tau sensitivity rows polish the perturbed splits from the tau0
-minimum, tens of nm away, and scan the seed box only where that fails.
-Their saddles continue the same way from the tau0 saddle, without a fan:
-the continued saddle is taken when _newton certifies it, with the signs
-(-, +, +) at every iterate, and its barrier is positive and at most that
-of the tau0 exit ray marched from the new minimum (one ray, 500 samples).
-Where either fails the fan runs as for tau0, so every error is the fan's.
+The minimum is the best radial interior local minimum of V on a 61 x 25
+(r, phi) scan of the seed box (the attractive surface run never wins),
+polished from there at z* with the analytic gradient and Hessian, both from
+one evaluation of the exterior field kernel. Every Newton iterate must have
+a local Hessian with three positive eigenvalues, so each step is a descent
+step and the polished point is a minimum; the first iterate without them
+ends the search as a saddle. Around the minimum the potential is
+characterized by its analytic Hessian in the local orthonormal frame
+(r-hat, arc length, z-hat), by 1-D turning points at the reference thermal
+energy, and by the first-order escape saddle: its height is the trap depth,
+its direction the escape direction l. Heating is modeled as two recoil
+energies per scattered photon at the orbit-averaged scattering rate.
+
+The escape saddle is found by a priority flood of V (Barnes, Lehman & Mulla,
+Computers & Geosciences 62, 117, 2014) on a polar grid around the fiber:
+cells are taken in increasing V from the minimum's cell until the flood
+reaches the outer edge, 2000 nm beyond the minimum, which solves the 2-D
+minimax-path problem on the grid. The highest cell taken sets the spill
+level; from it, at its z*, _newton with one negative curvature converges to
+the saddle. The saddle is certified when every iterate has the curvature
+signs (-, +, +) and its barrier is positive, with its height within the
+flood's grid tolerance of the spill level. The flood itself must spill
+before it reaches the surface, and the beat ridge V + 4 kappa' |X| must
+stand above the spill level on every cell flooded up to the spill, so that
+no escape along z into the neighbouring trap of the beat is lower.
 """
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics, potential, superposition
+from .constants import c as _C0
+from .constants import epsilon_0 as _EPS0
 from .constants import k as _KB
 from .errors import NoTrapError, SaddleError
 
 # Coarse seed-grid resolution per axis.
 _GRID_R = 61
 _GRID_PHI = 25
-_GRID_Z = 49
-# Escape fan: full-sphere resolution, ray length and sample step.
-_FAN_COARSE_DEG = 3.0
-_FAN_REACH_NM = 2000.0
-_FAN_STEP_NM = 4.0
-# Straight rays that get this close to the surface are surface channels, not
-# escape paths.
+# Escape flood: polar grid cells in r (geometric in r - a) and in phi, and
+# how far beyond the minimum the flood must reach to escape.
+_FLOOD_R = 100
+_FLOOD_PHI = 180
+_REACH_NM = 2000.0
+# The flood grid begins this far from the surface: closer in lies the
+# surface channel, not an escape path.
 _SURFACE_PAD_NM = 0.5
-# Bound and prune: every s-th sample of a ray bounds its barrier from below,
-# at nested strides s (each divides the one before, so a level's samples
-# include the last level's); survivors are marched in full _MARCH_BATCH at a
-# time.
-_BOUND_LADDER = (50, 10, 2)
-_MARCH_BATCH = 4
 # Newton polish: positional tolerance and step cap.
 _POSITION_TOL_NM = 0.1
 _NEWTON_STEP_CAP_NM = 5.0
@@ -86,7 +83,13 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class SeedRegion:
-    """Search box (r in nm, phi in rad, z in nm) holding exactly one minimum."""
+    """Search box (r in nm, phi in rad, z in nm) holding exactly one minimum.
+
+    The minimum is searched on the valley floor over r and phi, where z
+    drops out; the z range only picks the beat period the minimum is
+    reported in (the image of the dark phase nearest its centre) and must
+    hold the polished minimum.
+    """
 
     r_nm: tuple
     phi: tuple
@@ -98,49 +101,59 @@ class SeedRegion:
                 raise ValueError("seed region bounds must satisfy lo < hi")
 
 
-def find_minimum(field_, seed, start=None):
+def find_minimum(field_, seed):
     """Locate the potential minimum inside the seed region.
 
-    The best interior cell of a coarse seed scan starts _newton with no
-    negative curvature: a Newton step descends only where the Hessian is
-    positive definite, so the first iterate without three positive
-    curvatures ends the search as a saddle. Returns (r_nm, phi, z_nm).
-    Raises NoTrapError when the region holds no interior minimum (all
-    candidate columns run monotonically into the surface or out of the
-    evanescent field), when _newton does, and outside the seed region.
-    start, when given, is a point (r_nm, phi, z_nm) near the minimum, such
-    as the minimum of a nearby power split: the polish starts there and the
-    seed scan runs only if that polish raises NoTrapError.
-    The seed scan is 61 x 25 transverse points (r, phi) times 49 phases in
-    z, on open axes: the field kernel evaluates each transverse profile
-    once and multiplies it by the 49 phases e^{-i beta z}.
+    The best radial interior local minimum of the valley floor V on a 61 x
+    25 (r, phi) scan of the seed box seeds _newton, at the image of its
+    dark phase z* nearest the centre of the box's z range, with no negative
+    curvature: a Newton step descends only where the Hessian is positive
+    definite, so the first iterate without three positive curvatures ends
+    the search as a saddle. Returns (r_nm, phi, z_nm). Raises NoTrapError
+    when the modes do not beat, when the region holds no interior minimum
+    (every phi column of V runs monotonically into the surface or out of
+    the evanescent field), when _newton does, and outside the seed region.
     """
-    def polish(point):
-        m = _newton(field_, point, 0)
-        box = ((_r_floor(field_, seed), seed.r_nm[1]), seed.phi, seed.z_nm)
-        for ax, x, (lo, hi) in zip(("radially", "in phi", "in z"), m, box):
-            if not lo <= x <= hi:
-                raise NoTrapError("refined minimum left the seed region " + ax)
-        return m
-
-    if start is not None:
-        try:
-            return polish(start)
-        except NoTrapError:
-            pass
     rr = np.linspace(_r_floor(field_, seed), seed.r_nm[1], _GRID_R)
     pp = np.linspace(seed.phi[0], seed.phi[1], _GRID_PHI)
-    zz = np.linspace(seed.z_nm[0], seed.z_nm[1], _GRID_Z)
-    u = potential.total_potential(field_, rr[:, None, None], pp[None, :, None],
-                                  zz[None, None, :])
+    v, _, zs = _valley(field_, rr[:, None], pp[None, :],
+                       0.5 * (seed.z_nm[0] + seed.z_nm[1]))
     # keep only radial interior local minima so the monotone van der Waals
     # descent toward the surface can never seed the search
-    interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
-    masked = np.where(interior, u[1:-1], np.inf)
+    interior = (v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])
+    masked = np.where(interior, v[1:-1], np.inf)
     if not np.isfinite(masked).any():
         raise NoTrapError("no interior potential minimum in the seed region")
-    i, j, k = np.unravel_index(np.argmin(masked), masked.shape)
-    return polish((float(rr[i + 1]), float(pp[j]), float(zz[k])))
+    i, j = np.unravel_index(np.argmin(masked), masked.shape)
+    m = _newton(field_, (float(rr[i + 1]), float(pp[j]), float(zs[i + 1, j])),
+                0)
+    box = ((_r_floor(field_, seed), seed.r_nm[1]), seed.phi, seed.z_nm)
+    for ax, x, (lo, hi) in zip(("radially", "in phi", "in z"), m, box):
+        if not lo <= x <= hi:
+            raise NoTrapError("refined minimum left the seed region " + ax)
+    return m
+
+
+def _valley(field_, r_nm, phi, z_ref):
+    """Valley floor V, beat ridge height above it and dark phase at (r, phi).
+
+    Returns (V, 4 kappa' |X|, z*) in J, J and nm (see the module docstring),
+    z* taken as the image nearest z_ref. Raises NoTrapError when the modes
+    do not beat (equal propagation constants).
+    """
+    pair = field_.pair
+    try:
+        z0 = superposition.beat_length(pair)
+    except ValueError as err:
+        raise NoTrapError(str(err)) from None
+    s, x = superposition.beat_terms(pair, r_nm, phi)
+    kappa = field_.shift_coeff * 0.5 * _C0 * _EPS0
+    amp = np.abs(x)
+    v = kappa * (s - 2.0 * amp) + potential.vdw_potential(
+        r_nm, field_.fiber, field_.atom)
+    zs = (np.angle(x) + np.pi) / (pair.sol_a.beta_per_nm
+                                  - pair.sol_b.beta_per_nm)
+    return v, 4.0 * kappa * amp, zs + z0 * np.round((z_ref - zs) / z0)
 
 
 def _r_floor(field_, seed):
@@ -286,15 +299,6 @@ def harmonic_extents(omegas, state, mass_kg):
         for w in omegas)
 
 
-def _fib_sphere(n):
-    k = np.arange(n) + 0.5
-    theta = np.arccos(1.0 - 2.0 * k / n)
-    golden = np.pi * (1.0 + 5.0 ** 0.5)
-    return np.stack([np.sin(theta) * np.cos(golden * k),
-                     np.sin(theta) * np.sin(golden * k),
-                     np.cos(theta)], axis=-1)
-
-
 def _frame(point):
     """Cartesian (r_nm, phi, z_nm) and the rows r-hat, phi-hat, z-hat there."""
     r, p, z = point
@@ -304,148 +308,101 @@ def _frame(point):
                       [0.0, 0.0, 1.0]]))
 
 
-def _march(field_, minimum, umin, d_local):
-    """Index and height of the lowest barrier over a fan of straight rays.
-
-    The rays leave the minimum along the local-frame unit vectors d_local,
-    sampled every _FAN_STEP_NM out to _FAN_REACH_NM. A ray's barrier is its
-    highest potential above umin, or infinite when the ray comes within the
-    surface pad of the fiber (a surface channel, not an escape path). Bound
-    and prune over a ladder of nested sample strides (_BOUND_LADDER): the
-    maximum over every s-th sample of a ray, taken with no surface test,
-    bounds its barrier from below, and each finer level adds samples to the
-    bound of the rays still alive. At each level the unmarched ray with the
-    lowest bound is marched in full to lower the best barrier found, and
-    every ray whose bound lies above it is dropped. The survivors of the
-    last level are marched in full in increasing order of bound,
-    _MARCH_BATCH at a time, until no unmarched bound is at or below the
-    best barrier. Every ray that ties the minimum is thus marched and every
-    other ray lies above it, so the index (first of a tie) and the height
-    are those of marching every ray. If every ray hits the surface, all are
-    marched and the height is inf.
-    """
-    a = field_.fiber.radius_nm
-    p0, frame = _frame(minimum)
-    d_cart = d_local @ frame
-    t = np.arange(1, int(_FAN_REACH_NM / _FAN_STEP_NM) + 1) * _FAN_STEP_NM
-    step = np.arange(1, t.size + 1)
-
-    def samples(rays, ts):
-        pts = p0[None, None, :] + ts[None, :, None] * d_cart[rays, None, :]
-        return pts, np.hypot(pts[..., 0], pts[..., 1])
-
-    def peak(pts, rr):
-        uu = potential.total_potential(
-            field_, np.maximum(rr, a + 2.0 * _SURFACE_PAD_NM),
-            np.arctan2(pts[..., 1], pts[..., 0]), pts[..., 2])
-        return uu.max(axis=1) - umin
-
-    # a ray's value is its exact barrier once marched, else its bound so
-    # far; alive rays are neither marched nor dropped
-    value = np.full(len(d_cart), -np.inf)
-    alive = np.ones(len(d_cart), dtype=bool)
-
-    def march(rays, stride):
-        # the samples off the ladder level `stride` complete the bound
-        pts, rr = samples(rays, t)
-        free = ~(rr <= a + _SURFACE_PAD_NM).any(axis=1)
-        rest = step % stride != 0
-        value[rays[~free]] = np.inf
-        value[rays[free]] = np.maximum(
-            value[rays[free]], peak(pts[free][:, rest], rr[free][:, rest]))
-        alive[rays] = False
-        return float(value[rays].min())
-
-    best = np.inf
-    coarser = None
-    for stride in _BOUND_LADDER:
-        rays = np.flatnonzero(alive)
-        if rays.size == 0:
-            break
-        new = step % stride == 0
-        if coarser is not None:
-            new &= step % coarser != 0
-        value[rays] = np.maximum(value[rays], peak(*samples(rays, t[new])))
-        best = min(best, march(rays[[np.argmin(value[rays])]], stride))
-        alive &= value <= best
-        coarser = stride
-    order = np.flatnonzero(alive)
-    order = order[np.argsort(value[order], kind="stable")]
-    for start in range(0, order.size, _MARCH_BATCH):
-        rays = order[start:start + _MARCH_BATCH]
-        if value[rays[0]] > best:
-            break
-        best = min(best, march(rays, coarser))
-    k = int(np.argmin(value))
-    return k, float(value[k])
-
-
 @dataclass(frozen=True)
 class EscapeResult:
     depth_j: float
     direction: tuple
     saddle: tuple    # (r_nm, phi, z_nm) of the certified escape saddle
-    exit_ray: tuple  # local-frame unit vector of the fan ray that found it
 
 
-def escape_barrier(field_, minimum, start=None):
+def escape_barrier(field_, minimum):
     """Trap depth as the barrier of the certified first-order escape saddle.
 
-    A full-sphere fan of straight rays (_march) picks the exit ray; from its
-    highest sample _newton with one negative curvature converges to the
-    saddle. Returns an EscapeResult with the depth U(saddle) - U(min), the
-    unit vector l from the minimum to the saddle in the local (r-hat,
-    phi-hat, z-hat) frame at the minimum, the saddle and the exit ray.
-    Raises NoTrapError when every ray runs into the surface, when _newton
-    does, and unless the saddle's barrier is positive and at most the exit
-    ray's, its bound.
-    start, when given, is the EscapeResult of a nearby minimum, such as
-    that of a nearby power split: _newton starts at its saddle, and the
-    saddle it reaches is taken, with start's exit ray, when its barrier is
-    positive and at most that of start's exit ray marched from this
-    minimum. The fan runs only if _newton raises NoTrapError or that bound
-    fails, so every error comes from the fan.
+    A priority flood of the valley floor (_flood) finds the spill level and
+    its pass cell; from that cell, at its dark phase, _newton with one
+    negative curvature converges to the saddle. Returns an EscapeResult with
+    the depth U(saddle) - U(min), the unit vector l from the minimum to the
+    saddle in the local (r-hat, phi-hat, z-hat) frame at the minimum, and
+    the saddle. Raises NoTrapError when _flood or _newton does, and unless
+    the saddle's barrier is positive and its height lies within the flood's
+    grid tolerance of the spill level.
     """
     umin = potential.total_potential(field_, *minimum)
-    if start is not None:
-        try:
-            saddle = _newton(field_, start.saddle, 1)
-            _, ray_b = _march(field_, minimum, umin,
-                              np.asarray(start.exit_ray)[None])
-            return _certified(field_, minimum, umin, saddle, start.exit_ray,
-                              ray_b)
-        except NoTrapError:
-            pass
-    dirs = _fib_sphere(max(int(np.ceil(
-        4.0 * np.pi / np.radians(_FAN_COARSE_DEG) ** 2)), 16))
-    k, fan_b = _march(field_, minimum, umin, dirs)
-    if not np.isfinite(fan_b):
-        raise NoTrapError("every sampled direction runs into the surface")
-    p0, frame = _frame(minimum)
-    t = np.arange(1, int(_FAN_REACH_NM / _FAN_STEP_NM) + 1) * _FAN_STEP_NM
-    x, y, z = (p0 + t[:, None] * (dirs[k] @ frame)).T
-    r, p = np.hypot(x, y), np.arctan2(y, x)
-    i = np.argmax(potential.total_potential(field_, r, p, z))
-    saddle = _newton(field_, (float(r[i]), float(p[i]), float(z[i])), 1)
-    return _certified(field_, minimum, umin, saddle,
-                      tuple(float(c) for c in dirs[k]), fan_b)
-
-
-def _certified(field_, minimum, umin, saddle, exit_ray, ray_b):
-    """EscapeResult of a saddle whose barrier lies in (0, ray_b], ray_b finite.
-
-    ray_b is the barrier of the exit ray marched from minimum; a saddle
-    outside that bound raises NoTrapError.
-    """
-    depth = float(potential.total_potential(field_, *saddle) - umin)
-    if not 0.0 < depth <= ray_b < np.inf:
-        raise NoTrapError("saddle search found no positive barrier at or "
-                          "below the exit ray's")
+    level, tol, pass_cell = _flood(field_, minimum)
+    saddle = _newton(field_, pass_cell, 1)
+    u_saddle = float(potential.total_potential(field_, *saddle))
+    depth = u_saddle - float(umin)
+    if not (depth > 0.0 and abs(u_saddle - level) <= tol):
+        raise NoTrapError("saddle search found no positive barrier within "
+                          "the flood's grid tolerance of the spill level")
     p0, frame = _frame(minimum)
     d = frame @ (_frame(saddle)[0] - p0)
-    return EscapeResult(depth_j=depth, saddle=saddle, exit_ray=exit_ray,
+    return EscapeResult(depth_j=depth, saddle=saddle,
                         direction=tuple(float(c)
                                         for c in d / np.linalg.norm(d)))
+
+
+def _flood(field_, minimum):
+    """Spill level of the valley floor around minimum, by priority flood.
+
+    The grid has _FLOOD_R radii, geometric in r - a from the surface pad
+    out to _REACH_NM beyond the minimum, and _FLOOD_PHI azimuths over the
+    full circle, centred on the minimum's. It holds no cell within the pad,
+    so the surface is a wall. From the cell nearest the minimum, cells are
+    taken in increasing V, ties broken by the heap key (V, i, j), their
+    neighbours in r and (cyclically) in phi queued as they are found, until
+    a cell of the outermost radius is taken. The spill level is the highest
+    V taken; the pass is the first cell taken at it, and the basin every
+    cell taken up to the pass. Returns the level in J, its tolerance (the
+    largest V step from the pass to a neighbour) and the pass as (r_nm, phi,
+    z*), z* nearest the minimum's z. Raises NoTrapError when the minimum
+    lies within the surface pad; when the basin reaches the innermost
+    radius, so that the light wall toward the surface is lower than every
+    escape; and when the beat ridge V + 4 kappa' |X| of a basin cell is not
+    above the level, where an escape along z could be lower.
+    """
+    r0, p0, z0 = minimum
+    a = field_.fiber.radius_nm
+    if r0 - a <= _SURFACE_PAD_NM:
+        raise NoTrapError("escape search began within the surface pad")
+    gap = np.geomspace(_SURFACE_PAD_NM, r0 - a + _REACH_NM, _FLOOD_R + 1)[1:]
+    rr = a + gap
+    pp = p0 + 2.0 * np.pi / _FLOOD_PHI * (np.arange(_FLOOD_PHI)
+                                          - _FLOOD_PHI // 2)
+    v, ridge, zs = _valley(field_, rr[:, None], pp[None, :], z0)
+
+    def around(i, j):
+        return [(ni, nj) for ni, nj in ((i - 1, j), (i + 1, j),
+                                        (i, (j - 1) % _FLOOD_PHI),
+                                        (i, (j + 1) % _FLOOD_PHI))
+                if 0 <= ni < _FLOOD_R]
+
+    values = v.tolist()
+    i, j = int(np.argmin(np.abs(gap - (r0 - a)))), _FLOOD_PHI // 2
+    taken = []
+    queued = np.zeros(v.shape, dtype=bool)
+    queued[i, j] = True
+    heap = [(values[i][j], i, j)]
+    level, last = -math.inf, 0
+    while i < _FLOOD_R - 1:
+        u, i, j = heapq.heappop(heap)
+        taken.append((i, j))
+        if u > level:
+            level, last = u, len(taken)
+        for cell in around(i, j):
+            if not queued[cell]:
+                queued[cell] = True
+                heapq.heappush(heap, (values[cell[0]][cell[1]], *cell))
+    basin = tuple(np.array(taken[:last]).T)
+    if (basin[0] == 0).any():
+        raise NoTrapError("the light wall toward the surface lies below the "
+                          "spill level")
+    if not np.all(v[basin] + ridge[basin] > level):
+        raise NoTrapError("the beat ridge lies below the spill level: an "
+                          "escape along z may be lower")
+    i, j = taken[last - 1]
+    tol = max(abs(values[ni][nj] - level) for ni, nj in around(i, j))
+    return level, tol, (float(rr[i]), float(pp[j]), float(zs[i, j]))
 
 
 def _inner_barrier(field_, minimum, umin, probe_e):
@@ -647,30 +604,22 @@ def tau_sensitivity(field_, seed, base=None):
     near 0 or 1, yields a flagged row instead of an error. Each distinct
     split is searched once, so at sigma = 0 (tau0 = 0 or 1) the three rows
     share one search.
-    The tau0 row is settled first: base, when given, is the (unfolded
-    minimum, EscapeResult) already found at tau0 (TrapReport.base) and is
-    reused; otherwise tau0 is searched from the seed scan and the fan. The
-    perturbed rows then start from the tau0 row: the minimum's Newton
-    polish at the tau0 minimum, falling back to the seed scan where that
-    polish fails (find_minimum's start), and the saddle's at the tau0
-    saddle, falling back to the fan where the saddle it reaches is not
-    certified (escape_barrier's start).
+    base, when given, is the (unfolded minimum, EscapeResult) already found
+    at tau0 (TrapReport.base) and is reused for the tau0 row; every other
+    split runs find_minimum and escape_barrier as a report does.
     """
     tau0 = field_.pair.tau
     sigma = power_split_sigma(tau0)
 
-    def search(split, start):
-        # (minimum, EscapeResult), or the error that flags the split's rows;
-        # start is the tau0 pair, or None for a search from scratch
-        m0, esc0 = start or (None, None)
+    def search(split):
+        # (minimum, EscapeResult), or the error that flags the split's rows
         try:
-            m = find_minimum(split, seed, start=m0)
-            return m, escape_barrier(split, m, start=esc0)
+            m = find_minimum(split, seed)
+            return m, escape_barrier(split, m)
         except NoTrapError as err:
             return err
 
-    found = {tau0: search(field_, None) if base is None else base}
-    start = None if isinstance(found[tau0], Exception) else found[tau0]
+    found = {tau0: search(field_) if base is None else base}
     rows = []
     for tau in (tau0 - sigma, tau0, tau0 + sigma):
         if not 0.0 <= tau <= 1.0:
@@ -679,7 +628,7 @@ def tau_sensitivity(field_, seed, base=None):
             continue
         if tau not in found:
             found[tau] = search(
-                replace(field_, pair=replace(field_.pair, tau=tau)), start)
+                replace(field_, pair=replace(field_.pair, tau=tau)))
         if isinstance(found[tau], Exception):
             rows.append({"tau": tau, "trap": False,
                          "reason": str(found[tau])})
@@ -688,7 +637,7 @@ def tau_sensitivity(field_, seed, base=None):
         rows.append({"tau": tau, "trap": True,
                      "depth_mk": potential.as_millikelvin(esc.depth_j),
                      "minimum": {"r_nm": m[0], "phi_rad": m[1], "z_nm": m[2]}})
-    if start is not None:
+    if not isinstance(found[tau0], Exception):
         base_mk = potential.as_millikelvin(found[tau0][1].depth_j)
         for row in rows:
             if row["trap"]:

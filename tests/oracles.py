@@ -3,11 +3,14 @@
 The mode helpers are built from first principles on top of scipy.special
 and scipy.integrate only.  None of them goes through the package's own
 dispersion relation or power normalization, so tests that compare against
-them are not circular.  The escape-fan reference keeps the package's
-potential and ray geometry but evaluates every sample of every ray of the
-full-sphere fan, so it checks that neither skipping the rays that hit the
-surface nor pruning the rays whose sampled bound exceeds the lowest barrier
-changes the exit ray or its barrier.  The scalar Hessian is a
+them are not circular.  The escape fan marches 4,584 straight rays from the
+minimum, every 4 nm out to 2000 nm, and evaluates every sample: each ray's
+highest potential bounds the escape barrier from above, and the polish from
+the lowest ray's highest sample reaches a saddle without the valley floor.
+The dense valley-floor flood builds the floor from total_potential samples
+a quarter beat apart, not from the (S, X) terms of trapanalysis, and finds
+its spill level as a minimax path on a grid four times finer per axis than
+the shipped flood.  The scalar Hessian is a
 central-difference stencil, one potential call per point, so the analytic
 Hessian can be checked against it to the stencil's O(h^2) error, and to
 1e-9 against its Richardson extrapolation.  The grid CSV
@@ -24,6 +27,7 @@ trapanalysis can be checked to bracket and return the same roots.
 """
 
 import csv
+import heapq
 import io
 
 import numpy as np
@@ -102,12 +106,40 @@ def mode_power_quadrature(sol):
     return (core + clad) * 1e-18 * 1e3
 
 
+# The straight-ray escape fan: full-sphere resolution, ray length and
+# sample step.
+FAN_COARSE_DEG = 3.0
+FAN_REACH_NM = 2000.0
+FAN_STEP_NM = 4.0
+# The dense valley-floor flood: cells in r and in phi.
+DENSE_FLOOD = (400, 720)
+
+
+def fib_sphere(n):
+    """n near-uniform unit vectors on the sphere (a Fibonacci lattice)."""
+    k = np.arange(n) + 0.5
+    theta = np.arccos(1.0 - 2.0 * k / n)
+    golden = np.pi * (1.0 + 5.0 ** 0.5)
+    return np.stack([np.sin(theta) * np.cos(golden * k),
+                     np.sin(theta) * np.sin(golden * k),
+                     np.cos(theta)], axis=-1)
+
+
 def fan_directions():
-    """The local-frame unit vectors of escape_barrier's full-sphere fan."""
-    ta = trapanalysis
-    ndir = max(int(np.ceil(4.0 * np.pi / np.radians(ta._FAN_COARSE_DEG) ** 2)),
-               16)
-    return ta._fib_sphere(ndir)
+    """The local-frame unit vectors of the full-sphere escape fan."""
+    return fib_sphere(max(int(np.ceil(
+        4.0 * np.pi / np.radians(FAN_COARSE_DEG) ** 2)), 16))
+
+
+def _fan_samples(minimum, d_local):
+    """Cartesian samples (rays, samples, 3) of straight rays from minimum."""
+    r, p, z = minimum
+    frame = np.array([[np.cos(p), np.sin(p), 0.0],
+                      [-np.sin(p), np.cos(p), 0.0],
+                      [0.0, 0.0, 1.0]])
+    p0 = np.array([r * np.cos(p), r * np.sin(p), z])
+    t = np.arange(1, int(FAN_REACH_NM / FAN_STEP_NM) + 1) * FAN_STEP_NM
+    return p0[None, None, :] + t[None, :, None] * (d_local @ frame)[:, None, :]
 
 
 def dense_march(field_, minimum, umin, d_local):
@@ -116,41 +148,107 @@ def dense_march(field_, minimum, umin, d_local):
     Samples at and beyond a ray's first contact with the surface pad are
     masked out of its barrier; the hit flags are returned separately.
     """
-    ta = trapanalysis
-    r, p, z = minimum
+    pad = trapanalysis._SURFACE_PAD_NM
     a = field_.fiber.radius_nm
-    frame = np.array([[np.cos(p), np.sin(p), 0.0],
-                      [-np.sin(p), np.cos(p), 0.0],
-                      [0.0, 0.0, 1.0]])
-    d_cart = d_local @ frame
-    p0 = np.array([r * np.cos(p), r * np.sin(p), z])
-    t = np.arange(1, int(ta._FAN_REACH_NM / ta._FAN_STEP_NM) + 1) \
-        * ta._FAN_STEP_NM
-    pts = p0[None, None, :] + t[None, :, None] * d_cart[:, None, :]
+    pts = _fan_samples(minimum, d_local)
     rr = np.hypot(pts[..., 0], pts[..., 1])
     pp = np.arctan2(pts[..., 1], pts[..., 0])
     uu = potential.total_potential(
-        field_, np.maximum(rr, a + 2.0 * ta._SURFACE_PAD_NM), pp, pts[..., 2])
-    inside = rr <= a + ta._SURFACE_PAD_NM
+        field_, np.maximum(rr, a + 2.0 * pad), pp, pts[..., 2])
+    inside = rr <= a + pad
     hit = inside.any(axis=1)
-    first = np.where(hit, inside.argmax(axis=1), t.size)
-    blocked = np.arange(t.size)[None, :] >= first[:, None]
+    first = np.where(hit, inside.argmax(axis=1), rr.shape[1])
+    blocked = np.arange(rr.shape[1])[None, :] >= first[:, None]
     barrier = np.where(blocked, -np.inf, uu).max(axis=1) - umin
     return barrier, hit
 
 
-def dense_escape_barrier(field_, minimum):
-    """escape_barrier's fan with every sample evaluated (see dense_march).
+def dense_fan_escape(field_, minimum):
+    """Lowest ray barrier of the full-sphere fan and the saddle it leads to.
 
-    Returns (index, barrier) of the lowest ray, first of a tie, as
-    trapanalysis._march does; a ray that hits the surface pad has an
-    infinite barrier.
+    Every sample of every ray is evaluated (dense_march); a ray that hits
+    the surface pad has an infinite barrier. Any path's highest potential
+    bounds the escape barrier from above, so a certified depth lies at or
+    below the lowest ray barrier. The saddle is trapanalysis._newton with
+    one negative curvature from the highest sample of the lowest ray, first
+    of a tie. Returns (barrier, saddle).
     """
     umin = potential.total_potential(field_, *minimum)
-    barrier, hit = dense_march(field_, minimum, umin, fan_directions())
+    dirs = fan_directions()
+    barrier, hit = dense_march(field_, minimum, umin, dirs)
     escape = np.where(hit, np.inf, barrier)
     k = int(np.argmin(escape))
-    return k, float(escape[k])
+    x, y, z = _fan_samples(minimum, dirs[[k]])[0].T
+    r, p = np.hypot(x, y), np.arctan2(y, x)
+    i = np.argmax(potential.total_potential(field_, r, p, z))
+    return float(escape[k]), trapanalysis._newton(
+        field_, (float(r[i]), float(p[i]), float(z[i])), 1)
+
+
+def dense_flood_escape(field_, minimum):
+    """Depth and saddle from a dense valley-floor flood, written out here.
+
+    The polar grid has DENSE_FLOOD cells: radii geometric in r - a from the
+    surface pad out to 2000 nm beyond the minimum, azimuths over the full
+    circle centred on the minimum's. Along z at fixed (r, phi) the potential
+    is A + B cos(theta - dbeta z), so three total_potential samples a
+    quarter beat apart, z_m + (0, 1, 2) z0/4 from the minimum's z_m, give
+    A, |B| and theta, hence the valley floor V = A - |B| and the dark phase.
+    The spill level is found as a minimax path (Dijkstra with the highest V
+    on the path as its cost) from the minimum's cell to the outermost
+    radius; the pass is the highest cell on that path, polished by
+    trapanalysis._newton with one negative curvature. Returns (depth_j,
+    saddle, level).
+    """
+    n_r, n_phi = DENSE_FLOOD
+    r0, p0, z_m = minimum
+    a = field_.fiber.radius_nm
+    pair = field_.pair
+    dbeta = pair.sol_a.beta_per_nm - pair.sol_b.beta_per_nm
+    z0 = 2.0 * np.pi / abs(dbeta)
+    gap = np.geomspace(trapanalysis._SURFACE_PAD_NM, r0 - a + FAN_REACH_NM,
+                       n_r + 1)[1:]
+    rr = a + gap
+    pp = p0 + 2.0 * np.pi / n_phi * (np.arange(n_phi) - n_phi // 2)
+    u0, u1, u2 = np.moveaxis(potential.total_potential(
+        field_, rr[:, None, None], pp[None, :, None],
+        z_m + z0 / 4.0 * np.arange(3)[None, None, :]), -1, 0)
+    mean = 0.5 * (u0 + u2)
+    cos_part = 0.5 * (u0 - u2)
+    sin_part = np.sign(dbeta) * (u1 - mean)
+    floor = (mean - np.hypot(cos_part, sin_part)).tolist()
+    # theta' - dbeta dz = pi at the dark phase
+    dz = (np.arctan2(sin_part, cos_part) - np.pi) / dbeta
+    dz -= z0 * np.round(dz / z0)
+
+    i, j = int(np.argmin(np.abs(gap - (r0 - a)))), n_phi // 2
+    cost = np.full((n_r, n_phi), np.inf)
+    parent = {}
+    cost[i, j] = c = floor[i][j]
+    # among equal costs the outermost cell first: past the pass every cell
+    # costs the level, and the walk heads for the outer edge
+    heap = [(c, -i, j)]
+    while i < n_r - 1:
+        c, i, j = heapq.heappop(heap)
+        i = -i
+        if c > cost[i, j]:
+            continue
+        for ni, nj in ((i - 1, j), (i + 1, j), (i, (j - 1) % n_phi),
+                       (i, (j + 1) % n_phi)):
+            if 0 <= ni < n_r:
+                c_next = max(c, floor[ni][nj])
+                if c_next < cost[ni, nj]:
+                    cost[ni, nj], parent[ni, nj] = c_next, (i, j)
+                    heapq.heappush(heap, (c_next, -ni, nj))
+    path = [(i, j)]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    i, j = max(path, key=lambda ij: floor[ij[0]][ij[1]])
+    saddle = trapanalysis._newton(
+        field_, (float(rr[i]), float(pp[j]), float(z_m + dz[i, j])), 1)
+    depth = float(potential.total_potential(field_, *saddle)
+                  - potential.total_potential(field_, *minimum))
+    return depth, saddle, c
 
 
 def scalar_hessian(f, point, steps):
@@ -183,10 +281,13 @@ def scalar_hessian(f, point, steps):
 def halving_find_minimum(field_, seed):
     """trapanalysis.find_minimum as it was before every iterate was gated.
 
-    Same seed scan, 5 nm step cap, surface check, 40-step cap and box check,
-    but a step that raises the potential is halved once, a singular Hessian
-    raises, and the three positive curvatures are checked only on the last
-    Hessian after convergence.
+    The seed scan is the earlier 3-D one, 61 x 25 (r, phi) points times 49
+    values of z over the seed box, each cell a total_potential value, and
+    the polish starts at the best radial interior cell of that scan. Same
+    5 nm step cap, surface check, 40-step cap and box check, but a step that
+    raises the potential is halved once, a singular Hessian raises, and the
+    three positive curvatures are checked only on the last Hessian after
+    convergence.
     """
     ta = trapanalysis
     tol_nm = ta._POSITION_TOL_NM
@@ -194,7 +295,7 @@ def halving_find_minimum(field_, seed):
     r_lo = max(seed.r_nm[0], a + 2.0)
     rr = np.linspace(r_lo, seed.r_nm[1], ta._GRID_R)
     pp = np.linspace(seed.phi[0], seed.phi[1], ta._GRID_PHI)
-    zz = np.linspace(seed.z_nm[0], seed.z_nm[1], ta._GRID_Z)
+    zz = np.linspace(seed.z_nm[0], seed.z_nm[1], 49)
     R, P, Z = np.meshgrid(rr, pp, zz, indexing="ij")
     u = potential.total_potential(field_, R, P, Z)
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])

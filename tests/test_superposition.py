@@ -8,6 +8,8 @@ import pytest
 
 import oracles
 from fibertrap import config, modes, superposition, trapanalysis
+from fibertrap.constants import c as C0
+from fibertrap.constants import epsilon_0 as EPS0
 from fibertrap.errors import ConfigError
 
 FIBER = config.preset("he11-te01").fiber
@@ -63,6 +65,24 @@ class TestIntensityGeometry:
             got = superposition.mean_intensity(paird, r, phi, z)
             ref = superposition.mean_intensity(pair0, r, phi, z - shift)
             assert got == pytest.approx(ref, rel=1e-6)
+
+
+class TestBeatTerms:
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_one_harmonic_in_z(self, suite, name):
+        # each mode is E_perp e^{-i beta z}, so the intensity is
+        # (c eps0 / 2) [S + 2 Re(X e^{-i dbeta z})] with (S, X) from r, phi
+        pair = suite.pair(name)
+        rng = np.random.default_rng(20261020)
+        r = pair.fiber.radius_nm + rng.uniform(1.0, 800.0, 1000)
+        phi = rng.uniform(-math.pi, math.pi, 1000)
+        z = rng.uniform(0.0, superposition.beat_length(pair), 1000)
+        s, x = superposition.beat_terms(pair, r, phi)
+        dbeta = pair.sol_a.beta_per_nm - pair.sol_b.beta_per_nm
+        got = 0.5 * C0 * EPS0 * (s + 2.0 * np.real(x
+                                                    * np.exp(-1j * dbeta * z)))
+        want = superposition.mean_intensity(pair, r, phi, z)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 class TestPowerBookkeeping:

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import oracles
-from fibertrap import cli, config, modes, numerics, potential, trapanalysis
+from fibertrap import (cli, config, modes, numerics, potential,
+                       superposition, trapanalysis)
 from fibertrap.errors import NoTrapError, SaddleError
 
 KB = 1.380649e-23
@@ -46,7 +47,7 @@ def searched_splits(monkeypatch):
     """The pair.tau of every field find_minimum is called on, which fails."""
     taus = []
 
-    def stub(field_, seed, start=None):
+    def stub(field_, seed):
         taus.append(field_.pair.tau)
         raise NoTrapError("stub field")
 
@@ -56,70 +57,23 @@ def searched_splits(monkeypatch):
 
 @pytest.fixture
 def seed_scans(monkeypatch):
-    """One entry per total_potential batch the size of a seed scan."""
-    total = potential.total_potential
-    size = trapanalysis._GRID_R * trapanalysis._GRID_PHI * trapanalysis._GRID_Z
+    """One entry per beat_terms batch the size of a seed scan."""
+    beat_terms = superposition.beat_terms
+    size = trapanalysis._GRID_R * trapanalysis._GRID_PHI
     scans = []
 
-    def counted(field_, r_nm, phi, z_nm):
-        if np.broadcast(r_nm, phi, z_nm).size == size:
+    def counted(pair, r_nm, phi):
+        if np.broadcast(r_nm, phi).size == size:
             scans.append(size)
-        return total(field_, r_nm, phi, z_nm)
+        return beat_terms(pair, r_nm, phi)
 
-    monkeypatch.setattr(potential, "total_potential", counted)
+    monkeypatch.setattr(superposition, "beat_terms", counted)
     return scans
-
-
-def _fan(field_, minimum):
-    """escape_barrier's fan alone: (index, barrier) of its lowest ray."""
-    umin = potential.total_potential(field_, *minimum)
-    return trapanalysis._march(field_, minimum, umin, oracles.fan_directions())
-
-
-def _tau0_escape(suite, name):
-    """The tau0 EscapeResult that the perturbed sensitivity rows continue."""
-    return suite.report(name).base[1]
 
 
 def _row_minimum(row):
     return (row["minimum"]["r_nm"], row["minimum"]["phi_rad"],
             row["minimum"]["z_nm"])
-
-
-def _fan_with_spike(monkeypatch, center_nm, half_width_nm):
-    """The escape fan over a synthetic potential with a spike near the exit.
-
-    The smooth barrier peaks at 1 on the ray along u, 1000 nm out, on a
-    sample of the coarsest ladder level of the fan; a spike of height 5
-    on the shell |s - center_nm| < half_width_nm lifts every ray within 10
-    degrees of u, so the rays with the lowest coarse bounds cannot be the
-    exit. Returns the search's and the dense reference's (index, barrier).
-    """
-    a, minimum = 250.0, (500.0, math.pi / 2, 0.0)
-    x0 = np.array([0.0, minimum[0], 0.0])
-    u = np.array([0.6, 0.8, 0.0])
-    cone = math.cos(math.radians(10.0))
-
-    def synthetic(field_, r_nm, phi, z_nm):
-        x, y, z = np.broadcast_arrays(r_nm * np.cos(phi) - x0[0],
-                                      r_nm * np.sin(phi) - x0[1],
-                                      z_nm - x0[2])
-        s = np.sqrt(x * x + y * y + z * z)
-        c = (x * u[0] + y * u[1] + z * u[2]) / np.maximum(s, 1e-9)
-        smooth = (2.0 - c) * np.exp(-((s - 1000.0) / 100.0) ** 2)
-        spike = np.where((c > cone) & (np.abs(s - center_nm) < half_width_nm),
-                         5.0, 0.0)
-        return smooth + spike
-
-    monkeypatch.setattr(potential, "total_potential", synthetic)
-    field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=a))
-    k, barrier = _fan(field_, minimum)
-    # the exit lies just outside the spiked cone, not on the ray with the
-    # lowest coarse bound
-    frame = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert oracles.fan_directions()[k] @ frame @ u < cone
-    assert barrier < 1.1
-    return (k, barrier), oracles.dense_escape_barrier(field_, minimum)
 
 
 class TestThermalState:
@@ -178,12 +132,12 @@ class TestFindMinimum:
 
     def test_saddle_is_not_a_trap(self, suite):
         # the best seed cell here already lacks three positive curvatures;
-        # without the gate the Newton polish would converge to a stationary
-        # point with one negative curvature
+        # without the gate the Newton polish would converge, in 12 steps,
+        # to a stationary point with one negative curvature
         cfg = suite.cfg("he11-he21")
         with pytest.raises(NoTrapError, match="saddle"):
             trapanalysis.find_minimum(
-                config.make_field(replace(cfg, tau=0.62)), cfg.seed)
+                config.make_field(replace(cfg, tau=0.66)), cfg.seed)
 
     def test_non_convex_search_stops_at_first_saddle(self, suite,
                                                      monkeypatch):
@@ -205,7 +159,7 @@ class TestFindMinimum:
 
     def test_seed_scan_evaluates_each_transverse_point_once(
             self, suite, seed_scans, monkeypatch):
-        # the scan is 61 x 25 transverse points times 49 phases in z; each
+        # the scan is the valley floor at 61 x 25 transverse points; each
         # field kernel call evaluates the transverse part on r and phi alone
         cases = [(suite.field(name), suite.cfg(name).seed)
                  for name in suite.names]
@@ -222,25 +176,46 @@ class TestFindMinimum:
         assert len(seed_scans) == len(cases)
         assert max(sizes) <= trapanalysis._GRID_R * trapanalysis._GRID_PHI
 
-    def test_start_at_a_saddle_falls_back_to_the_seed_scan(self, suite,
-                                                          field1, seed_scans):
-        # the polish from the saddle between two traps fails at its first
-        # iterate; the search then runs as if it had no start
-        seed = suite.cfg("he11-te01").seed
-        warm = trapanalysis.find_minimum(
-            field1, seed, start=(T1_MIN[0], math.pi / 2, T1_Z0 / 2.0))
-        assert len(seed_scans) == 1
-        assert warm == trapanalysis.find_minimum(field1, seed)
-
     @pytest.mark.parametrize("name,delta", [
         ("he11-te01", 0.0), ("he11-he21", 0.0), ("te01-he21", 0.0),
-        # 13 Newton iterations, the first 11 capped at 5 nm
+        # from its 3-D seed cell the halving search takes 13 Newton
+        # iterations, the first 11 capped at 5 nm
         ("te01-he21", 2.5)])
     def test_same_minimum_as_halving_search(self, suite, name, delta):
+        # the halving search seeds its polish from the 3-D scan over z; at
+        # delta = 0 both seeds lead to the same minimum bit for bit, and at
+        # delta = 2.5 the 2-D seed at z* (3 iterations) ends 1e-8 nm from it
         cfg = replace(suite.cfg(name), delta=delta)
         field_ = config.make_field(cfg)
-        assert (trapanalysis.find_minimum(field_, cfg.seed)
-                == oracles.halving_find_minimum(field_, cfg.seed))
+        got = trapanalysis.find_minimum(field_, cfg.seed)
+        want = oracles.halving_find_minimum(field_, cfg.seed)
+        if delta == 0.0:
+            assert got == want
+        else:
+            assert trapanalysis._frame(got)[0] == pytest.approx(
+                trapanalysis._frame(want)[0], abs=1e-7)
+
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_delta_translates_the_trap(self, suite, name):
+        # the launch phase delta shifts the beat by delta / dbeta along z,
+        # the way the traps are moved along the fiber; r, phi, depth and
+        # frequencies stay
+        field_, seed = suite.field(name), suite.cfg(name).seed
+        mass = field_.atom.mass_kg
+        moved = replace(field_, pair=replace(field_.pair, delta=0.7))
+        z0 = superposition.beat_length(field_.pair)
+        shift = 0.7 / (field_.pair.sol_a.beta_per_nm
+                       - field_.pair.sol_b.beta_per_nm)
+        m, got = suite.minimum(name), trapanalysis.find_minimum(moved, seed)
+        assert got[0] == pytest.approx(m[0], abs=1e-8)
+        assert got[1] == pytest.approx(m[1], abs=1e-12)
+        dz = got[2] - m[2] - shift
+        assert abs(dz - z0 * round(dz / z0)) <= 1e-8
+        assert trapanalysis.escape_barrier(moved, got).depth_j == \
+            pytest.approx(suite.report(name).base[1].depth_j, rel=1e-12)
+        assert trapanalysis.trap_frequencies(moved, got, mass) == \
+            pytest.approx(trapanalysis.trap_frequencies(field_, m, mass),
+                          rel=1e-9)
 
 
 class TestTrapFrequencies:
@@ -402,89 +377,51 @@ class TestEscapeBarrier:
 
     @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
     def test_matches_dense_fan(self, suite, name):
-        # hit rays and rays whose sampled bound exceeds the lowest barrier
-        # are never marched in full; the dense reference evaluates every
-        # sample of every ray and masks the hit rays out afterwards
+        # every ray of the 4,584-ray fan is a path out of the trap, so its
+        # highest potential bounds the depth from above; the polish from
+        # the lowest ray reaches a saddle of the same depth
         field_, m = suite.field(name), suite.minimum(name)
-        assert _fan(field_, m) == oracles.dense_escape_barrier(field_, m)
+        depth = suite.report(name).base[1].depth_j
+        ray, saddle = oracles.dense_fan_escape(field_, m)
+        assert depth <= ray
+        assert depth == pytest.approx(
+            potential.total_potential(field_, *saddle)
+            - potential.total_potential(field_, *m), rel=1e-12)
 
-    def test_pruning_survives_a_spike_between_bound_samples(self, monkeypatch):
-        # a 6 nm spike at 1010 nm covers the fan samples at 1008 nm,
-        # on the finest ladder level, and 1012 nm, on none
-        fan, dense = _fan_with_spike(monkeypatch, 1010.0, 3.0)
-        assert fan == dense
-
-    def test_pruning_survives_a_spike_only_the_finest_level_samples(
-            self, monkeypatch):
-        # the spike covers one sample of the 4 nm fan, sample 252 at
-        # 1008 nm, which is on the stride-2 level and on no coarser one
-        assert [s for s in trapanalysis._BOUND_LADDER if 252 % s == 0] == [2]
-        fan, dense = _fan_with_spike(monkeypatch, 1008.0, 0.5)
-        assert fan == dense
-
-    def test_every_ray_ties_on_a_radial_potential(self, monkeypatch):
-        # the potential depends on the distance from the minimum alone and
-        # is flat at 1 where every ray peaks, so every barrier is exactly
-        # 1: no ray can be pruned, and the first ray of the fan wins
-        minimum = (3000.0, math.pi / 2, 0.0)
-        x0 = np.array([0.0, minimum[0], 0.0])
-
-        def radial(field_, r_nm, phi, z_nm):
-            s = np.sqrt((r_nm * np.cos(phi) - x0[0]) ** 2
-                        + (r_nm * np.sin(phi) - x0[1]) ** 2
-                        + (z_nm - x0[2]) ** 2)
-            return np.minimum(1.0, 2.0 * np.exp(-((s - 1000.0) / 100.0) ** 2))
-
-        monkeypatch.setattr(potential, "total_potential", radial)
-        # rays reach 2000 nm, so none comes near the 250 nm fiber
-        field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=250.0))
-        assert _fan(field_, minimum) == (0, 1.0)
-        assert oracles.dense_escape_barrier(field_, minimum) == (0, 1.0)
-
-    def test_fan_from_inside_the_fiber_raises(self, monkeypatch):
-        # every ray starts inside the surface pad, so every ray is marched
-        # before the search can tell that none escapes
+    def test_minimum_inside_the_surface_pad_raises(self, monkeypatch):
+        # the flood grid holds no cell within the surface pad, so a search
+        # from there has no cell to begin at
         monkeypatch.setattr(potential, "total_potential",
                             lambda field_, r_nm, phi, z_nm: np.zeros(
                                 np.broadcast(r_nm, phi, z_nm).shape))
         field_ = SimpleNamespace(fiber=SimpleNamespace(radius_nm=250.0))
-        with pytest.raises(NoTrapError, match="runs into the surface"):
-            trapanalysis.escape_barrier(field_, (1.0, 0.0, 0.0))
-
-    def test_marches_under_a_twentieth_of_the_dense_fan(self, suite, field1,
-                                                    monkeypatch):
-        total = potential.total_potential
-        points = []
-
-        def counted(field_, r_nm, phi, z_nm):
-            points.append(np.broadcast(r_nm, phi, z_nm).size)
-            return total(field_, r_nm, phi, z_nm)
-
-        monkeypatch.setattr(potential, "total_potential", counted)
-        trapanalysis.escape_barrier(field1, suite.minimum("he11-te01"))
-        # the dense fan: 4584 rays of 500 samples
-        assert sum(points) < 0.05 * 4584 * 500
+        with pytest.raises(NoTrapError, match="surface pad"):
+            trapanalysis.escape_barrier(field_, (250.4, 0.0, 0.0))
 
     @pytest.mark.parametrize("row", (0, 1, 2))
     @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
     def test_saddle_is_certified(self, suite, name, row):
-        # rows are tau0 - sigma, tau0 and tau0 + sigma; each is recomputed
-        # by its own route: the fan at tau0, the continuation of the tau0
-        # saddle at tau0 -/+ sigma
-        start = None if row == 1 else _tau0_escape(suite, name)
+        # rows are tau0 - sigma, tau0 and tau0 + sigma, each searched by
+        # the same flood; the dense flood is four times finer per axis
         row = suite.sens(name)["rows"][row]
         field_ = config.make_field(replace(suite.cfg(name), tau=row["tau"]))
         m = _row_minimum(row)
-        esc = trapanalysis.escape_barrier(field_, m, start=start)
+        # a freshly built field gives the row's re-split search bit for bit
+        assert trapanalysis.find_minimum(field_, suite.cfg(name).seed) == m
+        esc = trapanalysis.escape_barrier(field_, m)
         g, h = potential.potential_derivatives(field_, *esc.saddle)
         curv = np.linalg.eigvalsh(h)
         assert curv[0] < 0.0 < curv[1]
         # the Newton step from the saddle is below the polish's stop
         assert (np.linalg.norm(np.linalg.solve(h, g))
                 < 0.2 * trapanalysis._POSITION_TOL_NM)
-        # the exit ray's barrier bounds the saddle's from above
-        assert 0.0 < esc.depth_j <= _fan(field_, m)[1]
         assert potential.as_millikelvin(esc.depth_j) == row["depth_mk"]
+        dense_depth, dense_saddle, _ = oracles.dense_flood_escape(field_, m)
+        assert esc.depth_j == pytest.approx(dense_depth, rel=1e-12)
+        level, tol, _ = trapanalysis._flood(field_, m)
+        for saddle in (esc.saddle, dense_saddle):
+            assert abs(potential.total_potential(field_, *saddle)
+                       - level) <= tol
         d = np.asarray(esc.direction)
         assert np.linalg.norm(d) == pytest.approx(1.0, rel=1e-12)
         if name == "he11-he21":
@@ -493,60 +430,41 @@ class TestEscapeBarrier:
             # the saddle lies on the radial line through the minimum
             assert np.abs(d[1:]).max() <= 1e-6
 
-    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
-    def test_continued_saddle_matches_fan(self, suite, name):
-        # the tau0 -/+ sigma saddles continue from the tau0 saddle; the cold
-        # fan finds the same barrier at the same saddle or, where two
-        # saddles tie (he11-he21 at tau0 + sigma), at its mirror image in
-        # the azimuth of the minimum
-        cfg, start = suite.cfg(name), _tau0_escape(suite, name)
-        rows = suite.sens(name)["rows"]
-        for row in (rows[0], rows[2]):
-            field_ = config.make_field(replace(cfg, tau=row["tau"]))
-            m = _row_minimum(row)
-            cont = trapanalysis.escape_barrier(field_, m, start=start)
-            fan = trapanalysis.escape_barrier(field_, m)
-            assert cont.depth_j == pytest.approx(fan.depth_j, rel=1e-12)
-            assert cont.exit_ray == start.exit_ray
-            r, p, z = fan.saddle
-            apart = min(np.linalg.norm(trapanalysis._frame(cont.saddle)[0]
-                                       - trapanalysis._frame(s)[0])
-                        for s in ((r, p, z), (r, 2.0 * m[1] - p, z)))
-            assert apart <= 1e-6
-
-    @pytest.mark.parametrize("fault", ("newton", "bound"))
-    def test_uncertified_continuation_falls_back_to_the_fan(
-            self, suite, monkeypatch, fault):
-        # with start given, a continuation that _newton does not certify,
-        # or whose barrier exceeds the re-marched exit ray's, gives way to
-        # the fan, whose result is the cold search's bit for bit
-        start = _tau0_escape(suite, "he11-te01")
-        row = suite.sens("he11-te01")["rows"][2]
-        field_ = config.make_field(replace(suite.cfg("he11-te01"),
-                                           tau=row["tau"]))
-        m = _row_minimum(row)
-        cold = trapanalysis.escape_barrier(field_, m)
-        # the certified continuation differs from the fan in the last bits
-        assert trapanalysis.escape_barrier(field_, m, start=start) != cold
-        if fault == "newton":
+    @pytest.mark.parametrize("fault", ("bracket", "ridge", "surface"))
+    def test_uncertified_flood_saddle_raises(self, suite, field1, monkeypatch,
+                                             fault):
+        m = suite.minimum("he11-te01")
+        if fault == "bracket":
+            # a polish that lands on another first-order saddle, the crest
+            # of the light wall toward the surface, about 4.9 times higher
             newton = trapanalysis._newton
+            crest = newton(field1, (429.35, m[1], m[2]), 1)
+            barrier = (potential.total_potential(field1, *crest)
+                       - potential.total_potential(field1, *m))
+            assert barrier > 4.0 * suite.report("he11-te01").base[1].depth_j
+            monkeypatch.setattr(trapanalysis, "_newton",
+                                lambda field_, point, negatives: crest)
+            match = "grid tolerance"
+        elif fault == "ridge":
+            # a beat ridge no higher than the floor: escape along z is free
+            valley = trapanalysis._valley
 
-            def failing(field_, point, negatives):
-                if point == start.saddle:
-                    raise NoTrapError("saddle search did not converge")
-                return newton(field_, point, negatives)
+            def flat(*args):
+                v, ridge, zs = valley(*args)
+                return v, 0.0 * ridge, zs
 
-            monkeypatch.setattr(trapanalysis, "_newton", failing)
+            monkeypatch.setattr(trapanalysis, "_valley", flat)
+            match = "beat ridge"
         else:
-            march = trapanalysis._march
-
-            def lowered(field_, minimum, umin, d_local):
-                # the one-ray march of the exit ray reads half its barrier
-                k, barrier = march(field_, minimum, umin, d_local)
-                return k, 0.5 * barrier if len(d_local) == 1 else barrier
-
-            monkeypatch.setattr(trapanalysis, "_march", lowered)
-        assert trapanalysis.escape_barrier(field_, m, start=start) == cold
+            # te01-he21 at tau = 0.58: the flood crosses the light wall
+            # toward the surface (8.6e-27 J above the minimum on the radial
+            # line) before any outward pass (5.3e-26 J)
+            field_ = suite.field("te01-he21")
+            field1 = replace(field_, pair=replace(field_.pair, tau=0.58))
+            m = trapanalysis.find_minimum(field1, suite.cfg("te01-he21").seed)
+            match = "toward the surface"
+        with pytest.raises(NoTrapError, match=match):
+            trapanalysis.escape_barrier(field1, m)
 
     @pytest.mark.parametrize("bad", ("positive definite", "nan", "nan above"))
     def test_uncertified_saddle_raises(self, suite, field1, monkeypatch, bad):
@@ -565,20 +483,16 @@ class TestEscapeBarrier:
             return g, h
 
         m = suite.minimum("he11-te01")
-        start = _tau0_escape(suite, "he11-te01")
         monkeypatch.setattr(potential, "potential_derivatives", broken)
         with pytest.raises(NoTrapError, match="saddle search"):
             trapanalysis.escape_barrier(field1, m)
-        # a continuation that fails too leaves the fan's error
-        with pytest.raises(NoTrapError, match="saddle search"):
-            trapanalysis.escape_barrier(field1, m, start=start)
         if bad != "positive definite":
             with pytest.raises(NoTrapError, match="minimum search"):
                 trapanalysis.find_minimum(field1,
                                           suite.cfg("he11-te01").seed)
 
     def test_depth_bounded_by_axis_barriers(self, suite, field1):
-        # the full directional scan can only find a barrier at or below
+        # the flood over every path can only find a barrier at or below
         # the barrier of any single axis cut
         m = suite.minimum("he11-te01")
         esc = trapanalysis.escape_barrier(field1, m)
@@ -752,29 +666,12 @@ class TestTauSensitivity:
             base=report1.base)
         assert sens == suite.sens("he11-te01")
 
-    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
-    def test_warm_rows_match_cold_searches(self, suite, name):
-        # the perturbed rows are polished from the tau0 minimum; a search
-        # from the seed scan finds the same minimum and depth
-        cfg = suite.cfg(name)
-        rows = suite.sens(name)["rows"]
-        for row in (rows[0], rows[2]):
-            field_ = config.make_field(replace(cfg, tau=row["tau"]))
-            r, p, z = trapanalysis.find_minimum(field_, cfg.seed)
-            depth = potential.as_millikelvin(
-                trapanalysis.escape_barrier(field_, (r, p, z)).depth_j)
-            got = row["minimum"]
-            assert abs(got["r_nm"] - r) <= 1e-6
-            assert abs(got["phi_rad"] - p) * r <= 1e-6
-            assert abs(got["z_nm"] - z) <= 1e-6
-            assert row["depth_mk"] == pytest.approx(depth, rel=1e-10)
-
-    def test_report_runs_one_seed_scan(self, seed_scans, tmp_path):
-        # the characterization scans the seed box once; the tau0 row
-        # reuses its minimum and the perturbed rows start from it
+    def test_report_runs_one_seed_scan_per_split(self, seed_scans, tmp_path):
+        # the characterization scans the seed box once and the tau0 row
+        # reuses its minimum; each perturbed row scans its own split
         assert cli.main(["report", "--preset", "he11-te01",
                          "--out", str(tmp_path / "report.json")]) == 0
-        assert len(seed_scans) == 1
+        assert len(seed_scans) == 3
 
     def test_report_runs_three_escape_searches_and_two_quadratures(
             self, monkeypatch, tmp_path):
@@ -801,22 +698,3 @@ class TestTauSensitivity:
         # splits re-weight the solved pair
         assert counts == {"escape_barrier": 3, "make_field": 1,
                           "solve_mode": 2, "mode_power": 2}
-
-    @pytest.mark.parametrize("command", ("report", "sweep-tau"))
-    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
-    def test_one_escape_fan_per_command(self, monkeypatch, tmp_path, command,
-                                        name):
-        # the full-sphere fan runs at tau0 only; each perturbed row marches
-        # the tau0 exit ray alone to bound its continued saddle
-        march = trapanalysis._march
-        rays = []
-
-        def counted(field_, minimum, umin, d_local):
-            rays.append(len(d_local))
-            return march(field_, minimum, umin, d_local)
-
-        monkeypatch.setattr(trapanalysis, "_march", counted)
-        assert cli.main([command, "--preset", name,
-                         "--out", str(tmp_path / "out")]) == 0
-        assert rays[0] > 1
-        assert rays[1:] == [1, 1]
