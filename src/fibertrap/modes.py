@@ -2,7 +2,10 @@
 
 Solves the exact vectorial eigenvalue problem for the propagation constant,
 censuses which modes propagate at a given V parameter, and evaluates the full
-complex E and H fields inside and outside the core. Conventions:
+complex E and H fields inside and outside the core: transverse_fields gives
+the three cylindrical components of the z = 0 profile unstacked, and
+e_field and h_field stack them and apply the phase e^{-i beta z}.
+Conventions:
 
 * harmonic dependence exp(i(omega t - beta z)), fields in V/m and A/m,
   evaluated at t = 0: only time-averaged quantities (intensity, Poynting
@@ -448,7 +451,9 @@ def _z_amplitudes(sol):
 
 
 def _phase(sol, z_nm):
-    return np.exp(-1j * sol.beta_per_nm * np.asarray(z_nm, dtype=float))
+    """e^{-i beta z} on z's own shape, with a trailing axis for the components."""
+    z = np.asarray(z_nm, dtype=float)
+    return np.exp(-1j * sol.beta_per_nm * z)[..., np.newaxis]
 
 
 def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
@@ -461,6 +466,11 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
     and -1/q^2 outside; pre carries that sign flip. TE and TM are the
     nu = 0 case: every nu term vanishes and cos or sin of chi = psi picks
     their components.
+
+    r and phi need not share a shape: every Bessel value and radial factor
+    is computed on r's shape and cos/sin chi on phi's, and each component
+    is a radial factor times one of them, so it has their broadcast shape
+    (r's alone for nu = 0, where chi is a scalar).
 
     With jacobian (E outside the core only) the result is (e, de_dr,
     de_dphi, d2e_dr2, d2e_drdphi): the three components and their first
@@ -530,30 +540,32 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
             (-nu * gr * ss, nu * gp * cc, -nu * gz * ss))
 
 
-def _fields_cyl(sol, r_nm, phi, z_nm, want_h):
-    """Shared evaluator for e_field / h_field, vectorized over broadcastable inputs.
+def transverse_fields(sol, r_nm, phi, want_h=False):
+    """E (or H, with want_h) transverse profile at z = 0: (F_r, F_phi, F_z).
 
-    z enters a guided mode only through its phase, E(r, phi, z) =
-    E_perp(r, phi) e^{-i beta z}, so the transverse part is evaluated on the
-    broadcast of r and phi alone and the phase on z's own shape; their
-    elementwise product broadcasts to the full shape.
+    Three arrays of the broadcast shape of r and phi, in V/m or A/m, complex
+    but for the vanishing E_z of TE and H_z of TM; the mode's field is this
+    profile times e^{-i beta z}. When every point lies on one side of the
+    core boundary, r and phi keep their own shapes through the kernel, so
+    open axes r[:, None], phi[None, :] cost one Bessel evaluation per
+    radius and one cos/sin per azimuth, and the components broadcast only
+    at the end (as read-only views). A batch that crosses the boundary is
+    broadcast and split into its interior and exterior points.
     """
     r = np.maximum(np.asarray(r_nm, dtype=float), _R_FLOOR_NM)
-    r, phi = np.broadcast_arrays(r, np.asarray(phi, dtype=float))
-    phase = _phase(sol, z_nm)[..., np.newaxis]
+    phi = np.asarray(phi, dtype=float)
+    shape = np.broadcast_shapes(r.shape, phi.shape)
     inner = r <= sol.fiber.radius_nm
-    if not inner.any():
-        # all-exterior batches (escape fans, the outer power quadrature)
-        # need no boolean gathers and scatters
-        return np.stack(_side_fields(sol, r, phi, want_h, True),
-                        axis=-1) * phase
-    out = np.zeros(r.shape + (3,), dtype=complex)
+    if inner.all() or not inner.any():
+        return tuple(np.broadcast_to(val, shape) for val in
+                     _side_fields(sol, r, phi, want_h, not inner.any()))
+    r, phi, inner = np.broadcast_arrays(r, phi, inner)
+    comps = tuple(np.zeros(shape, dtype=complex) for _ in range(3))
     for side, outside in ((inner, False), (~inner, True)):
-        if side.any():
-            vals = _side_fields(sol, r[side], phi[side], want_h, outside)
-            for k in range(3):
-                out[side, k] = vals[k]
-    return out * phase
+        vals = _side_fields(sol, r[side], phi[side], want_h, outside)
+        for comp, val in zip(comps, vals):
+            comp[side] = val
+    return comps
 
 
 def e_field(sol, r_nm, phi, z_nm):
@@ -561,21 +573,25 @@ def e_field(sol, r_nm, phi, z_nm):
 
     Inputs broadcast; the result has one trailing axis of length 3. Valid on
     both sides of the core boundary; on-axis points return the finite limit.
-    E(r, phi, z) = E_perp(r, phi) e^{-i beta z}: the transverse part is
-    evaluated on the broadcast of r and phi alone, so open axes such as
-    r[:, None, None], phi[None, :, None], z[None, None, :] cost one
-    transverse evaluation per (r, phi), whatever the number of z values.
+    E(r, phi, z) = E_perp(r, phi) e^{-i beta z}: the transverse part
+    (transverse_fields) is evaluated on r and phi alone and the phase on
+    z's own shape, so open axes such as r[:, None, None], phi[None, :, None],
+    z[None, None, :] cost one transverse evaluation per (r, phi), whatever
+    the number of z values, and, when the radii lie on one side of the
+    core, one Bessel evaluation per r and one cos/sin per phi.
     """
-    return _fields_cyl(sol, r_nm, phi, z_nm, want_h=False)
+    return np.stack(transverse_fields(sol, r_nm, phi), axis=-1) * _phase(
+        sol, z_nm)
 
 
 def h_field(sol, r_nm, phi, z_nm):
     """Complex magnetic field in cylindrical components (H_r, H_phi, H_z), A/m.
 
     Broadcasts as e_field: H(r, phi, z) = H_perp(r, phi) e^{-i beta z}, with
-    the transverse part evaluated on the broadcast of r and phi alone.
+    the transverse part evaluated on r and phi alone.
     """
-    return _fields_cyl(sol, r_nm, phi, z_nm, want_h=True)
+    return np.stack(transverse_fields(sol, r_nm, phi, want_h=True),
+                    axis=-1) * _phase(sol, z_nm)
 
 
 def e_field_exterior_jacobian(sol, r_nm, phi, z_nm):
@@ -587,16 +603,19 @@ def e_field_exterior_jacobian(sol, r_nm, phi, z_nm):
     (r, phi, z), per nm of r and z and per rad of phi. d2/dphi2 is a factor
     of -nu^2 and d/dz one of -i beta. Valid only for r > a (raises
     ValueError otherwise). As in e_field, E(r, phi, z) = E_perp(r, phi)
-    e^{-i beta z}: the transverse part and its derivatives are evaluated on
-    the broadcast of r and phi alone and multiplied by the phase.
+    e^{-i beta z}: the transverse part and its derivatives are evaluated
+    with r and phi on their own shapes, broadcast, and multiplied by the
+    phase.
     """
     r = np.asarray(r_nm, dtype=float)
     if np.any(r <= sol.fiber.radius_nm):
         raise ValueError("exterior jacobian requires r > fiber radius")
-    r, phi = np.broadcast_arrays(r, np.asarray(phi, dtype=float))
-    phase = _phase(sol, z_nm)[..., np.newaxis]
+    phi = np.asarray(phi, dtype=float)
+    shape = np.broadcast_shapes(r.shape, phi.shape)
+    phase = _phase(sol, z_nm)
     e, dr, dphi, drr, drphi = (
-        np.stack(vals, axis=-1) * phase for vals in
+        np.stack([np.broadcast_to(val, shape) for val in vals],
+                 axis=-1) * phase for vals in
         _side_fields(sol, r, phi, False, True, jacobian=True))
     kz = -1j * sol.beta_per_nm
     de = np.stack([dr, dphi, kz * e], axis=-2)
@@ -630,22 +649,23 @@ def mode_power(sol):
     The azimuthal integral is exact: every component is cos or sin of
     (nu phi + psi), so the azimuthal average of the Poynting density is half
     the sum of its values at the two quadrature azimuths (all of it at one
-    azimuth for nu = 0). The core is one Gauss-Legendre rule in r. The
-    cladding is one in t = ln(r/a), which keeps the K_nu tail smooth even
-    near cutoff, where it decays slowly; it ends at q (r - a) = 40, where
-    K_nu(q r)^2 has fallen by e^-80.
+    azimuth for nu = 0), all evaluated in one call on open axes, the radial
+    nodes against the azimuths. The core is one Gauss-Legendre rule in r.
+    The cladding is one in t = ln(r/a), which keeps the K_nu tail smooth
+    even near cutoff, where it decays slowly; it ends at q (r - a) = 40,
+    where K_nu(q r)^2 has fallen by e^-80.
     """
     nu = sol.mode.nu
     if nu == 0:
-        phis = (0.0,)
+        phis = np.array([0.0])
         weight = 2.0 * np.pi
     else:
         _, _, psi = _z_amplitudes(sol)
-        phis = ((0.0 - psi) / nu, (0.5 * np.pi - psi) / nu)
+        phis = np.array([(0.0 - psi) / nu, (0.5 * np.pi - psi) / nu])
         weight = np.pi
 
     def ring(r):
-        return sum(_axial_poynting(sol, r, p) for p in phis) * r
+        return sum(_axial_poynting(sol, r[:, np.newaxis], phis).T) * r
 
     a = sol.fiber.radius_nm
     inner = numerics.integrate(ring, 0.0, a)

@@ -134,11 +134,16 @@ def beat_terms(pair, r_nm, phi):
         mean_intensity = (c eps0 / 2) [S + 2 Re(X e^{-i dbeta z})],
 
     one harmonic in z. S is real, X complex; both broadcast over r and phi.
+    They are summed over the three cylindrical components of
+    modes.transverse_fields, never stacked, so open axes r[:, None],
+    phi[None, :] off the core cost one Bessel evaluation per r and one
+    cos/sin per phi.
     """
-    ea = modes.e_field(pair.sol_a, r_nm, phi, 0.0)
-    eb = modes.e_field(pair.sol_b, r_nm, phi, 0.0)
-    s = np.sum(np.abs(ea) ** 2 + np.abs(eb) ** 2, axis=-1)
-    return s, np.exp(1j * pair.delta) * np.sum(ea * np.conj(eb), axis=-1)
+    ea = modes.transverse_fields(pair.sol_a, r_nm, phi)
+    eb = modes.transverse_fields(pair.sol_b, r_nm, phi)
+    s0, s1, s2 = (np.abs(a) ** 2 + np.abs(b) ** 2 for a, b in zip(ea, eb))
+    x0, x1, x2 = (a * np.conj(b) for a, b in zip(ea, eb))
+    return s0 + s1 + s2, np.exp(1j * pair.delta) * (x0 + x1 + x2)
 
 
 def beat_length(pair):

@@ -349,13 +349,14 @@ def _flood(field_, minimum):
     out to _REACH_NM beyond the minimum, and _FLOOD_PHI azimuths over the
     full circle, centred on the minimum's. It holds no cell within the pad,
     so the surface is a wall. From the cell nearest the minimum, cells are
-    taken in increasing V, ties broken by the heap key (V, i, j), their
-    neighbours in r and (cyclically) in phi queued as they are found, until
-    a cell of the outermost radius is taken. The spill level is the highest
-    V taken; the pass is the first cell taken at it, and the basin every
-    cell taken up to the pass. Returns the level in J, its tolerance (the
-    largest V step from the pass to a neighbour) and the pass as (r_nm, phi,
-    z*), z* nearest the minimum's z. Raises NoTrapError when the minimum
+    taken in increasing V, ties broken by the flat cell index i _FLOOD_PHI
+    + j (so in (i, j) order), their neighbours in r and (cyclically) in phi
+    queued as they are found, until a cell of the outermost radius is
+    taken. The spill level is the highest V taken; the pass is the first
+    cell taken at it, and the basin every cell taken up to the pass.
+    Returns the level in J, its tolerance (the largest V step from the pass
+    to a neighbour) and the pass as (r_nm, phi, z*), z* nearest the
+    minimum's z. Raises NoTrapError when the minimum
     lies within the surface pad; when the basin reaches the innermost
     radius, so that the light wall toward the surface is lower than every
     escape; and when the beat ridge V + 4 kappa' |X| of a basin cell is not
@@ -370,38 +371,45 @@ def _flood(field_, minimum):
     pp = p0 + 2.0 * np.pi / _FLOOD_PHI * (np.arange(_FLOOD_PHI)
                                           - _FLOOD_PHI // 2)
     v, ridge, zs = _valley(field_, rr[:, None], pp[None, :], z0)
+    # cells go by flat index k = i * _FLOOD_PHI + j; from outer on, they
+    # lie on the outermost radius
+    outer = (_FLOOD_R - 1) * _FLOOD_PHI
 
-    def around(i, j):
-        return [(ni, nj) for ni, nj in ((i - 1, j), (i + 1, j),
-                                        (i, (j - 1) % _FLOOD_PHI),
-                                        (i, (j + 1) % _FLOOD_PHI))
-                if 0 <= ni < _FLOOD_R]
+    def around(k):
+        row = k - k % _FLOOD_PHI
+        cells = [row + (k - 1) % _FLOOD_PHI, row + (k + 1) % _FLOOD_PHI]
+        if k >= _FLOOD_PHI:
+            cells.append(k - _FLOOD_PHI)
+        if k < outer:
+            cells.append(k + _FLOOD_PHI)
+        return cells
 
-    values = v.tolist()
-    i, j = int(np.argmin(np.abs(gap - (r0 - a)))), _FLOOD_PHI // 2
+    k = (int(np.argmin(np.abs(gap - (r0 - a)))) * _FLOOD_PHI
+         + _FLOOD_PHI // 2)
     taken = []
-    queued = np.zeros(v.shape, dtype=bool)
-    queued[i, j] = True
-    heap = [(values[i][j], i, j)]
+    queued = bytearray(v.size)
+    queued[k] = 1
+    heap = [(v.item(k), k)]
     level, last = -math.inf, 0
-    while i < _FLOOD_R - 1:
-        u, i, j = heapq.heappop(heap)
-        taken.append((i, j))
+    while k < outer:
+        u, k = heapq.heappop(heap)
+        taken.append(k)
         if u > level:
             level, last = u, len(taken)
-        for cell in around(i, j):
+        for cell in around(k):
             if not queued[cell]:
-                queued[cell] = True
-                heapq.heappush(heap, (values[cell[0]][cell[1]], *cell))
-    basin = tuple(np.array(taken[:last]).T)
-    if (basin[0] == 0).any():
+                queued[cell] = 1
+                heapq.heappush(heap, (v.item(cell), cell))
+    basin = np.array(taken[:last])
+    if (basin < _FLOOD_PHI).any():
         raise NoTrapError("the light wall toward the surface lies below the "
                           "spill level")
-    if not np.all(v[basin] + ridge[basin] > level):
+    if not np.all(v.flat[basin] + ridge.flat[basin] > level):
         raise NoTrapError("the beat ridge lies below the spill level: an "
                           "escape along z may be lower")
-    i, j = taken[last - 1]
-    tol = max(abs(values[ni][nj] - level) for ni, nj in around(i, j))
+    k = taken[last - 1]
+    tol = max(abs(v.item(cell) - level) for cell in around(k))
+    i, j = divmod(k, _FLOOD_PHI)
     return level, tol, (float(rr[i]), float(pp[j]), float(zs[i, j]))
 
 

@@ -328,16 +328,28 @@ class TestExteriorFastPath:
                                       mixed[out])
 
 
+def same_bits(got, want):
+    """Equal shape, dtype and bytes: signed zeros count too."""
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+
+
 class TestOpenOperands:
     """Open axes give the bits of the meshgrid arrays they broadcast to.
 
-    The field kernel evaluates the transverse part on the broadcast of r and
-    phi alone and multiplies it by the phase on z's own shape, so each
-    element is still its transverse value times its phase.
+    The field kernel evaluates the transverse part on r and phi alone and
+    multiplies it by the phase on z's own shape; when every radius lies on
+    one side of the core, r and phi also keep their own shapes through the
+    kernel. Each element still goes through the same operations, so it is
+    its transverse value times its phase, bit for bit.
     """
 
     PHI = np.linspace(-math.pi, math.pi, 7)
     Z = np.linspace(-2500.0, 2500.0, 5)
+    RADII = {"interior": np.linspace(0.0, 1.0, 11),
+             "exterior": np.linspace(1.01, 3.0, 11),
+             "mixed": np.linspace(0.5, 1.5, 11)}
 
     def operands(self, r):
         opened = (r[:, None, None], self.PHI[None, :, None],
@@ -361,6 +373,25 @@ class TestOpenOperands:
         assert [g.shape for g in got] == [(9, 7, 5, 3), (9, 7, 5, 3, 3),
                                           (9, 7, 5, 3, 3, 3)]
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("side", ["interior", "exterior", "mixed"])
+    @pytest.mark.parametrize("name", ["HE11", "TE01", "TM01", "HE21"])
+    def test_transverse_fields_on_open_axes(self, solved, name, side):
+        # interior includes the axis and r = a; for TE01 and TM01 (nu = 0)
+        # chi is a scalar, so one side's components come back on r's shape
+        # alone and must still broadcast over phi
+        sol = solved[name]
+        r = self.RADII[side] * FIBER.radius_nm
+        rr, pp = np.meshgrid(r, self.PHI, indexing="ij")
+        for want_h in (False, True):
+            got = modes.transverse_fields(sol, r[:, None], self.PHI[None, :],
+                                          want_h)
+            want = modes.transverse_fields(sol, rr, pp, want_h)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+            assert [g.shape for g in got] == [(11, 7)] * 3
+        for fn in (modes.e_field, modes.h_field):
+            assert same_bits(fn(sol, r[:, None], self.PHI[None, :], 0.0),
+                             fn(sol, rr, pp, 0.0))
 
     def test_z_with_more_dimensions_than_r_and_phi(self, solved):
         r = np.linspace(200.0, 900.0, 6)
@@ -461,6 +492,35 @@ class TestPower:
             monkeypatch.setattr(modes, "mode_power", lambda sol: power)
             with pytest.raises(ConvergenceError):
                 modes.solve_mode(FIBER, WL, "TE01")
+
+    @pytest.mark.parametrize("name", ["HE11", "TE01", "TM01", "HE21"])
+    def test_power_equals_one_call_per_azimuth(self, solved, name):
+        # mode_power takes its quadrature azimuths in one open-axis call;
+        # the power is that of one call per azimuth, added in the same
+        # order, bit for bit, so unit_power_w does not move
+        sol = solved[name]
+        nu = sol.mode.nu
+        psi = modes._z_amplitudes(sol)[2]
+        phis = ((0.0,) if nu == 0 else
+                ((0.0 - psi) / nu, (0.5 * math.pi - psi) / nu))
+
+        def ring(r):
+            total = 0
+            for p in phis:
+                e = modes.e_field(sol, r, p, 0.0)
+                h = modes.h_field(sol, r, p, 0.0)
+                total = total + 0.5 * np.real(e[..., 0] * np.conj(h[..., 1])
+                                              - e[..., 1] * np.conj(h[..., 0]))
+            return total * r
+
+        a = sol.fiber.radius_nm
+        inner = numerics.integrate(ring, 0.0, a)
+        outer = numerics.integrate(
+            lambda t: ring(a * np.exp(t)) * a * np.exp(t),
+            0.0, np.log1p(40.0 / sol.w))
+        weight = 2.0 * math.pi if nu == 0 else math.pi
+        assert sol.unit_power_w == weight * (inner + outer) * 1e-18
+        assert modes.mode_power(sol) == sol.unit_power_w
 
     def test_normalization_reads_the_stored_power(self, solved,
                                                   monkeypatch):

@@ -84,6 +84,27 @@ class TestBeatTerms:
         want = superposition.mean_intensity(pair, r, phi, z)
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_open_grid_equals_stacked_fields(self, suite, name):
+        # the escape flood's 100 x 180 polar grid on open axes: one Bessel
+        # evaluation per radius and one cos/sin per azimuth give the bits
+        # of the meshgrid, and S and X summed over the components give
+        # those of the stacked e_field arrays at z = 0, signed zeros too,
+        # so arg X, and the dark phase z* built from it, cannot move
+        pair = replace(suite.pair(name), delta=2.5)
+        r = pair.fiber.radius_nm + np.geomspace(0.5, 2500.0, 100)
+        phi = 2.0 * math.pi / 180 * (np.arange(180) - 90)
+        rr, pp = np.meshgrid(r, phi, indexing="ij")
+        got = superposition.beat_terms(pair, r[:, None], phi[None, :])
+        ea = modes.e_field(pair.sol_a, rr, pp, 0.0)
+        eb = modes.e_field(pair.sol_b, rr, pp, 0.0)
+        stacked = (np.sum(np.abs(ea) ** 2 + np.abs(eb) ** 2, axis=-1),
+                   np.exp(2.5j) * np.sum(ea * np.conj(eb), axis=-1))
+        for want in (superposition.beat_terms(pair, rr, pp), stacked):
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (100, 180)
+                assert g.tobytes() == w.tobytes()
+
 
 class TestPowerBookkeeping:
     def test_member_shares(self, suite):

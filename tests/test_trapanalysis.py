@@ -176,6 +176,26 @@ class TestFindMinimum:
         assert len(seed_scans) == len(cases)
         assert max(sizes) <= trapanalysis._GRID_R * trapanalysis._GRID_PHI
 
+    @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
+    def test_bessel_work_once_per_radius(self, suite, name, monkeypatch):
+        # the seed scan and the escape flood grid lie outside the core, so
+        # the field kernel evaluates K once per radius of each grid (61 and
+        # 100 radii), not once per (r, phi) cell (1525 and 18000 cells)
+        bessel_k = numerics.bessel_k_orders
+        sizes = []
+
+        def counted(x, top):
+            sizes.append(np.size(x))
+            return bessel_k(x, top)
+
+        monkeypatch.setattr(numerics, "bessel_k_orders", counted)
+        field_ = suite.field(name)
+        minimum = trapanalysis.find_minimum(field_, suite.cfg(name).seed)
+        assert max(sizes) == trapanalysis._GRID_R
+        sizes.clear()
+        trapanalysis.escape_barrier(field_, minimum)
+        assert max(sizes) == trapanalysis._FLOOD_R
+
     @pytest.mark.parametrize("name,delta", [
         ("he11-te01", 0.0), ("he11-he21", 0.0), ("te01-he21", 0.0),
         # from its 3-D seed cell the halving search takes 13 Newton
