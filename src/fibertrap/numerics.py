@@ -8,12 +8,14 @@ for the arguments the mode solver produces (J at |x| <= 6.5, K at x in
 (0, 45]): power series for J_0..J_4 and for K_0, K_1 at x <= 2 (Abramowitz &
 Stegun 9.1.10, 9.6.10-9.6.13), and beyond 2 a fit of e^x sqrt(x) K_0,1(x) in
 4/x - 1. Root finding is a Python port of scipy's brentq.c (Brent's method),
-which gives the same roots bit for bit. The package imports no scipy module.
+which gives the same roots bit for bit, and the Gauss-Legendre rule a port
+of numpy's leggauss, which gives the same nodes and weights bit for bit. The
+series tables are built with integer arithmetic, so the package imports no
+scipy, numpy.random, numpy.polynomial or fractions module.
 """
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +32,9 @@ _GAUSS_NODES = 48
 # branches its own points need.
 _BLOCK = 32768
 
-_EULER_GAMMA = Fraction("0.57721566490153286060651209008240243104215933594")
+# Euler's gamma to 47 digits: _GAMMA_NUM / 10**47
+_GAMMA_NUM = 57721566490153286060651209008240243104215933594
+_GAMMA_DEN = 10 ** 47
 
 
 class _Polys:
@@ -67,7 +71,28 @@ class _Polys:
 
 
 def _harmonic(k):
-    return sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
+    """The k-th harmonic number as an integer pair (numerator, denominator)."""
+    num, den = 0, 1
+    for j in range(1, k + 1):
+        num, den = num * j + den, den * j
+    return num, den
+
+
+def _harmonic_pair(k):
+    """H_k + H_(k+1) = 2 H_k + 1/(k+1) as an integer pair."""
+    num, den = _harmonic(k)
+    return 2 * (k + 1) * num + den, (k + 1) * den
+
+
+def _minus_gamma(h, m, div):
+    """(h - m gamma) / div for h = (num, den) and integers m, div.
+
+    One int / int true division, which Python rounds correctly, so the float
+    is the one float(Fraction) gives for the same rational.
+    """
+    num, den = h
+    return ((num * _GAMMA_DEN - m * _GAMMA_NUM * den)
+            / (den * _GAMMA_DEN * div))
 
 
 # J_n(x) = (x/2)^n sum_k (-y)^k / (k! (k+n)!) with y = x^2/4 (A&S 9.1.10),
@@ -78,7 +103,7 @@ def _harmonic(k):
 J_MAX_ARG = 8.0
 J_MAX_ORDER = 4
 _J_SERIES = _Polys(*(
-    [Fraction((-1) ** k, math.factorial(k) * math.factorial(k + n))
+    [(-1) ** k / (math.factorial(k) * math.factorial(k + n))
      for k in range(21)] for n in range(J_MAX_ORDER + 1)))
 
 # K_0 and K_1 at x <= 2 from four series in y = x^2/4 (A&S 9.6.10, 9.6.11,
@@ -86,13 +111,15 @@ _J_SERIES = _Polys(*(
 #   I_0(x),  sum (H_k - gamma) y^k / k!^2,  I_1(x) / (x/2),
 #   sum (psi(k+1) + psi(k+2))/2 y^k / (k! (k+1)!);
 # K_0 = row1 - ln(x/2) row0 and K_1 = 1/x + (x/2)(ln(x/2) row2 - row3).
-# 14 terms reach full precision at y = 1.
+# 14 terms reach full precision at y = 1. Each coefficient is one exact
+# rational rounded once.
 _K_NEAR = _Polys(
-    [Fraction(1, math.factorial(k) ** 2) for k in range(14)],
-    [(_harmonic(k) - _EULER_GAMMA) / math.factorial(k) ** 2 for k in range(14)],
-    [Fraction(1, math.factorial(k) * math.factorial(k + 1)) for k in range(14)],
-    [(_harmonic(k) + _harmonic(k + 1) - 2 * _EULER_GAMMA)
-     / (2 * math.factorial(k) * math.factorial(k + 1)) for k in range(14)])
+    [1 / math.factorial(k) ** 2 for k in range(14)],
+    [_minus_gamma(_harmonic(k), 1, math.factorial(k) ** 2) for k in range(14)],
+    [1 / (math.factorial(k) * math.factorial(k + 1)) for k in range(14)],
+    [_minus_gamma(_harmonic_pair(k), 2,
+                  2 * math.factorial(k) * math.factorial(k + 1))
+     for k in range(14)])
 
 # e^x sqrt(x) K_0(x) and e^x sqrt(x) K_1(x) at x > 2 as polynomials in
 # t = 4/x - 1, which maps (2, inf) onto (-1, 1). The coefficients are a
@@ -336,14 +363,58 @@ def find_root(f, lo, hi, tol=1e-12):
         f"root iteration failed to converge in {_ROOT_MAX_ITER} steps, last x={xcur!r}")
 
 
+def _legval(x, c):
+    """Legendre series sum c[k] P_k(x) by numpy's legval Clenshaw recurrence.
+
+    The same operations in the same order as numpy 2.4's legval, so the
+    same bits.
+    """
+    if len(c) == 1:
+        c0, c1 = c[0], 0.0
+    elif len(c) == 2:
+        c0, c1 = c
+    else:
+        nd = len(c)
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            tmp = c0
+            nd = nd - 1
+            c0 = c[-i] - c1 * ((nd - 1) / nd)
+            c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_rule(n):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    Built once per n; the arrays are read-only because every caller shares
-    them.
+    A port of numpy.polynomial.legendre.leggauss (numpy 2.4), bit for bit:
+    the eigenvalues of P_n's scaled symmetric companion matrix, one Newton
+    step on P_n, and weights 1 / (P_(n-1) P_n') scaled to sum to 2, both
+    symmetrized. Built once per n; the arrays are read-only because every
+    caller shares them.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    mat = np.zeros((n, n))
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat.reshape(-1)[1::n + 1] = off
+    mat.reshape(-1)[n::n + 1] = off
+    x = np.linalg.eigvalsh(mat)
+    # P_n as a series, and P_n' = sum (2k + 1) P_k over k = n-1, n-3, ...,
+    # the integers legder gives
+    c = [0.0] * n + [1.0]
+    der = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0
+           for k in range(n)]
+    dy = _legval(x, c)
+    df = _legval(x, der)
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -23,7 +23,11 @@ potential and checked the curvatures only after converging, so the
 curvature-gated search can be checked to return the same minima.  The
 scalar turning points march each axis one potential call per sample and
 stop at the first sample at or above the target, so the batched march of
-trapanalysis can be checked to bracket and return the same roots.
+trapanalysis can be checked to bracket and return the same roots.  The
+sampled orbit rate is the earlier Monte-Carlo orbit average, 4,096 draws of
+a flat Dirichlet energy split and uniform phases from a seeded generator, so
+the product rule of trapanalysis can be checked to lie within its sampling
+error.
 """
 
 import csv
@@ -385,3 +389,32 @@ def scalar_turning_points(field_, minimum, energy_j):
                 f"{('radial', 'azimuthal', 'axial')[axis]}")
         out[axis] = (s_in, s_out)
     return out
+
+
+ORBIT_SAMPLES = 4096
+ORBIT_SEED = 20260822
+
+
+def sampled_orbit_rate(field_, minimum, extents):
+    """Monte-Carlo orbit-averaged scattering rate and its standard error.
+
+    The same ensemble as trapanalysis.orbit_averaged_scattering, drawn:
+    ORBIT_SAMPLES flat Dirichlet energy splits and uniform phases on
+    (0, 2 pi), each axis displaced by its turning point on the side the
+    phase's sine points to, scaled by sqrt(E_axis / E_init) and the sine.
+    Returns (mean rate, standard error of the mean) in photons/s.
+    """
+    r, p, z = minimum
+    turns = np.asarray(extents, dtype=float)
+    rng = np.random.default_rng(ORBIT_SEED)
+    split = rng.dirichlet((1.0, 1.0, 1.0), size=ORBIT_SAMPLES)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(ORBIT_SAMPLES, 3))
+    scale = np.sqrt(split)
+    s = np.sin(phase)
+    disp = np.where(s >= 0.0,
+                    turns[None, :, 1] * scale * s,
+                    -turns[None, :, 0] * scale * s)
+    rates = potential.local_scattering_rate(
+        field_, r + disp[:, 0], p + disp[:, 1] / r, z + disp[:, 2])
+    return (float(np.mean(rates)),
+            float(np.std(rates, ddof=1) / np.sqrt(ORBIT_SAMPLES)))

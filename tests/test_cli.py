@@ -378,3 +378,31 @@ def test_commands_load_no_scipy(tmp_path):
     scipy_modules = [name for name in res.stderr.split()
                      if name == "scipy" or name.startswith("scipy.")]
     assert scipy_modules == []
+
+
+def test_commands_load_only_what_they_compute(tmp_path):
+    # the orbit average is a product rule and the Gauss-Legendre rule and
+    # the Bessel series tables are built in house, so no command loads
+    # numpy.random, numpy.polynomial or fractions (nor scipy) for them
+    commands = [
+        ["report", "--preset", "he11-te01", "--out", str(tmp_path / "r.json")],
+        ["sweep-tau", "--preset", "he11-te01",
+         "--out", str(tmp_path / "s.csv")],
+        ["grid", "--plane", "z=0", "--resolution", "5",
+         "--out", str(tmp_path / "grid.csv")],
+        ["dispersion", "--resolution", "3", "--out", str(tmp_path / "d.csv")],
+    ]
+    script = ("import sys\n"
+              "from fibertrap import cli\n"
+              + "".join(f"assert cli.main({args!r}) == 0\n"
+                        for args in commands)
+              + "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    unwanted = [name for name in res.stderr.split()
+                if name == "fractions"
+                or any(name == pkg or name.startswith(pkg + ".")
+                       for pkg in ("scipy", "numpy.random",
+                                   "numpy.polynomial"))]
+    assert unwanted == []

@@ -7,6 +7,7 @@ root finder ports scipy's brentq, so it is also checked against brentq itself
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -172,6 +173,29 @@ class TestBesselKernels:
             assert np.array([j[i] for j in batched]).tobytes() == (
                 np.array(j_orders(x, 0, 4)).tobytes())
 
+    def test_series_tables_match_exact_rationals(self):
+        # the integer-arithmetic tables against the same coefficients built
+        # as Fractions and rounded once by float(Fraction)
+        fact = math.factorial
+        gamma = Fraction("0.57721566490153286060651209008240243104215933594")
+
+        def harmonic(k):
+            return sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
+
+        j_rows = numerics._Polys(*(
+            [Fraction((-1) ** k, fact(k) * fact(k + n)) for k in range(21)]
+            for n in range(numerics.J_MAX_ORDER + 1)))
+        k_rows = numerics._Polys(
+            [Fraction(1, fact(k) ** 2) for k in range(14)],
+            [(harmonic(k) - gamma) / fact(k) ** 2 for k in range(14)],
+            [Fraction(1, fact(k) * fact(k + 1)) for k in range(14)],
+            [(harmonic(k) + harmonic(k + 1) - 2 * gamma)
+             / (2 * fact(k) * fact(k + 1)) for k in range(14)])
+        for ours, exact in ((numerics._J_SERIES, j_rows),
+                            (numerics._K_NEAR, k_rows)):
+            assert np.array(ours.rows).tobytes() == (
+                np.array(exact.rows).tobytes())
+
 
 class TestFindRoot:
     def test_known_root_of_sine(self):
@@ -331,6 +355,14 @@ class TestIntegrate:
     def test_non_finite_integrand(self):
         with pytest.raises(ConvergenceError):
             numerics.integrate(lambda x: np.full_like(x, math.nan), 0.0, 1.0)
+
+    def test_rule_matches_numpy_leggauss_bits(self):
+        legendre = pytest.importorskip("numpy.polynomial.legendre")
+        for n in range(1, 101):
+            x, w = numerics._gauss_rule(n)
+            ref_x, ref_w = legendre.leggauss(n)
+            assert x.tobytes() == ref_x.tobytes(), n
+            assert w.tobytes() == ref_w.tobytes(), n
 
     def test_rule_built_once(self):
         numerics._gauss_rule.cache_clear()

@@ -27,8 +27,8 @@ T1_DEPTH_MK = 0.8138646315177027
 T1_FREQ_KHZ = (721.7673990509142, 1218.3302874129045, 495.94288613504506)
 T1_EXTENTS = (50.65702830901065, 29.227191115936094, 71.79965927410065)
 T1_HARMONIC = (49.33027735591884, 29.224411762140534, 71.79251276112976)
-T1_RATE = 44.25877429773816
-T1_LIFETIME = 80.97076405150898
+T1_RATE = 44.30492897659376
+T1_LIFETIME = 80.88641272317648
 T1_Z0 = 4613.23625821996
 
 
@@ -552,6 +552,62 @@ class TestOrbitAveragedScattering:
         with pytest.raises(ValueError):
             trapanalysis.orbit_averaged_scattering(
                 field1, suite.minimum("he11-te01"), np.zeros((3,)))
+
+    @staticmethod
+    def orbit_case(suite, name):
+        field_, m = suite.field(name), suite.minimum(name)
+        turns = trapanalysis.turning_points(
+            field_, m, config.thermal_state(suite.cfg(name)).e_init)
+        return field_, m, turns
+
+    @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21"])
+    def test_within_sampling_error_of_the_draw(self, suite, name):
+        # the product rule integrates the ensemble the 4,096-sample draw
+        # samples, so it must lie within that draw's sampling error
+        case = self.orbit_case(suite, name)
+        mean, stderr = oracles.sampled_orbit_rate(*case)
+        rate = trapanalysis.orbit_averaged_scattering(*case)
+        assert abs(rate - mean) < 4.0 * stderr
+
+    @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21"])
+    def test_node_doubling_converged(self, suite, name, monkeypatch):
+        case = self.orbit_case(suite, name)
+        rate = trapanalysis.orbit_averaged_scattering(*case)
+        monkeypatch.setattr(trapanalysis, "_ORBIT_NODES",
+                            2 * trapanalysis._ORBIT_NODES)
+        doubled = trapanalysis.orbit_averaged_scattering(*case)
+        assert doubled == pytest.approx(rate, rel=1e-8)
+
+    def test_axial_fold_matches_the_full_product(self, suite):
+        # the same nodes with the axial phase sampled, not folded: every
+        # point of the 5-D product through local_scattering_rate
+        field_, (r, p, z), turns = self.orbit_case(suite, "he11-te01")
+        weight, scale, unit, phase_w = trapanalysis._orbit_rule(
+            turns, trapanalysis._ORBIT_NODES)
+        grid = (..., None, None, None)
+        rates = potential.local_scattering_rate(
+            field_, r + scale[0][grid] * unit[0][:, None, None],
+            p + scale[1][grid] * unit[1][:, None] / r,
+            z + scale[2][grid] * unit[2])
+        full = np.sum(weight * (rates @ phase_w @ phase_w @ phase_w))
+        assert trapanalysis.orbit_averaged_scattering(
+            field_, (r, p, z), turns) == pytest.approx(full, rel=1e-12)
+
+    def test_rule_moments(self):
+        # flat Dirichlet: <E_k / E_init> = 1/3 on every axis; uniform
+        # phase: <sin^2> = 1/2, on each side. The energy moments are
+        # trigonometric, not algebraic, polynomials in alpha, which 8 nodes
+        # integrate to about 1e-8 and 16 nodes to rounding
+        turns = np.array([[-1.0, 1.0]] * 3)
+        for nodes, rel in ((trapanalysis._ORBIT_NODES, 1e-7), (16, 1e-12)):
+            weight, scale, unit, phase_w = trapanalysis._orbit_rule(
+                turns, nodes)
+            assert np.sum(weight) == pytest.approx(1.0, rel=1e-12)
+            assert np.sum(phase_w) == pytest.approx(1.0, rel=1e-12)
+            for k in range(3):
+                assert np.sum(weight * scale[k] ** 2) == pytest.approx(
+                    1.0 / 3.0, rel=rel)
+                assert phase_w @ unit[k] ** 2 == pytest.approx(0.5, rel=1e-12)
 
 
 class TestLifetime:
