@@ -6,6 +6,8 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 import oracles
 from fibertrap import cli, config, floatrepr
+from fibertrap.errors import FibertrapError
 
 
 def run_cli(*args):
@@ -177,42 +180,51 @@ class TestGridText:
     """The grid CSV against per-cell repr plus csv.writer (oracles)."""
 
     @staticmethod
-    def grid_and_oracle(tmp_path, cfg):
+    def grid_text(tmp_path, cfg):
         path = tmp_path / "run.cfg"
         config.save_config(cfg, str(path))
         out = tmp_path / "grid.csv"
         assert cli.main(["grid", "--config", str(path), "--out",
                          str(out)]) == 0
+        return out.read_text()
+
+    @staticmethod
+    def oracle_text(cfg):
         fieldobj = config.make_field(cfg)
         x, y, z = cli._plane_points(cfg, fieldobj)
         cols = [x, y, z, *cli._grid_values(cfg, fieldobj, x, y, z)]
-        return out.read_text(), oracles.grid_csv_text(
-            cli._GRID_HEADERS[cfg.quantity], cols)
+        return oracles.grid_csv_text(cli._GRID_HEADERS[cfg.quantity], cols)
+
+    @staticmethod
+    def plane_cfg(name, quantity, res):
+        return replace(config.preset(name), quantity=quantity, plane="z=0",
+                       resolution=res)
 
     @pytest.mark.parametrize("name, quantity", QUANTITIES)
     def test_matches_per_cell_oracle(self, tmp_path, name, quantity):
-        cfg = replace(config.preset(name), quantity=quantity, plane="z=0",
-                      resolution=15)
-        text, expected = self.grid_and_oracle(tmp_path, cfg)
-        assert text == expected
+        cfg = self.plane_cfg(name, quantity, 15)
+        text = self.grid_text(tmp_path, cfg)
+        assert text == self.oracle_text(cfg)
         if quantity == "field":
             # Ex_im holds both zeros, which compare equal but print apart
             ex_im = [row[4] for row in parse_csv(text)[1]]
             assert "-0.0" in ex_im and "0.0" in ex_im
 
     @pytest.mark.parametrize("name, quantity", QUANTITIES)
-    def test_rows_across_blocks(self, tmp_path, name, quantity):
+    def test_rows_across_blocks(self, tmp_path, monkeypatch, name, quantity):
         # 181 x 181 points fill three blocks of rows; the first cut runs
-        # through the fiber, so interior nan rows lie on both sides of it
+        # through the fiber, so interior nan rows lie on both sides of it.
+        # The bytes do not depend on how many threads compute the blocks
         res = 181
         cut = cli._GRID_BLOCK_POINTS // res
         assert res * res > cli._GRID_BLOCK_POINTS and cut * 2 < res
-        cfg = replace(config.preset(name), quantity=quantity, plane="z=0",
-                      resolution=res)
-        text, expected = self.grid_and_oracle(tmp_path, cfg)
-        assert text == expected
+        cfg = self.plane_cfg(name, quantity, res)
+        expected = self.oracle_text(cfg)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "_grid_workers", lambda n=workers: n)
+            assert self.grid_text(tmp_path, cfg) == expected
         if quantity == "potential":
-            rows = parse_csv(text)[1]
+            rows = parse_csv(expected)[1]
             for side in (rows[(cut - 1) * res:cut * res],
                          rows[cut * res:(cut + 1) * res]):
                 assert any(row[3] == "nan" for row in side)
@@ -225,21 +237,85 @@ class TestGridText:
                             5e-324, 0.1], res * res)
         served = []
 
-        def block_values(cfg, fieldobj, x, y, z):
-            lo = sum(served)
-            served.append(x.size)
-            return [values[lo:lo + x.size]]
+        def block_values(cfg, fieldobj, bx, by, bz):
+            # blocks may run in any order: a block's offset in the plane is
+            # that of its first point
+            lo = np.flatnonzero((x == bx[0]) & (y == by[0]))[0]
+            served.append((lo, bx.size))
+            return [values[lo:lo + bx.size]]
 
         monkeypatch.setattr(cli, "_grid_values", block_values)
-        cfg = replace(config.preset("he11-he21"), quantity="intensity",
-                      plane="z=0", resolution=res)
+        cfg = self.plane_cfg("he11-he21", "intensity", res)
         fieldobj = config.make_field(cfg)
         x, y, z = cli._plane_points(cfg, fieldobj)
         text = b"".join(cli._grid_blocks(cfg, fieldobj, x, y, z)).decode()
-        assert served[0] == cli._GRID_BLOCK_POINTS // res * res
-        assert sum(served) == res * res and len(served) == 2
+        served.sort()
+        sizes = [size for _, size in served]
+        assert sizes[0] == cli._GRID_BLOCK_POINTS // res * res
+        assert sum(sizes) == res * res and len(sizes) == 2
         assert text == oracles.grid_csv_text(cli._GRID_HEADERS["intensity"],
                                              [x, y, z, values])
+
+    def test_failed_block_leaves_header_and_earlier_rows(
+            self, tmp_path, monkeypatch, capsysbinary):
+        # the second of three blocks fails: stdout keeps the header and the
+        # first block's rows, --out leaves no file, and the pool is joined
+        res = 181
+        step = cli._GRID_BLOCK_POINTS // res * res
+        cfg = self.plane_cfg("he11-he21", "intensity", res)
+        path = tmp_path / "run.cfg"
+        config.save_config(cfg, str(path))
+        x, y, z = cli._plane_points(cfg, None)
+
+        def block_values(cfg, fieldobj, bx, by, bz):
+            if bx[0] == x[step] and by[0] == y[step]:
+                raise FibertrapError("second block failed")
+            return [np.full(bx.size, 0.5)]
+
+        monkeypatch.setattr(cli, "_grid_values", block_values)
+        threads = set(threading.enumerate())
+        assert cli.main(["grid", "--config", str(path)]) == 2
+        assert set(threading.enumerate()) <= threads
+        out, err = capsysbinary.readouterr()
+        assert out == oracles.grid_csv_text(
+            cli._GRID_HEADERS["intensity"],
+            [x[:step], y[:step], z[:step], np.full(step, 0.5)]).encode()
+        assert b"second block failed" in err
+        target = tmp_path / "out" / "grid.csv"
+        target.parent.mkdir()
+        assert cli.main(["grid", "--config", str(path), "--out",
+                         str(target)]) == 2
+        assert set(threading.enumerate()) <= threads
+        assert list(target.parent.iterdir()) == []
+
+    def test_blocks_start_at_most_workers_plus_one_ahead(self, monkeypatch):
+        # a slow consumer of 23 blocks: the pool may not run ahead of it by
+        # more than workers + 1 blocks, so memory does not grow with the
+        # resolution; closing the generator early joins the pool
+        res, workers, stop = 601, 3, 12
+        step = cli._GRID_BLOCK_POINTS // res * res
+        assert stop + workers + 1 < math.ceil(res * res / step) == 23
+        started = []
+
+        def block_values(cfg, fieldobj, bx, by, bz):
+            started.append(bx.size)
+            return [np.zeros(bx.size)]
+
+        monkeypatch.setattr(cli, "_grid_values", block_values)
+        monkeypatch.setattr(cli, "_grid_workers", lambda: workers)
+        cfg = self.plane_cfg("he11-te01", "intensity", res)
+        x, y, z = cli._plane_points(cfg, None)
+        threads = set(threading.enumerate())
+        chunks = cli._grid_blocks(cfg, None, x, y, z)
+        assert next(chunks).startswith(b"x_nm,")
+        for consumed, _ in enumerate(chunks, 1):
+            time.sleep(0.005)
+            assert len(started) <= consumed + workers + 1
+            if consumed == stop:
+                break
+        chunks.close()
+        assert set(threading.enumerate()) <= threads
+        assert len(started) <= stop + workers + 1
 
     def test_column_text_edge_values(self):
         other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(float)
@@ -362,47 +438,41 @@ class TestExitCodes:
         assert res.returncode == 2
 
 
-def test_commands_load_no_scipy(tmp_path):
-    # the package imports no scipy module, so no command pays for scipy's
-    # import; scipy serves the tests only, as an oracle
-    grid = ["grid", "--plane", "z=0", "--resolution", "5",
-            "--out", str(tmp_path / "grid.csv")]
-    script = ("import sys\n"
-              "from fibertrap import cli\n"
-              "assert cli.main(['dispersion', '--resolution', '3']) == 0\n"
-              f"assert cli.main({grid!r}) == 0\n"
-              "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
-    scipy_modules = [name for name in res.stderr.split()
-                     if name == "scipy" or name.startswith("scipy.")]
-    assert scipy_modules == []
-
-
 def test_commands_load_only_what_they_compute(tmp_path):
-    # the orbit average is a product rule and the Gauss-Legendre rule and
-    # the Bessel series tables are built in house, so no command loads
-    # numpy.random, numpy.polynomial or fractions (nor scipy) for them
+    # the package imports no scipy module, so no command pays for scipy's
+    # import (scipy serves the tests only, as an oracle); the orbit average
+    # is a product rule and the Gauss-Legendre rule and the Bessel series
+    # tables are built in house, so no command loads numpy.random,
+    # numpy.polynomial or fractions for them; and only grid loads the
+    # thread pool, so the modules are listed once before grid runs
     commands = [
         ["report", "--preset", "he11-te01", "--out", str(tmp_path / "r.json")],
         ["sweep-tau", "--preset", "he11-te01",
          "--out", str(tmp_path / "s.csv")],
+        ["dispersion", "--resolution", "3", "--out", str(tmp_path / "d.csv")],
         ["grid", "--plane", "z=0", "--resolution", "5",
          "--out", str(tmp_path / "grid.csv")],
-        ["dispersion", "--resolution", "3", "--out", str(tmp_path / "d.csv")],
     ]
+    listing = "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
     script = ("import sys\n"
               "from fibertrap import cli\n"
               + "".join(f"assert cli.main({args!r}) == 0\n"
-                        for args in commands)
-              + "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
+                        for args in commands[:-1])
+              + listing
+              + f"assert cli.main({commands[-1]!r}) == 0\n"
+              + listing)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    unwanted = [name for name in res.stderr.split()
-                if name == "fractions"
-                or any(name == pkg or name.startswith(pkg + ".")
-                       for pkg in ("scipy", "numpy.random",
-                                   "numpy.polynomial"))]
+    before_grid, after_grid = (line.split()
+                               for line in res.stderr.splitlines())
+
+    def loaded(modules, pkg):
+        return [name for name in modules
+                if name == pkg or name.startswith(pkg + ".")]
+
+    assert loaded(before_grid, "concurrent.futures") == []
+    unwanted = [name for pkg in ("scipy", "numpy.random", "numpy.polynomial",
+                                 "fractions")
+                for name in loaded(after_grid, pkg)]
     assert unwanted == []
