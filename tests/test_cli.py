@@ -438,6 +438,24 @@ class TestExitCodes:
         assert res.returncode == 2
 
 
+def test_commands_load_no_scipy(tmp_path):
+    # the package imports no scipy module, so no command pays for scipy's
+    # import; scipy serves the tests only, as an oracle
+    grid = ["grid", "--plane", "z=0", "--resolution", "5",
+            "--out", str(tmp_path / "grid.csv")]
+    script = ("import sys\n"
+              "from fibertrap import cli\n"
+              "assert cli.main(['dispersion', '--resolution', '3']) == 0\n"
+              f"assert cli.main({grid!r}) == 0\n"
+              "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    scipy_modules = [name for name in res.stderr.split()
+                     if name == "scipy" or name.startswith("scipy.")]
+    assert scipy_modules == []
+
+
 def test_commands_load_only_what_they_compute(tmp_path):
     # the package imports no scipy module, so no command pays for scipy's
     # import (scipy serves the tests only, as an oracle); the orbit average
