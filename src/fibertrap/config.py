@@ -97,7 +97,7 @@ def parse_plane(token):
     The axis names the coordinate held fixed, except d: "d=<u_nm>" is the
     plane spanned by z and the diagonal d = (y - x)/sqrt(2), displaced by
     u_nm along the orthogonal diagonal u = (x + y)/sqrt(2). Returns
-    (axis, value) where value is a float in nm, or the string "trap" for
+    (axis, value) where value is a finite float in nm, or the string "trap" for
     the z-plane through the trap minimum.
     """
     parts = str(token).split("=")
@@ -111,10 +111,14 @@ def parse_plane(token):
     if axis == "z" and value.lower() == "trap":
         return "z", "trap"
     try:
-        return axis, float(value)
+        offset = float(value)
     except ValueError as exc:
         raise ConfigError(f"plane offset {value!r} is not a number",
                           key="grid.plane") from exc
+    if not math.isfinite(offset):
+        raise ConfigError(f"plane offset {value!r} is not finite",
+                          key="grid.plane")
+    return axis, offset
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,6 @@ _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 # node count of integrate()'s fixed Gauss-Legendre rule
 _GAUSS_NODES = 48
 
-# Points per block of the array Bessel kernels: a block's Horner
-# temporaries stay in the core's L2 cache, and each block runs only the
-# branches its own points need.
-_BLOCK = 32768
-
 # Euler's gamma to 47 digits: _GAMMA_NUM / 10**47
 _GAMMA_NUM = 57721566490153286060651209008240243104215933594
 _GAMMA_DEN = 10 ** 47
@@ -155,20 +150,6 @@ _K_FAR = _Polys(*zip(
 ))
 
 
-def _blocked(kernel, rows, x):
-    """Run kernel(x_block, out_block) over _BLOCK-point blocks of x.
-
-    Returns an array of shape (rows,) + x.shape; out_block is the
-    (rows, len(x_block)) slice of it that the kernel fills.
-    """
-    out = np.empty((rows,) + x.shape)
-    flat_x = x.reshape(-1)
-    flat_out = out.reshape(rows, -1)
-    for lo in range(0, flat_x.size, _BLOCK):
-        kernel(flat_x[lo:lo + _BLOCK], flat_out[:, lo:lo + _BLOCK])
-    return out
-
-
 def _j_scalar(x, lo, hi):
     h = 0.5 * x
     sums = _J_SERIES.scalar(h * h, slice(lo, hi + 1))
@@ -180,17 +161,16 @@ def _j_scalar(x, lo, hi):
     return out
 
 
-def _j_block(lo, hi):
-    def kernel(x, out):
-        h = 0.5 * x
-        sums = _J_SERIES.into(h * h, np.empty((hi - lo + 1, x.size)),
-                              slice(lo, hi + 1))
-        hn = 1.0
-        for n in range(hi + 1):
-            if n >= lo:
-                np.multiply(hn, sums[n - lo], out=out[n - lo])
-            hn = hn * h
-    return kernel
+def _j_array(x, lo, hi):
+    h = 0.5 * x.reshape(-1)
+    out = _J_SERIES.into(h * h, np.empty((hi - lo + 1, h.size)),
+                         slice(lo, hi + 1))
+    hn = 1.0
+    for n in range(hi + 1):
+        if n >= lo:
+            out[n - lo] *= hn
+        hn = hn * h
+    return list(out.reshape((hi - lo + 1,) + x.shape))
 
 
 def bessel_j_orders(x, lo, hi):
@@ -210,7 +190,7 @@ def bessel_j_orders(x, lo, hi):
         raise ValueError(f"Bessel J series covers |x| <= {J_MAX_ARG}")
     if scalar:
         return _j_scalar(float(arr), lo, hi)
-    return list(_blocked(_j_block(lo, hi), hi - lo + 1, arr))
+    return _j_array(arr, lo, hi)
 
 
 def _k01_near_scalar(x):
@@ -247,7 +227,7 @@ def _k01_far(x, out):
     out *= f
 
 
-def _k01_block(x, out):
+def _k01_array(x, out):
     near = x <= 2.0
     if not near.any():
         _k01_far(x, out)
@@ -279,7 +259,9 @@ def bessel_k_orders(x, top):
         ks = [np.float64(k) for k in
               (_k01_near_scalar(x) if x <= 2.0 else _k01_far_scalar(x))]
     else:
-        ks = list(_blocked(_k01_block, 2, x))
+        ks = np.empty((2,) + x.shape)
+        _k01_array(x.reshape(-1), ks.reshape(2, -1))
+        ks = list(ks)
     for n in range(1, top):
         ks.append(ks[-1] * (2.0 * n / x) + ks[-2])
     return ks

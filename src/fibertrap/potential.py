@@ -152,12 +152,6 @@ def intensity(field_, r_nm, phi, z_nm):
     return superposition.mean_intensity(field_.pair, r_nm, phi, z_nm)
 
 
-def single_mode_intensity(sol, r_nm, phi, z_nm):
-    """Time-averaged intensity of one mode alone, W/m^2."""
-    e = modes.e_field(sol, r_nm, phi, z_nm)
-    return 0.5 * _C0 * _EPS0 * np.sum(np.abs(e) ** 2, axis=-1)
-
-
 def total_potential(field_, r_nm, phi, z_nm):
     """Light shift plus van der Waals energy in joules, for r > a."""
     light = field_.shift_coeff * intensity(field_, r_nm, phi, z_nm)

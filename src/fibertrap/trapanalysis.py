@@ -17,10 +17,12 @@ step and the polished point is a minimum; the first iterate without them
 ends the search as a saddle. Around the minimum the potential is
 characterized by its analytic Hessian in the local orthonormal frame
 (r-hat, arc length, z-hat), by 1-D turning points at the reference thermal
-energy, and by the first-order escape saddle: its height is the trap depth,
-its direction the escape direction l. Heating is modeled as two recoil
-energies per scattered photon at the orbit-averaged scattering rate, the
-average over a thermal orbit ensemble taken by a deterministic
+energy (marched along r-hat and the arc; along z in closed form, where the
+potential climbs from V by (W/2)(1 - cos(dbeta s)) to the beat ridge
+W = 4 kappa' |X|), and by the first-order escape saddle: its height is the
+trap depth, its direction the escape direction l. Heating is modeled as two
+recoil energies per scattered photon at the orbit-averaged scattering rate,
+the average over a thermal orbit ensemble taken by a deterministic
 Gauss-Legendre product rule (orbit_averaged_scattering), not by sampling:
 like the rest of the package, this module imports no scipy, numpy.random
 or numpy.polynomial.
@@ -229,21 +231,17 @@ def trap_frequencies(field_, minimum, mass_kg):
 
 
 def _axis_1d(field_, minimum, axis):
-    """1-D potential profile through the minimum along one local axis.
+    """1-D potential profile through the minimum along r-hat or the arc.
 
     Returns (profile(s), inward_limit, outward_limit) with s a signed
-    displacement in nm along r-hat, the azimuthal arc, or z-hat.
+    displacement in nm along r-hat (axis 0) or the azimuthal arc (axis 1).
     """
     r, p, z = minimum
-    a = field_.fiber.radius_nm
     if axis == 0:
         return (lambda s: potential.total_potential(field_, r + s, p, z),
-                a + 0.8 - r, 900.0)
-    if axis == 1:
-        return (lambda s: potential.total_potential(field_, r, p + s / r, z),
-                -1.4 * r, 1.4 * r)
-    return (lambda s: potential.total_potential(field_, r, p, z + s),
-            -9000.0, 9000.0)
+                field_.fiber.radius_nm + 0.8 - r, 900.0)
+    return (lambda s: potential.total_potential(field_, r, p + s / r, z),
+            -1.4 * r, 1.4 * r)
 
 
 def _crossing(f1d, u0, target, lo_lim, hi_lim, sign):
@@ -278,20 +276,31 @@ def turning_points(field_, minimum, energy_j):
 
     Rows are (inward, outward) in nm along (r-hat, arc, z-hat); the radial
     pair is asymmetric because the inner light wall is much steeper than the
-    evanescent tail outside.
+    evanescent tail outside. The radial and azimuthal pairs are marched
+    (_crossing); the axial pair is -+arccos(1 - 2 energy / W) / |dbeta|, W
+    the beat ridge of _valley, and there is none when energy >= W.
     """
-    u0 = potential.total_potential(field_, *minimum)
+    r, p, z = minimum
+    pair = field_.pair
+    u0 = potential.total_potential(field_, r, p, z)
     target = u0 + energy_j
     out = np.empty((3, 2))
     for axis in range(3):
-        f1d, lo, hi = _axis_1d(field_, minimum, axis)
-        s_in = _crossing(f1d, u0, target, lo, hi, -1.0)
-        s_out = _crossing(f1d, u0, target, lo, hi, +1.0)
-        if s_in is None or s_out is None:
+        if axis < 2:
+            f1d, lo, hi = _axis_1d(field_, minimum, axis)
+            row = [_crossing(f1d, u0, target, lo, hi, sign)
+                   for sign in (-1.0, 1.0)]
+        else:
+            ridge, row = float(_valley(field_, r, p, z)[1]), [None]
+            if energy_j < ridge:
+                s = (math.acos(1.0 - 2.0 * energy_j / ridge)
+                     / abs(pair.sol_a.beta_per_nm - pair.sol_b.beta_per_nm))
+                row = [-s, s]
+        if None in row:
             raise NoTrapError(
                 "thermal energy exceeds the trap barrier along axis "
                 f"{('radial', 'azimuthal', 'axial')[axis]}")
-        out[axis] = (s_in, s_out)
+        out[axis] = row
     return out
 
 
@@ -616,8 +625,9 @@ def characterize_trap(field_, seed, state):
     if z0 - z_fold < 1e-6 * z0:
         z_fold = 0.0
     i_min = float(potential.intensity(field_, r, p, z))
-    i_a = float(potential.single_mode_intensity(pair.sol_a, r, p, z))
-    i_b = float(potential.single_mode_intensity(pair.sol_b, r, p, z))
+    # I_a + I_b = (c eps0 / 2) S; I_min stays the field sum, which keeps
+    # its digits where the two modes nearly cancel
+    i_sum = 0.5 * _C0 * _EPS0 * float(superposition.beat_terms(pair, r, p)[0])
     return TrapReport(
         mode_a=pair.sol_a.name, mode_b=pair.sol_b.name,
         wavelength_nm=pair.wavelength_nm, power_mw=pair.power_mw,
@@ -637,7 +647,7 @@ def characterize_trap(field_, seed, state):
         lifetime_s=life,
         t_ref_uk=state.t_init_uk,
         min_intensity_w_m2=i_min,
-        cancellation=i_min / (i_a + i_b),
+        cancellation=i_min / i_sum,
         recoil_energy_j=e_rec,
         base=((r, p, z), esc))
 

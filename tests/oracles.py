@@ -23,7 +23,8 @@ potential and checked the curvatures only after converging, so the
 curvature-gated search can be checked to return the same minima.  The
 scalar turning points march each axis one potential call per sample and
 stop at the first sample at or above the target, so the batched march of
-trapanalysis can be checked to bracket and return the same roots.  The
+trapanalysis can be checked to bracket and return the same roots, and its
+closed-form axial turning points to agree with a march along z.  The
 sampled orbit rate is the earlier Monte-Carlo orbit average, 4,096 draws of
 a flat Dirichlet energy split and uniform phases from a seeded generator, so
 the product rule of trapanalysis can be checked to lie within its sampling
@@ -375,12 +376,22 @@ def scalar_crossing(f1d, u0, target, lo_lim, hi_lim, sign):
 
 
 def scalar_turning_points(field_, minimum, energy_j):
-    """trapanalysis.turning_points with each axis marched by scalar_crossing."""
-    u0 = potential.total_potential(field_, *minimum)
+    """Turning points with each axis marched by scalar_crossing.
+
+    The radial and azimuthal profiles are trapanalysis._axis_1d's; the
+    axial one is the potential along z through the minimum, marched out to
+    +-9000 nm.
+    """
+    r, p, z = minimum
+    u0 = potential.total_potential(field_, r, p, z)
     target = u0 + energy_j
     out = np.empty((3, 2))
     for axis in range(3):
-        f1d, lo, hi = trapanalysis._axis_1d(field_, minimum, axis)
+        if axis < 2:
+            f1d, lo, hi = trapanalysis._axis_1d(field_, minimum, axis)
+        else:
+            f1d = lambda s: potential.total_potential(field_, r, p, z + s)
+            lo, hi = -9000.0, 9000.0
         s_in = scalar_crossing(f1d, u0, target, lo, hi, -1.0)
         s_out = scalar_crossing(f1d, u0, target, lo, hi, +1.0)
         if s_in is None or s_out is None:

@@ -413,6 +413,22 @@ class TestExitCodes:
         assert res.returncode == 0
         assert len(res.stdout.splitlines()) == 26
 
+    @pytest.mark.parametrize("plane", ["z=inf", "x=nan", "d=1e999"])
+    def test_non_finite_plane_offset(self, plane):
+        res = run_cli("grid", "--preset", "he11-te01", "--plane", plane,
+                      "--resolution", "3")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("fibertrap: configuration error: plane offset "
+                              f"'{plane[2:]}' is not finite\n")
+
+    def test_non_finite_plane_offset_in_config(self, tmp_path):
+        cfg = tmp_path / "plane.cfg"
+        cfg.write_text("grid.plane = y=-inf\n")
+        res = run_cli("grid", "--config", str(cfg), "--resolution", "3")
+        assert res.returncode == 2
+        assert "plane offset '-inf' is not finite" in res.stderr
+
     def test_parse_error_names_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("pair.tua = 0.5\n")

@@ -225,6 +225,16 @@ class TestPlaneGrammar:
                 config.parse_plane(bad)
             assert err.value.key == "grid.plane"
 
+    @pytest.mark.parametrize("plane", ["z=inf", "x=nan", "d=1e999",
+                                       "y=-inf"])
+    def test_rejects_non_finite_offset(self, plane):
+        with pytest.raises(ConfigError) as err:
+            config.parse_plane(plane)
+        assert err.value.key == "grid.plane"
+        with pytest.raises(ConfigError) as err:
+            config.parse_config(f"grid.plane = {plane}")
+        assert err.value.key == "grid.plane"
+
 
 class TestBuilders:
     def test_make_field_wires_pair_and_atom(self):

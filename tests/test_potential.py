@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fibertrap import config, modes, potential, superposition
+from fibertrap.constants import c, epsilon_0
 from fibertrap.errors import ConfigError
 
 FIBER = config.preset("he11-te01").fiber
@@ -193,15 +194,31 @@ class TestPotentialField:
 
 
 class TestInterferenceCancellation:
+    @staticmethod
+    def mode_intensity(sol, r, phi, z):
+        # one mode alone, (c eps0 / 2) |E|^2 from its full field
+        e = modes.e_field(sol, r, phi, z)
+        return 0.5 * c * epsilon_0 * np.sum(np.abs(e) ** 2, axis=-1)
+
     def test_trap1_minimum_nearly_dark(self, suite):
         # counter-oscillating members cancel almost perfectly at the
         # potential minimum of the fundamental-plus-TE configuration
         f = suite.field("he11-te01")
         r, phi, z = TRAP1_MIN
         i_min = potential.intensity(f, r, phi, z)
-        i_sum = (potential.single_mode_intensity(f.pair.sol_a, r, phi, z)
-                 + potential.single_mode_intensity(f.pair.sol_b, r, phi, z))
+        i_sum = (self.mode_intensity(f.pair.sol_a, r, phi, z)
+                 + self.mode_intensity(f.pair.sol_b, r, phi, z))
         assert i_min / i_sum < 1e-4
+
+    @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21"])
+    def test_report_ratio_is_intensity_over_mode_sum(self, suite, name):
+        # the report takes I_a + I_b as (c eps0 / 2) S of the beat terms
+        report = suite.report(name)
+        pair = suite.field(name).pair
+        r, phi, z = report.base[0]
+        i_sum = (self.mode_intensity(pair.sol_a, r, phi, z)
+                 + self.mode_intensity(pair.sol_b, r, phi, z))
+        assert report.cancellation == report.min_intensity_w_m2 / i_sum
 
     def test_trap2_minimum_not_dark(self, suite):
         f = suite.field("he11-he21")

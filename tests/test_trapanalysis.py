@@ -17,6 +17,8 @@ import pytest
 import oracles
 from fibertrap import (cli, config, modes, numerics, potential,
                        superposition, trapanalysis)
+from fibertrap.constants import c as C0
+from fibertrap.constants import epsilon_0 as EPS0
 from fibertrap.errors import NoTrapError, SaddleError
 
 KB = 1.380649e-23
@@ -25,10 +27,10 @@ KB = 1.380649e-23
 T1_MIN = (533.7866747301084, math.pi / 2, 0.0)
 T1_DEPTH_MK = 0.8138646315177027
 T1_FREQ_KHZ = (721.7673990509142, 1218.3302874129045, 495.94288613504506)
-T1_EXTENTS = (50.65702830901065, 29.227191115936094, 71.79965927410065)
+T1_EXTENTS = (50.65702830901065, 29.227191115936094, 71.79965927427759)
 T1_HARMONIC = (49.33027735591884, 29.224411762140534, 71.79251276112976)
-T1_RATE = 44.30492897659376
-T1_LIFETIME = 80.88641272317648
+T1_RATE = 44.304928976671334
+T1_LIFETIME = 80.88641272303484
 T1_Z0 = 4613.23625821996
 
 
@@ -327,12 +329,18 @@ class TestTurningPoints:
     @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21"])
     def test_batched_march_matches_scalar_march(self, suite, name):
         # the batch evaluates samples past the crossing that the scalar
-        # march never reaches, and brackets each root between the same two
+        # march never reaches, and brackets each root between the same two;
+        # the closed-form axial pair meets the march along z to its root
+        # tolerance and is the arccos of the beat ridge 4 kappa' |X|
         field_, m = suite.field(name), suite.minimum(name)
+        pair = field_.pair
+        _, x = superposition.beat_terms(pair, m[0], m[1])
+        ridge = float(4.0 * (field_.shift_coeff * 0.5 * C0 * EPS0) * abs(x))
+        dbeta = abs(pair.sol_a.beta_per_nm - pair.sol_b.beta_per_nm)
 
         def outcome(fn, energy):
             try:
-                return fn(field_, m, energy).tolist()
+                return fn(field_, m, energy)
             except NoTrapError as err:
                 return str(err)
 
@@ -340,12 +348,51 @@ class TestTurningPoints:
         above = 2.0 * suite.report(name).base[1].depth_j
         for energy in (e_ref, 10.0 * e_ref, above):
             want = outcome(oracles.scalar_turning_points, energy)
-            assert outcome(trapanalysis.turning_points, energy) == want
+            got = outcome(trapanalysis.turning_points, energy)
+            assert type(got) is type(want)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got[:2].tolist() == want[:2].tolist()
+            assert got[2] == pytest.approx(want[2], rel=1e-9)
+            s = math.acos(1.0 - 2.0 * energy / ridge) / dbeta
+            assert got[2].tolist() == [-s, s]
         assert want.startswith("thermal energy exceeds the trap barrier")
 
+    def test_no_axial_turning_point_at_or_above_the_ridge(
+            self, suite, monkeypatch):
+        # with the beat ridge W at or below E, 1 - 2E/W would be -1 or
+        # less: the guard raises before arccos sees it; just above E the
+        # turning points approach half a beat length
+        field_, m = suite.field("he11-te01"), suite.minimum("he11-te01")
+        energy = config.thermal_state(suite.cfg("he11-te01")).e_init
+        acos, args = math.acos, []
+
+        def recorded(t):
+            args.append(t)
+            return acos(t)
+
+        monkeypatch.setattr(math, "acos", recorded)
+        for ridge in (energy, 0.5 * energy, 0.0):
+            monkeypatch.setattr(trapanalysis, "_valley",
+                                lambda *_, w=ridge: (0.0, w, 0.0))
+            with pytest.raises(NoTrapError) as err:
+                trapanalysis.turning_points(field_, m, energy)
+            assert str(err.value) == ("thermal energy exceeds the trap "
+                                      "barrier along axis axial")
+        assert args == []
+        monkeypatch.setattr(trapanalysis, "_valley",
+                            lambda *_: (0.0, energy * (1.0 + 1e-9), 0.0))
+        turns = trapanalysis.turning_points(field_, m, energy)
+        assert min(args) > -1.0
+        z0 = superposition.beat_length(field_.pair)
+        assert turns[2].tolist() == pytest.approx([-z0 / 2.0, z0 / 2.0],
+                                                  rel=1e-4)
+
     def test_one_potential_batch_per_direction(self, suite, monkeypatch):
-        # U_min, then one batch per axis and direction; find_root's own
-        # evaluations on the bracket are not counted
+        # U_min, then one batch per marched axis and direction (the axial
+        # pair is closed form); find_root's own evaluations on the bracket
+        # are not counted
         cases = [(suite.field(name), suite.minimum(name),
                   config.thermal_state(suite.cfg(name)).e_init)
                  for name in suite.names]
@@ -369,7 +416,7 @@ class TestTurningPoints:
         for case in cases:
             calls.clear()
             trapanalysis.turning_points(*case)
-            assert len(calls) <= 7
+            assert len(calls) <= 5
 
 
 class TestExtents:
