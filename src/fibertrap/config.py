@@ -10,7 +10,8 @@ Keys are typed against one table (_KEYS); unknown or duplicate keys,
 malformed values and non-finite floats (nan, inf, 1e999) are rejected with
 the offending line number. Every key has a default, so a config file only
 states what it overrides; the defaults are exactly the he11-te01 preset. All
-lengths are in nm, angles in rad.
+lengths are in nm, angles in rad; a grid half-width or plane offset above
+MAX_EXTENT_NM (1 cm) is rejected, since every evanescent field is 0 there.
 """
 
 import math
@@ -21,6 +22,10 @@ from .errors import ConfigError
 
 _QUANTITIES = ("potential", "intensity", "field")
 _PLANE_AXES = ("x", "y", "z", "d")
+# Largest grid.halfwidth_nm and |plane offset| (nm), 1 cm: the slowest
+# evanescent tail (1/e length about 420 nm) underflows to 0 by about
+# 0.3 mm, and the van der Waals d^-3 stays finite out here.
+MAX_EXTENT_NM = 1e7
 
 # One row per key: (key, type, default, RunConfig attribute path). Row order
 # is the save order. An int in a path indexes a (lo, hi) bound pair.
@@ -118,6 +123,9 @@ def parse_plane(token):
     if not math.isfinite(offset):
         raise ConfigError(f"plane offset {value!r} is not finite",
                           key="grid.plane")
+    if abs(offset) > MAX_EXTENT_NM:
+        raise ConfigError(f"plane offset {value!r} exceeds "
+                          f"{MAX_EXTENT_NM:g} nm", key="grid.plane")
     return axis, offset
 
 
@@ -152,17 +160,8 @@ class RunConfig:
                 mode = modes.parse_mode_name(getattr(self, attr))
             except ValueError as exc:
                 raise ConfigError(str(exc), key=key) from exc
-            if mode.family == "TM":
-                raise ConfigError(
-                    f"{mode.name} is transverse magnetic and unsupported for "
-                    "two-mode traps", key=key)
-            if mode.nu > 2:
-                raise ConfigError(
-                    f"{mode.name}: azimuthal orders above 2 are not "
-                    "supported for two-mode traps", key=key)
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError(f"power split tau = {self.tau} outside [0, 1]",
-                              key="pair.tau")
+            superposition.check_member(mode, key=key)
+        superposition.check_split(self.tau)
         if self.c3 < 0.0:
             raise ConfigError("atom.c3 must be non-negative", key="atom.c3")
         if self.t_init_uk <= 0.0:
@@ -178,6 +177,10 @@ class RunConfig:
                 f"{', '.join(_QUANTITIES)}", key="grid.quantity")
         if self.halfwidth_nm <= 0.0:
             raise ConfigError("grid.halfwidth_nm must be positive",
+                              key="grid.halfwidth_nm")
+        if self.halfwidth_nm > MAX_EXTENT_NM:
+            raise ConfigError(f"grid.halfwidth_nm = {self.halfwidth_nm} "
+                              f"exceeds {MAX_EXTENT_NM:g} nm",
                               key="grid.halfwidth_nm")
         if not 0.0 < self.v_lo <= self.v_hi:
             raise ConfigError("dispersion range must satisfy 0 < v_lo <= v_hi",

@@ -393,18 +393,16 @@ class ModeSolution:
         return 2.0 * np.pi * _C0 / (self.wavelength_nm * 1e-9)
 
 
-def solve_mode(fiber, wavelength_nm, mode, orientation=None):
+def solve_mode(fiber, wavelength_nm, mode):
     """Solve the eigenvalue problem for one mode at one wavelength.
 
-    mode may be a ModeId or a name like "HE11"; orientation (rad) overrides
-    the ModeId's stored pattern rotation. The result has unit amplitude and
+    mode is a ModeId, whose orientation (rad) rotates the pattern, or a
+    name like "HE11" at orientation 0. The result has unit amplitude and
     carries its power there (unit_power_w), integrated once here. Raises
     CutoffError when the branch does not propagate at this V, and
     ConvergenceError unless that power is positive.
     """
     mode = parse_mode_name(mode) if isinstance(mode, str) else mode
-    if orientation is not None:
-        mode = replace(mode, orientation=float(orientation))
     v = v_parameter(fiber, wavelength_nm)
     roots = _family_roots(v, fiber.n_core, fiber.n_clad, mode.family, mode.nu)
     if len(roots) < mode.m:

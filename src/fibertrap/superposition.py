@@ -19,6 +19,26 @@ from .constants import epsilon_0 as _EPS0
 from .errors import ConfigError
 
 
+def check_split(tau):
+    """Reject a power split tau outside [0, 1], under key pair.tau."""
+    if not 0.0 <= tau <= 1.0:
+        raise ConfigError(f"power split tau = {tau} outside [0, 1]",
+                          key="pair.tau")
+
+
+def check_member(mode, key):
+    """Reject a pair member ModeId under key: a TM mode, or order above 2.
+
+    A TM mode cancels against no other family on a circle: no trap forms.
+    """
+    if mode.family == "TM":
+        raise ConfigError(f"{mode.name} is transverse magnetic and "
+                          "unsupported for two-mode traps", key=key)
+    if mode.nu > 2:
+        raise ConfigError(f"{mode.name}: azimuthal orders above 2 are not "
+                          "supported for two-mode traps", key=key)
+
+
 @dataclass(frozen=True)
 class ModePair:
     """Two co-propagating modes with power split tau and phase delta.
@@ -28,10 +48,8 @@ class ModePair:
     remainder, each composed as _compose_member describes. A split only
     re-weights the solved modes, so the pair at another split is
     replace(pair, tau=t), with no mode solved or integrated again. Both
-    modes must share the fiber and the vacuum wavelength;
-    transverse-magnetic modes are rejected because their polarization
-    cannot cancel against the other mode families anywhere on a circle, so
-    no interference trap forms.
+    modes share the fiber and the vacuum wavelength and pass check_member
+    (key pair.modes), and tau passes check_split.
     """
 
     unit_a: modes.ModeSolution
@@ -43,14 +61,9 @@ class ModePair:
     sol_b: modes.ModeSolution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError(f"power split tau = {self.tau} outside [0, 1]",
-                              key="pair.tau")
+        check_split(self.tau)
         for sol in (self.unit_a, self.unit_b):
-            if sol.mode.family == "TM":
-                raise ConfigError(
-                    f"{sol.name} is transverse magnetic and unsupported for "
-                    "two-mode traps", key="pair.modes")
+            check_member(sol.mode, key="pair.modes")
         if self.unit_a.fiber != self.unit_b.fiber:
             raise ConfigError("pair modes solved on different fibers",
                               key="pair.modes")
@@ -95,8 +108,10 @@ def make_pair(fiber, wavelength_nm, name_a, name_b, power_mw, tau, delta=0.0,
               orientation_a=0.0, orientation_b=0.0):
     """Solve and pair two modes in one step (see ModePair)."""
     return ModePair(
-        unit_a=modes.solve_mode(fiber, wavelength_nm, name_a, orientation_a),
-        unit_b=modes.solve_mode(fiber, wavelength_nm, name_b, orientation_b),
+        unit_a=modes.solve_mode(fiber, wavelength_nm, modes.parse_mode_name(
+            name_a, float(orientation_a))),
+        unit_b=modes.solve_mode(fiber, wavelength_nm, modes.parse_mode_name(
+            name_b, float(orientation_b))),
         tau=float(tau), power_mw=float(power_mw), delta=float(delta))
 
 

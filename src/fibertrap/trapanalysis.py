@@ -51,7 +51,7 @@ from . import numerics, potential, superposition
 from .constants import c as _C0
 from .constants import epsilon_0 as _EPS0
 from .constants import k as _KB
-from .errors import NoTrapError, SaddleError
+from .errors import ConfigError, NoTrapError, SaddleError
 
 # Coarse seed-grid resolution per axis.
 _GRID_R = 61
@@ -659,10 +659,10 @@ def tau_sensitivity(field_, seed, base=None):
     field at another split tau is the same field with its pair re-split,
     replace(field_, pair=replace(field_.pair, tau=tau)), so no mode is
     solved again. Rows cover tau0 - sigma, tau0, tau0 + sigma; a perturbed
-    split where the trap vanishes, or that falls outside [0, 1] for tau0
-    near 0 or 1, yields a flagged row instead of an error. Each distinct
-    split is searched once, so at sigma = 0 (tau0 = 0 or 1) the three rows
-    share one search.
+    split where the trap vanishes, or that ModePair rejects because it
+    falls outside [0, 1] for tau0 near 0 or 1, yields a row flagged with
+    the error's text instead of the error. Each distinct split is searched
+    once, so at sigma = 0 (tau0 = 0 or 1) the three rows share one search.
     base, when given, is the (unfolded minimum, EscapeResult) already found
     at tau0 (TrapReport.base) and is reused for the tau0 row; every other
     split runs find_minimum and escape_barrier as a report does.
@@ -670,27 +670,23 @@ def tau_sensitivity(field_, seed, base=None):
     tau0 = field_.pair.tau
     sigma = power_split_sigma(tau0)
 
-    def search(split):
+    def search(tau):
         # (minimum, EscapeResult), or the error that flags the split's rows
         try:
+            split = field_ if tau == tau0 else replace(
+                field_, pair=replace(field_.pair, tau=tau))
             m = find_minimum(split, seed)
             return m, escape_barrier(split, m)
-        except NoTrapError as err:
+        except (ConfigError, NoTrapError) as err:
             return err
 
-    found = {tau0: search(field_) if base is None else base}
+    found = {tau0: search(tau0) if base is None else base}
     rows = []
     for tau in (tau0 - sigma, tau0, tau0 + sigma):
-        if not 0.0 <= tau <= 1.0:
-            rows.append({"tau": tau, "trap": False,
-                         "reason": f"power split tau = {tau} outside [0, 1]"})
-            continue
         if tau not in found:
-            found[tau] = search(
-                replace(field_, pair=replace(field_.pair, tau=tau)))
+            found[tau] = search(tau)
         if isinstance(found[tau], Exception):
-            rows.append({"tau": tau, "trap": False,
-                         "reason": str(found[tau])})
+            rows.append({"tau": tau, "trap": False, "reason": str(found[tau])})
             continue
         m, esc = found[tau]
         rows.append({"tau": tau, "trap": True,

@@ -429,6 +429,32 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "plane offset '-inf' is not finite" in res.stderr
 
+    @pytest.mark.parametrize("text, plane", [
+        ("grid.halfwidth_nm = 1e300\n", ()),
+        ("grid.halfwidth_nm = 1e308\n", ()),
+        ("", ("--plane", "x=1e300")),
+        ("", ("--plane", "d=1e300")),
+    ], ids=["halfwidth-1e300", "halfwidth-1e308", "x-1e300", "d-1e300"])
+    def test_overflowing_extent(self, tmp_path, text, plane):
+        # far beyond every evanescent tail, where the van der Waals d^3 and
+        # the plane's linspace overflow
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        res = run_cli("grid", "--config", str(cfg), *plane,
+                      "--resolution", "3")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "RuntimeWarning" not in res.stderr
+        assert "exceeds 1e+07 nm" in res.stderr
+
+    def test_wide_plane_still_runs(self, tmp_path):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("grid.halfwidth_nm = 1e6\n")
+        res = run_cli("grid", "--config", str(cfg), "--resolution", "3")
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert len(res.stdout.splitlines()) == 10
+
     def test_parse_error_names_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("pair.tua = 0.5\n")

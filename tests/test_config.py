@@ -170,6 +170,22 @@ class TestValidation:
         assert err.value.key == "pair.mode_a"
         assert "transverse magnetic" in str(err.value)
 
+    def test_order_three_mode_rejected(self):
+        # HE31 is guided on a 600 nm fiber (V = 4.67) but is no pair member
+        with pytest.raises(ConfigError) as err:
+            config.parse_config("fiber.radius_nm = 600\npair.mode_b = HE31")
+        assert err.value.key == "pair.mode_b"
+        assert "azimuthal orders above 2" in str(err.value)
+
+    @pytest.mark.parametrize("halfwidth", [1e300, 1e308])
+    def test_halfwidth_bound(self, halfwidth):
+        with pytest.raises(ConfigError) as err:
+            config.parse_config(f"grid.halfwidth_nm = {halfwidth!r}")
+        assert err.value.key == "grid.halfwidth_nm"
+        cfg = config.parse_config(
+            f"grid.halfwidth_nm = {config.MAX_EXTENT_NM!r}")
+        assert cfg.halfwidth_nm == config.MAX_EXTENT_NM
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError) as err:
             config.parse_config("pair.mode_b = HE99")
@@ -234,6 +250,17 @@ class TestPlaneGrammar:
         with pytest.raises(ConfigError) as err:
             config.parse_config(f"grid.plane = {plane}")
         assert err.value.key == "grid.plane"
+
+    @pytest.mark.parametrize("plane", ["x=1e300", "d=1e300", "z=-1e300",
+                                       "y=1.0000001e7"])
+    def test_rejects_offset_beyond_bound(self, plane):
+        with pytest.raises(ConfigError) as err:
+            config.parse_plane(plane)
+        assert err.value.key == "grid.plane"
+        with pytest.raises(ConfigError) as err:
+            config.parse_config(f"grid.plane = {plane}")
+        assert err.value.key == "grid.plane"
+        assert config.parse_plane("d=-1e7") == ("d", -config.MAX_EXTENT_NM)
 
 
 class TestBuilders:

@@ -303,7 +303,7 @@ class TestExteriorProfiles:
 
     def test_orientation_rotates_pattern(self, solved):
         alpha = 0.83
-        rot = modes.solve_mode(FIBER, WL, "HE11", orientation=alpha)
+        rot = modes.solve_mode(FIBER, WL, modes.parse_mode_name("HE11", alpha))
         base = solved["HE11"]
         for phi in (0.0, 1.0, 2.5):
             got = modes.e_field(rot, 650.0, phi + alpha, 120.0)

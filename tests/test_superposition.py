@@ -190,6 +190,15 @@ class TestValidation:
             superposition.make_pair(FIBER, 850.5, "HE11", "TM01", 10.0, 0.5)
         assert err.value.key == "pair.modes"
 
+    def test_order_three_member_rejected(self):
+        # HE31 is guided on a 600 nm fiber (V = 4.67), but pairs stop at
+        # azimuthal order 2, as in a config file
+        with pytest.raises(ConfigError) as err:
+            superposition.make_pair(modes.FiberSpec(600.0, 1.452, 1.0),
+                                    850.5, "HE11", "HE31", 10.0, 0.5)
+        assert err.value.key == "pair.modes"
+        assert "azimuthal orders above 2" in str(err.value)
+
     def test_mismatched_wavelengths_rejected(self):
         a = modes.solve_mode(FIBER, 850.0, "HE11")
         b = modes.solve_mode(FIBER, 851.0, "TE01")

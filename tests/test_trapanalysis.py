@@ -595,6 +595,19 @@ class TestOrbitAveragedScattering:
         floor = potential.local_scattering_rate(field1, *m)
         assert T1_RATE > floor
 
+    @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21"])
+    def test_rate_is_floor_plus_thermal_term(self, suite, name):
+        # scattering and light shift are one intensity times two
+        # coefficients, and the rule's <sin^2> = 1/2 puts the orbit mean of
+        # U - U_min at E_init / 2 in a harmonic well; the remainder is
+        # anharmonicity and the van der Waals term (0.7 % at most)
+        field_, report = suite.field(name), suite.report(name)
+        floor = potential.local_scattering_rate(field_, *report.base[0])
+        thermal = (field_.scatter_coeff / field_.shift_coeff
+                   * config.thermal_state(suite.cfg(name)).e_init / 2.0)
+        rate = report.scattering_rate
+        assert abs(rate - floor - thermal) <= 0.01 * rate
+
     def test_extents_shape_validated(self, field1, suite):
         with pytest.raises(ValueError):
             trapanalysis.orbit_averaged_scattering(
