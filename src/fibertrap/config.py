@@ -11,7 +11,9 @@ malformed values and non-finite floats (nan, inf, 1e999) are rejected with
 the offending line number. Every key has a default, so a config file only
 states what it overrides; the defaults are exactly the he11-te01 preset. All
 lengths are in nm, angles in rad; a grid half-width or plane offset above
-MAX_EXTENT_NM (1 cm) is rejected, since every evanescent field is 0 there.
+MAX_EXTENT_NM (1 cm) is rejected, since every evanescent field is 0 there,
+and so are a power above MAX_POWER_MW and a C3 above MAX_C3, where the
+potential would overflow.
 """
 
 import math
@@ -26,6 +28,11 @@ _PLANE_AXES = ("x", "y", "z", "d")
 # evanescent tail (1/e length about 420 nm) underflows to 0 by about
 # 0.3 mm, and the van der Waals d^-3 stays finite out here.
 MAX_EXTENT_NM = 1e7
+# Largest light.power_mw (1 kW) and atom.c3 (J m^3), far above any fiber
+# trap, yet low enough that the squared fields and the van der Waals
+# C3 / d^3 of every command stay finite.
+MAX_POWER_MW = 1e6
+MAX_C3 = 1e-40
 
 # One row per key: (key, type, default, RunConfig attribute path). Row order
 # is the save order. An int in a path indexes a (lo, hi) bound pair.
@@ -53,8 +60,6 @@ _KEYS = (
     ("seed.r_hi_nm", float, 880.0, ("seed", "r_nm", 1)),
     ("seed.phi_lo_rad", float, math.pi / 2.0 - 0.6, ("seed", "phi", 0)),
     ("seed.phi_hi_rad", float, math.pi / 2.0 + 0.6, ("seed", "phi", 1)),
-    ("seed.z_lo_nm", float, -2075.9, ("seed", "z_nm", 0)),
-    ("seed.z_hi_nm", float, 2075.9, ("seed", "z_nm", 1)),
 )
 _TYPES = {key: kind for key, kind, _, _ in _KEYS}
 _DEFAULTS = {key: default for key, _, default, _ in _KEYS}
@@ -65,9 +70,9 @@ _PARTS = {"fiber": modes.FiberSpec, "light": modes.LightSpec,
           "seed": trapanalysis.SeedRegion}
 
 # The three built-in trap configurations. Each entry only lists where it
-# departs from the defaults; the seed boxes span +-0.6 rad around the trap
-# azimuth and +-0.45 beat lengths, wide enough to catch the minimum at any
-# split the tau sweep visits yet narrow enough to hold exactly one trap.
+# departs from the defaults; the seed windows span +-0.6 rad around the trap
+# azimuth, wide enough to catch the minimum at any split the tau sweep
+# visits yet narrow enough to hold exactly one trap.
 _PRESETS = {
     "he11-te01": {},
     "he11-he21": {
@@ -77,8 +82,6 @@ _PRESETS = {
         "pair.tau": 0.84,
         "seed.phi_lo_rad": -0.6,
         "seed.phi_hi_rad": 0.6,
-        "seed.z_lo_nm": -1552.9,
-        "seed.z_hi_nm": 1552.9,
     },
     "te01-he21": {
         "light.wavelength_nm": 851.0,
@@ -88,8 +91,6 @@ _PRESETS = {
         "pair.tau": 0.68,
         "seed.phi_lo_rad": 3.0 * math.pi / 4.0 - 0.6,
         "seed.phi_hi_rad": 3.0 * math.pi / 4.0 + 0.6,
-        "seed.z_lo_nm": -6159.4,
-        "seed.z_hi_nm": 6159.4,
     },
 }
 
@@ -162,8 +163,15 @@ class RunConfig:
                 raise ConfigError(str(exc), key=key) from exc
             superposition.check_member(mode, key=key)
         superposition.check_split(self.tau)
+        if self.light.power_mw > MAX_POWER_MW:
+            raise ConfigError(f"light.power_mw = {self.light.power_mw} "
+                              f"exceeds {MAX_POWER_MW:g} mW",
+                              key="light.power_mw")
         if self.c3 < 0.0:
             raise ConfigError("atom.c3 must be non-negative", key="atom.c3")
+        if self.c3 > MAX_C3:
+            raise ConfigError(f"atom.c3 = {self.c3} exceeds {MAX_C3:g} J m^3",
+                              key="atom.c3")
         if self.t_init_uk <= 0.0:
             raise ConfigError("atom.t_init_uk must be positive",
                               key="atom.t_init_uk")

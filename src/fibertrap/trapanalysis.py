@@ -9,7 +9,7 @@ z* = (theta + pi) / dbeta modulo the beat length, so both searches run on
 the 2-D floor and end in the same 3-D Newton polish.
 
 The minimum is the best radial interior local minimum of V on a 61 x 25
-(r, phi) scan of the seed box (the attractive surface run never wins),
+(r, phi) scan of the seed window (the attractive surface run never wins),
 polished from there at z* with the analytic gradient and Hessian, both from
 one evaluation of the exterior field kernel. Every Newton iterate must have
 a local Hessian with three positive eigenvalues, so each step is a descent
@@ -88,41 +88,41 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class SeedRegion:
-    """Search box (r in nm, phi in rad, z in nm) holding exactly one minimum.
+    """Search window (r in nm, phi in rad) holding exactly one minimum.
 
     The minimum is searched on the valley floor over r and phi, where z
-    drops out; the z range only picks the beat period the minimum is
-    reported in (the image of the dark phase nearest its centre) and must
-    hold the polished minimum.
+    drops out; it is reported in the beat period of the dark phase nearest
+    z = 0, so however far the launch phase slides the trap array along z,
+    the minimum found lies within half a beat length of 0.
     """
 
     r_nm: tuple
     phi: tuple
-    z_nm: tuple
 
     def __post_init__(self):
-        for lo, hi in (self.r_nm, self.phi, self.z_nm):
+        for lo, hi in (self.r_nm, self.phi):
             if not hi > lo:
                 raise ValueError("seed region bounds must satisfy lo < hi")
 
 
 def find_minimum(field_, seed):
-    """Locate the potential minimum inside the seed region.
+    """Locate the potential minimum inside the seed window.
 
     The best radial interior local minimum of the valley floor V on a 61 x
-    25 (r, phi) scan of the seed box seeds _newton, at the image of its
-    dark phase z* nearest the centre of the box's z range, with no negative
-    curvature: a Newton step descends only where the Hessian is positive
-    definite, so the first iterate without three positive curvatures ends
-    the search as a saddle. Returns (r_nm, phi, z_nm). Raises NoTrapError
-    when the modes do not beat, when the region holds no interior minimum
-    (every phi column of V runs monotonically into the surface or out of
-    the evanescent field), when _newton does, and outside the seed region.
+    25 (r, phi) scan of the seed window seeds _newton, at the image of its
+    dark phase z* nearest z = 0, with no negative curvature: a Newton step
+    descends only where the Hessian is positive definite, so the first
+    iterate without three positive curvatures ends the search as a saddle.
+    Returns (r_nm, phi, z_nm). Raises NoTrapError when the modes do not
+    beat, when the window holds no interior minimum (every phi column of V
+    runs monotonically into the surface or out of the evanescent field),
+    when _newton does, and when the polished minimum lies outside the
+    window in r or phi.
     """
-    rr = np.linspace(_r_floor(field_, seed), seed.r_nm[1], _GRID_R)
+    r_lo = max(seed.r_nm[0], field_.fiber.radius_nm + 2.0)
+    rr = np.linspace(r_lo, seed.r_nm[1], _GRID_R)
     pp = np.linspace(seed.phi[0], seed.phi[1], _GRID_PHI)
-    v, _, zs = _valley(field_, rr[:, None], pp[None, :],
-                       0.5 * (seed.z_nm[0] + seed.z_nm[1]))
+    v, _, zs = _valley(field_, rr[:, None], pp[None, :], 0.0)
     # keep only radial interior local minima so the monotone van der Waals
     # descent toward the surface can never seed the search
     interior = (v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])
@@ -132,8 +132,8 @@ def find_minimum(field_, seed):
     i, j = np.unravel_index(np.argmin(masked), masked.shape)
     m = _newton(field_, (float(rr[i + 1]), float(pp[j]), float(zs[i + 1, j])),
                 0)
-    box = ((_r_floor(field_, seed), seed.r_nm[1]), seed.phi, seed.z_nm)
-    for ax, x, (lo, hi) in zip(("radially", "in phi", "in z"), m, box):
+    for ax, x, (lo, hi) in zip(("radially", "in phi"), m,
+                               ((r_lo, seed.r_nm[1]), seed.phi)):
         if not lo <= x <= hi:
             raise NoTrapError("refined minimum left the seed region " + ax)
     return m
@@ -159,11 +159,6 @@ def _valley(field_, r_nm, phi, z_ref):
     zs = (np.angle(x) + np.pi) / (pair.sol_a.beta_per_nm
                                   - pair.sol_b.beta_per_nm)
     return v, 4.0 * kappa * amp, zs + z0 * np.round((z_ref - zs) / z0)
-
-
-def _r_floor(field_, seed):
-    """Inner radial edge of the search: the seed box, at least 2 nm out."""
-    return max(seed.r_nm[0], field_.fiber.radius_nm + 2.0)
 
 
 def _newton(field_, point, negatives):
@@ -531,7 +526,12 @@ def lifetime(depth_j, state, rate_per_s, e_rec_j):
 
 @dataclass(frozen=True)
 class TrapReport:
-    """Full characterization of one interference microtrap."""
+    """Full characterization of one interference microtrap.
+
+    The minimum lies in the beat period of the dark phase nearest z = 0
+    (find_minimum), the same point as the tau0 row of tau_sensitivity and
+    the plane of grid z=trap.
+    """
 
     mode_a: str
     mode_b: str
@@ -541,7 +541,7 @@ class TrapReport:
     sigma: float
     delta: float
     beat_length_nm: float
-    minimum: tuple          # (r_nm, phi_rad, z_nm), z reported modulo z0
+    minimum: tuple          # (r_nm, phi_rad, z_nm), see find_minimum
     u_min_mk: float
     depth_mk: float
     barrier_direction: tuple
@@ -556,8 +556,8 @@ class TrapReport:
     min_intensity_w_m2: float
     cancellation: float     # I_min / (I_a + I_b) at the minimum
     recoil_energy_j: float
-    # (unfolded minimum, EscapeResult) the report was built from; not
-    # serialized, tau_sensitivity(base=...) reuses it for the tau0 row
+    # (minimum, EscapeResult) the report was built from; not serialized,
+    # tau_sensitivity(base=...) reuses it for the tau0 row
     base: tuple
 
     @property
@@ -620,10 +620,6 @@ def characterize_trap(field_, seed, state):
     life = lifetime(esc.depth_j, state, rate, e_rec)
     inner_h, inner_w = _inner_barrier(field_, (r, p, z), umin,
                                       probe_e=state.e_init)
-    z0 = superposition.beat_length(pair)
-    z_fold = z % z0
-    if z0 - z_fold < 1e-6 * z0:
-        z_fold = 0.0
     i_min = float(potential.intensity(field_, r, p, z))
     # I_a + I_b = (c eps0 / 2) S; I_min stays the field sum, which keeps
     # its digits where the two modes nearly cancel
@@ -632,8 +628,8 @@ def characterize_trap(field_, seed, state):
         mode_a=pair.sol_a.name, mode_b=pair.sol_b.name,
         wavelength_nm=pair.wavelength_nm, power_mw=pair.power_mw,
         tau=pair.tau, sigma=power_split_sigma(pair.tau), delta=pair.delta,
-        beat_length_nm=z0,
-        minimum=(r, p, z_fold),
+        beat_length_nm=superposition.beat_length(pair),
+        minimum=(r, p, z),
         u_min_mk=potential.as_millikelvin(umin),
         depth_mk=potential.as_millikelvin(esc.depth_j),
         barrier_direction=esc.direction,
@@ -663,7 +659,7 @@ def tau_sensitivity(field_, seed, base=None):
     falls outside [0, 1] for tau0 near 0 or 1, yields a row flagged with
     the error's text instead of the error. Each distinct split is searched
     once, so at sigma = 0 (tau0 = 0 or 1) the three rows share one search.
-    base, when given, is the (unfolded minimum, EscapeResult) already found
+    base, when given, is the (minimum, EscapeResult) already found
     at tau0 (TrapReport.base) and is reused for the tau0 row; every other
     split runs find_minimum and escape_barrier as a report does.
     """

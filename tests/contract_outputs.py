@@ -5,7 +5,7 @@ Run as a script (pytest does not collect it), once per checkout:
     PYTHONPATH=src python tests/contract_outputs.py OUTDIR
 
 then compare two such runs with `diff -r OUTDIR_A OUTDIR_B` (or `cmp` file
-by file). OUTDIR is created if needed and gets 60 files:
+by file). OUTDIR is created if needed and gets 62 files:
 
 * report-PRESET.json: `report --out` for each of the three presets;
 * report-he11-he21.txt: the readable `report` table that goes to stdout;
@@ -21,8 +21,8 @@ by file). OUTDIR is created if needed and gets 60 files:
   points), where a last-digit move of a root shows in more rows;
 * error-NAME.txt: the exit status line `exit N` and then the stderr of
   each rejected invocation in ERRORS (a TM member, an order-3 member on a
-  600 nm fiber, a split above 1, and an overflowing grid half-width and
-  plane offset); their stdout is discarded.
+  600 nm fiber, a split above 1, an overflowing grid half-width and plane
+  offset, and an overflowing power and C3); their stdout is discarded.
 
 Each command runs in its own interpreter (`python -m fibertrap.cli`), one
 after another. A command that exits non-zero stops the script, except the
@@ -49,6 +49,8 @@ ERRORS = {
     "halfwidth": ("grid.halfwidth_nm = 1e300\n",
                   ("grid", "--resolution", "3")),
     "plane": ("", ("grid", "--plane", "x=1e300", "--resolution", "3")),
+    "power": ("light.power_mw = 1e300\n", ("report",)),
+    "c3": ("atom.c3 = 1e300\n", ("report",)),
 }
 
 

@@ -283,13 +283,14 @@ def scalar_hessian(f, point, steps):
     return h
 
 
-def halving_find_minimum(field_, seed):
+def halving_find_minimum(field_, seed, z_nm):
     """trapanalysis.find_minimum as it was before every iterate was gated.
 
     The seed scan is the earlier 3-D one, 61 x 25 (r, phi) points times 49
-    values of z over the seed box, each cell a total_potential value, and
-    the polish starts at the best radial interior cell of that scan. Same
-    5 nm step cap, surface check, 40-step cap and box check, but a step that
+    values of z over the window z_nm = (lo, hi), each cell a total_potential
+    value, and the polish starts at the best radial interior cell of that
+    scan. Same 5 nm step cap, surface check and 40-step cap, and the
+    minimum must lie in the seed window and in z_nm, but a step that
     raises the potential is halved once, a singular Hessian raises, and the
     three positive curvatures are checked only on the last Hessian after
     convergence.
@@ -300,7 +301,7 @@ def halving_find_minimum(field_, seed):
     r_lo = max(seed.r_nm[0], a + 2.0)
     rr = np.linspace(r_lo, seed.r_nm[1], ta._GRID_R)
     pp = np.linspace(seed.phi[0], seed.phi[1], ta._GRID_PHI)
-    zz = np.linspace(seed.z_nm[0], seed.z_nm[1], 49)
+    zz = np.linspace(z_nm[0], z_nm[1], 49)
     R, P, Z = np.meshgrid(rr, pp, zz, indexing="ij")
     u = potential.total_potential(field_, R, P, Z)
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
@@ -339,7 +340,7 @@ def halving_find_minimum(field_, seed):
 
     for axis, value, (lo, hi) in (("radially", r, (r_lo, seed.r_nm[1])),
                                   ("in phi", p, seed.phi),
-                                  ("in z", z, seed.z_nm)):
+                                  ("in z", z, z_nm)):
         if not lo <= value <= hi:
             raise NoTrapError(f"refined minimum left the seed region {axis}")
     return r, p, z

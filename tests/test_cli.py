@@ -347,6 +347,17 @@ class TestReport:
         assert len(doc["tau_sensitivity"]["rows"]) == 3
         assert doc["lifetime_exceeds_cap"] is False
 
+    def test_minimum_is_its_tau0_row(self, tmp_path):
+        # at delta = -1 the dark phase nearest z = 0 lies below 0; the
+        # report and its tau0 row give the same point of the trap array
+        cfg = tmp_path / "moved.cfg"
+        cfg.write_text("pair.delta_rad = -1.0\n")
+        out = tmp_path / "report.json"
+        res = run_cli("report", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 0
+        doc = json.loads(out.read_text())
+        assert doc["minimum"] == doc["tau_sensitivity"]["rows"][1]["minimum"]
+
     def test_table_output(self):
         res = run_cli("report", "--preset", "he11-he21")
         assert res.returncode == 0
@@ -446,6 +457,36 @@ class TestExitCodes:
         assert res.stdout == ""
         assert "RuntimeWarning" not in res.stderr
         assert "exceeds 1e+07 nm" in res.stderr
+
+    @pytest.mark.parametrize("key", ["light.power_mw", "atom.c3"])
+    def test_overflowing_strength(self, tmp_path, key):
+        # the squared member fields and the van der Waals C3 / d^3 overflow
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"{key} = 1e300\n")
+        res = run_cli("report", "--config", str(cfg))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "RuntimeWarning" not in res.stderr
+        assert res.stderr.startswith(
+            f"fibertrap: configuration error: {key} = 1e+300 exceeds ")
+
+    @pytest.mark.parametrize("key, bound, status", [
+        ("light.power_mw", config.MAX_POWER_MW, 0),
+        # a C3 this strong pulls every seed column into the surface
+        ("atom.c3", config.MAX_C3, 3)])
+    def test_strength_at_its_bound_runs(self, tmp_path, key, bound, status):
+        cfg = tmp_path / "bound.cfg"
+        cfg.write_text(f"{key} = {bound!r}\n")
+        res = run_cli("report", "--config", str(cfg))
+        assert res.returncode == status
+        assert "RuntimeWarning" not in res.stderr
+        for quantity in ("potential", "intensity", "field"):
+            cfg.write_text(f"{key} = {bound!r}\ngrid.quantity = {quantity}\n")
+            res = run_cli("grid", "--config", str(cfg), "--plane", "z=0",
+                          "--resolution", "5")
+            assert res.returncode == 0
+            assert res.stderr == ""
+            assert len(res.stdout.splitlines()) == 26
 
     def test_wide_plane_still_runs(self, tmp_path):
         cfg = tmp_path / "wide.cfg"

@@ -65,6 +65,13 @@ class TestParsing:
         assert err.value.line == 1
         assert "pair.tua" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["seed.z_lo_nm", "seed.z_hi_nm"])
+    def test_no_axial_seed_window(self, key):
+        # the beat period is the dark phase nearest z = 0, not a key
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            config.parse_config(f"{key} = 0.0")
+        assert err.value.key == key
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError) as err:
             config.parse_config("pair.tau = 0.5\npair.tau = 0.6")
@@ -143,8 +150,6 @@ class TestRoundTrip:
             "seed.r_hi_nm": 900.0,
             "seed.phi_lo_rad": 0.4,
             "seed.phi_hi_rad": 0.7,
-            "seed.z_lo_nm": -1000.0,
-            "seed.z_hi_nm": 1100.0,
         }
         cfg = config.parse_config(
             "".join(f"{key} = {value}\n" for key, value in expected.items()))
@@ -185,6 +190,15 @@ class TestValidation:
         cfg = config.parse_config(
             f"grid.halfwidth_nm = {config.MAX_EXTENT_NM!r}")
         assert cfg.halfwidth_nm == config.MAX_EXTENT_NM
+
+    @pytest.mark.parametrize("key, bound", [
+        ("light.power_mw", config.MAX_POWER_MW), ("atom.c3", config.MAX_C3)])
+    def test_strength_bound(self, key, bound):
+        with pytest.raises(ConfigError) as err:
+            config.parse_config(f"{key} = 1e300")
+        assert err.value.key == key
+        assert config.as_values(
+            config.parse_config(f"{key} = {bound!r}"))[key] == bound
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError) as err:

@@ -91,8 +91,7 @@ class TestThermalState:
 class TestSeedRegion:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
-            trapanalysis.SeedRegion(r_nm=(500.0, 450.0), phi=(0.0, 1.0),
-                                    z_nm=(-10.0, 10.0))
+            trapanalysis.SeedRegion(r_nm=(500.0, 450.0), phi=(0.0, 1.0))
 
 
 class TestFindMinimum:
@@ -109,10 +108,9 @@ class TestFindMinimum:
         assert np.all(np.abs(g) < 1e-4 * hess_scale)
 
     def test_no_minimum_between_trap_arrays(self, field1, suite):
+        # the azimuth window lies between the traps at phi = +-pi/2
         seed = trapanalysis.SeedRegion(
-            r_nm=suite.cfg("he11-te01").seed.r_nm,
-            phi=(math.pi / 2 - 0.1, math.pi / 2 + 0.1),
-            z_nm=(800.0, 1500.0))
+            r_nm=suite.cfg("he11-te01").seed.r_nm, phi=(-0.3, 0.3))
         with pytest.raises(NoTrapError):
             trapanalysis.find_minimum(field1, seed)
 
@@ -121,8 +119,7 @@ class TestFindMinimum:
         # trap at phi = pi/2 outside it
         seed = trapanalysis.SeedRegion(
             r_nm=suite.cfg("he11-te01").seed.r_nm,
-            phi=(math.pi / 2 + 0.05, math.pi / 2 + 0.4),
-            z_nm=suite.cfg("he11-te01").seed.z_nm)
+            phi=(math.pi / 2 + 0.05, math.pi / 2 + 0.4))
         with pytest.raises(NoTrapError, match="in phi"):
             trapanalysis.find_minimum(field1, seed)
 
@@ -204,13 +201,16 @@ class TestFindMinimum:
         # iterations, the first 11 capped at 5 nm
         ("te01-he21", 2.5)])
     def test_same_minimum_as_halving_search(self, suite, name, delta):
-        # the halving search seeds its polish from the 3-D scan over z; at
-        # delta = 0 both seeds lead to the same minimum bit for bit, and at
-        # delta = 2.5 the 2-D seed at z* (3 iterations) ends 1e-8 nm from it
+        # the halving search seeds its polish from the 3-D scan over z, here
+        # +-0.45 beat lengths around z = 0; at delta = 0 both seeds lead to
+        # the same minimum bit for bit, and at delta = 2.5 the 2-D seed at
+        # z* (3 iterations) ends 1e-8 nm from it
+        half = {"he11-te01": 2075.9, "he11-he21": 1552.9,
+                "te01-he21": 6159.4}[name]
         cfg = replace(suite.cfg(name), delta=delta)
         field_ = config.make_field(cfg)
         got = trapanalysis.find_minimum(field_, cfg.seed)
-        want = oracles.halving_find_minimum(field_, cfg.seed)
+        want = oracles.halving_find_minimum(field_, cfg.seed, (-half, half))
         if delta == 0.0:
             assert got == want
         else:
@@ -221,23 +221,27 @@ class TestFindMinimum:
     def test_delta_translates_the_trap(self, suite, name):
         # the launch phase delta shifts the beat by delta / dbeta along z,
         # the way the traps are moved along the fiber; r, phi, depth and
-        # frequencies stay
+        # frequencies stay, and the minimum found is the image nearest
+        # z = 0, however far the array slides
         field_, seed = suite.field(name), suite.cfg(name).seed
         mass = field_.atom.mass_kg
-        moved = replace(field_, pair=replace(field_.pair, delta=0.7))
         z0 = superposition.beat_length(field_.pair)
-        shift = 0.7 / (field_.pair.sol_a.beta_per_nm
-                       - field_.pair.sol_b.beta_per_nm)
-        m, got = suite.minimum(name), trapanalysis.find_minimum(moved, seed)
-        assert got[0] == pytest.approx(m[0], abs=1e-8)
-        assert got[1] == pytest.approx(m[1], abs=1e-12)
-        dz = got[2] - m[2] - shift
-        assert abs(dz - z0 * round(dz / z0)) <= 1e-8
-        assert trapanalysis.escape_barrier(moved, got).depth_j == \
-            pytest.approx(suite.report(name).base[1].depth_j, rel=1e-12)
-        assert trapanalysis.trap_frequencies(moved, got, mass) == \
-            pytest.approx(trapanalysis.trap_frequencies(field_, m, mass),
-                          rel=1e-9)
+        m = suite.minimum(name)
+        for delta in (0.7, 3.0, math.pi):
+            moved = replace(field_, pair=replace(field_.pair, delta=delta))
+            shift = delta / (field_.pair.sol_a.beta_per_nm
+                             - field_.pair.sol_b.beta_per_nm)
+            got = trapanalysis.find_minimum(moved, seed)
+            assert got[0] == pytest.approx(m[0], abs=1e-8)
+            assert got[1] == pytest.approx(m[1], abs=1e-12)
+            dz = got[2] - m[2] - shift
+            assert abs(dz - z0 * round(dz / z0)) <= 1e-8
+            assert abs(got[2]) <= z0 / 2.0 + 1e-8
+            assert trapanalysis.escape_barrier(moved, got).depth_j == \
+                pytest.approx(suite.report(name).base[1].depth_j, rel=1e-12)
+            assert trapanalysis.trap_frequencies(moved, got, mass) == \
+                pytest.approx(trapanalysis.trap_frequencies(field_, m, mass),
+                              rel=1e-9)
 
 
 class TestTrapFrequencies:
