@@ -13,7 +13,8 @@ states what it overrides; the defaults are exactly the he11-te01 preset. All
 lengths are in nm, angles in rad; a grid half-width or plane offset above
 MAX_EXTENT_NM (1 cm) is rejected, since every evanescent field is 0 there,
 and so are a power above MAX_POWER_MW and a C3 above MAX_C3, where the
-potential would overflow.
+potential would overflow, and a grid.resolution above MAX_RESOLUTION, whose
+plane would not fit in memory.
 """
 
 import math
@@ -33,6 +34,11 @@ MAX_EXTENT_NM = 1e7
 # C3 / d^3 of every command stay finite.
 MAX_POWER_MW = 1e6
 MAX_C3 = 1e-40
+# Largest grid.resolution (samples per axis): a plane's three coordinate
+# arrays then take 3 x 4001^2 x 8 B = 384 MB, and a dispersion sweep makes
+# 4001 mode censuses. Far larger values would be allocated (or looped over)
+# before any error, until memory or time runs out.
+MAX_RESOLUTION = 4001
 
 # One row per key: (key, type, default, RunConfig attribute path). Row order
 # is the save order. An int in a path indexes a (lo, hi) bound pair.
@@ -178,6 +184,10 @@ class RunConfig:
         parse_plane(self.plane)
         if self.resolution < 2:
             raise ConfigError("grid.resolution must be at least 2 per axis",
+                              key="grid.resolution")
+        if self.resolution > MAX_RESOLUTION:
+            raise ConfigError(f"grid.resolution = {self.resolution} exceeds "
+                              f"{MAX_RESOLUTION} per axis",
                               key="grid.resolution")
         if self.quantity not in _QUANTITIES:
             raise ConfigError(

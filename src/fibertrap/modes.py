@@ -633,22 +633,15 @@ def cartesian_components(field_cyl, phi):
     return np.stack([fx, fy, fz], axis=-1)
 
 
-def _axial_poynting(sol, r_nm, phi):
-    """Time-averaged axial Poynting density (W/m^2) at (r, phi)."""
-    e = e_field(sol, r_nm, phi, 0.0)
-    h = h_field(sol, r_nm, phi, 0.0)
-    return 0.5 * np.real(e[..., 0] * np.conj(h[..., 1])
-                         - e[..., 1] * np.conj(h[..., 0]))
-
-
 def mode_power(sol):
     """Total axial power of the mode (W), by fixed-rule radial quadrature.
 
     The azimuthal integral is exact: every component is cos or sin of
     (nu phi + psi), so the azimuthal average of the Poynting density is half
     the sum of its values at the two quadrature azimuths (all of it at one
-    azimuth for nu = 0), all evaluated in one call on open axes, the radial
-    nodes against the azimuths. The core is one Gauss-Legendre rule in r.
+    azimuth for nu = 0); E and H take one transverse_fields call each on
+    open axes, the radial nodes against the azimuths, at z = 0 where the
+    phase is 1. The core is one Gauss-Legendre rule in r.
     The cladding is one in t = ln(r/a), which keeps the K_nu tail smooth
     even near cutoff, where it decays slowly; it ends at q (r - a) = 40,
     where K_nu(q r)^2 has fallen by e^-80.
@@ -663,7 +656,11 @@ def mode_power(sol):
         weight = np.pi
 
     def ring(r):
-        return sum(_axial_poynting(sol, r[:, np.newaxis], phis).T) * r
+        # time-averaged axial Poynting density, W/m^2
+        e_r, e_phi, _ = transverse_fields(sol, r[:, np.newaxis], phis)
+        h_r, h_phi, _ = transverse_fields(sol, r[:, np.newaxis], phis, True)
+        s_z = 0.5 * np.real(e_r * np.conj(h_phi) - e_phi * np.conj(h_r))
+        return sum(s_z.T) * r
 
     a = sol.fiber.radius_nm
     inner = numerics.integrate(ring, 0.0, a)

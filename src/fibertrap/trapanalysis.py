@@ -30,15 +30,17 @@ or numpy.polynomial.
 The escape saddle is found by a priority flood of V (Barnes, Lehman & Mulla,
 Computers & Geosciences 62, 117, 2014) on a polar grid around the fiber:
 cells are taken in increasing V from the minimum's cell until the flood
-reaches the outer edge, 2000 nm beyond the minimum, which solves the 2-D
-minimax-path problem on the grid. The highest cell taken sets the spill
-level; from it, at its z*, _newton with one negative curvature converges to
-the saddle. The saddle is certified when every iterate has the curvature
-signs (-, +, +) and its barrier is positive, with its height within the
-flood's grid tolerance of the spill level. The flood itself must spill
-before it reaches the surface, and the beat ridge V + 4 kappa' |X| must
-stand above the spill level on every cell flooded up to the spill, so that
-no escape along z into the neighbouring trap of the beat is lower.
+reaches the outer edge, 2000 nm beyond the minimum, or the inner edge at
+the surface pad, whichever comes first. This solves the 2-D minimax-path
+problem on the grid to both edges at once, so the depth is the lower of
+the two exits, outward or toward the surface. The highest cell taken sets
+the spill level; from it, at its z*, _newton with one negative curvature
+converges to the saddle. The saddle is certified when every iterate has
+the curvature signs (-, +, +) and its barrier is positive, with its height
+within the flood's grid tolerance of the spill level. The beat ridge
+V + 4 kappa' |X| must stand above the spill level on every cell flooded up
+to the spill, so that no escape along z into the neighbouring trap of the
+beat is lower.
 """
 
 import heapq
@@ -330,9 +332,10 @@ def escape_barrier(field_, minimum):
     negative curvature converges to the saddle. Returns an EscapeResult with
     the depth U(saddle) - U(min), the unit vector l from the minimum to the
     saddle in the local (r-hat, phi-hat, z-hat) frame at the minimum, and
-    the saddle. Raises NoTrapError when _flood or _newton does, and unless
-    the saddle's barrier is positive and its height lies within the flood's
-    grid tolerance of the spill level.
+    the saddle; the saddle lies toward the surface (l[0] < 0) when the
+    flood reaches the inner edge first. Raises NoTrapError when _flood or
+    _newton does, and unless the saddle's barrier is positive and its
+    height lies within the flood's grid tolerance of the spill level.
     """
     umin = potential.total_potential(field_, *minimum)
     level, tol, pass_cell = _flood(field_, minimum)
@@ -355,19 +358,18 @@ def _flood(field_, minimum):
     The grid has _FLOOD_R radii, geometric in r - a from the surface pad
     out to _REACH_NM beyond the minimum, and _FLOOD_PHI azimuths over the
     full circle, centred on the minimum's. It holds no cell within the pad,
-    so the surface is a wall. From the cell nearest the minimum, cells are
-    taken in increasing V, ties broken by the flat cell index i _FLOOD_PHI
-    + j (so in (i, j) order), their neighbours in r and (cyclically) in phi
-    queued as they are found, until a cell of the outermost radius is
-    taken. The spill level is the highest V taken; the pass is the first
-    cell taken at it, and the basin every cell taken up to the pass.
-    Returns the level in J, its tolerance (the largest V step from the pass
-    to a neighbour) and the pass as (r_nm, phi, z*), z* nearest the
-    minimum's z. Raises NoTrapError when the minimum
-    lies within the surface pad; when the basin reaches the innermost
-    radius, so that the light wall toward the surface is lower than every
-    escape; and when the beat ridge V + 4 kappa' |X| of a basin cell is not
-    above the level, where an escape along z could be lower.
+    so its innermost radius stands for the surface. From the cell nearest
+    the minimum, cells are taken in increasing V, ties broken by the flat
+    cell index i _FLOOD_PHI + j (so in (i, j) order), their neighbours in r
+    and (cyclically) in phi queued as they are found, until a cell of the
+    innermost or the outermost radius is taken: the lower of the two exits.
+    The spill level is the highest V taken; the pass is the first cell
+    taken at it, and the basin every cell taken up to the pass. Returns the
+    level in J, its tolerance (the largest V step from the pass to a
+    neighbour) and the pass as (r_nm, phi, z*), z* nearest the minimum's z.
+    Raises NoTrapError when the minimum lies within the surface pad, and
+    when the beat ridge V + 4 kappa' |X| of a basin cell is not above the
+    level, where an escape along z could be lower.
     """
     r0, p0, z0 = minimum
     a = field_.fiber.radius_nm
@@ -378,8 +380,8 @@ def _flood(field_, minimum):
     pp = p0 + 2.0 * np.pi / _FLOOD_PHI * (np.arange(_FLOOD_PHI)
                                           - _FLOOD_PHI // 2)
     v, ridge, zs = _valley(field_, rr[:, None], pp[None, :], z0)
-    # cells go by flat index k = i * _FLOOD_PHI + j; from outer on, they
-    # lie on the outermost radius
+    # cells go by flat index k = i * _FLOOD_PHI + j; below _FLOOD_PHI they
+    # lie on the innermost radius, from outer on on the outermost
     outer = (_FLOOD_R - 1) * _FLOOD_PHI
 
     def around(k):
@@ -398,7 +400,7 @@ def _flood(field_, minimum):
     queued[k] = 1
     heap = [(v.item(k), k)]
     level, last = -math.inf, 0
-    while k < outer:
+    while not taken or _FLOOD_PHI <= k < outer:
         u, k = heapq.heappop(heap)
         taken.append(k)
         if u > level:
@@ -408,9 +410,6 @@ def _flood(field_, minimum):
                 queued[cell] = 1
                 heapq.heappush(heap, (v.item(cell), cell))
     basin = np.array(taken[:last])
-    if (basin < _FLOOD_PHI).any():
-        raise NoTrapError("the light wall toward the surface lies below the "
-                          "spill level")
     if not np.all(v.flat[basin] + ridge.flat[basin] > level):
         raise NoTrapError("the beat ridge lies below the spill level: an "
                           "escape along z may be lower")

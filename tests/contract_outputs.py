@@ -5,9 +5,11 @@ Run as a script (pytest does not collect it), once per checkout:
     PYTHONPATH=src python tests/contract_outputs.py OUTDIR
 
 then compare two such runs with `diff -r OUTDIR_A OUTDIR_B` (or `cmp` file
-by file). OUTDIR is created if needed and gets 62 files:
+by file). OUTDIR is created if needed and gets 64 files:
 
 * report-PRESET.json: `report --out` for each of the three presets;
+* report-te01-he21-surface.json: `report --preset te01-he21 --tau 0.58
+  --out`, a trap whose lowest exit is the light wall toward the surface;
 * report-he11-he21.txt: the readable `report` table that goes to stdout;
 * sweep-tau-PRESET.csv: `sweep-tau` for each preset;
 * sweep-tau-he11-te01-edge.csv: `sweep-tau --tau 0.001`, whose tau0 - sigma
@@ -22,11 +24,13 @@ by file). OUTDIR is created if needed and gets 62 files:
 * error-NAME.txt: the exit status line `exit N` and then the stderr of
   each rejected invocation in ERRORS (a TM member, an order-3 member on a
   600 nm fiber, a split above 1, an overflowing grid half-width and plane
-  offset, and an overflowing power and C3); their stdout is discarded.
+  offset, an overflowing power and C3, and a grid resolution of 10^6 per
+  axis); their stdout is discarded.
 
 Each command runs in its own interpreter (`python -m fibertrap.cli`), one
 after another. A command that exits non-zero stops the script, except the
-ERRORS invocations, which are expected to.
+ERRORS invocations, which are expected to. The surface report runs last,
+so a checkout that refuses that trap still writes every other file.
 """
 
 import dataclasses
@@ -51,6 +55,7 @@ ERRORS = {
     "plane": ("", ("grid", "--plane", "x=1e300", "--resolution", "3")),
     "power": ("light.power_mw = 1e300\n", ("report",)),
     "c3": ("atom.c3 = 1e300\n", ("report",)),
+    "resolution": ("", ("grid", "--resolution", "1000000")),
 }
 
 
@@ -97,6 +102,8 @@ def main(outdir):
     fibertrap("dispersion", "--resolution", "20",
               "--out", out("dispersion.csv"))
     fibertrap("dispersion", "--out", out("dispersion-default.csv"))
+    fibertrap("report", "--preset", "te01-he21", "--tau", "0.58",
+              "--out", out("report-te01-he21-surface.json"))
 
 
 if __name__ == "__main__":

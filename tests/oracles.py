@@ -190,7 +190,7 @@ def dense_fan_escape(field_, minimum):
         field_, (float(r[i]), float(p[i]), float(z[i])), 1)
 
 
-def dense_flood_escape(field_, minimum):
+def dense_flood_escape(field_, minimum, inward=False):
     """Depth and saddle from a dense valley-floor flood, written out here.
 
     The polar grid has DENSE_FLOOD cells: radii geometric in r - a from the
@@ -201,7 +201,8 @@ def dense_flood_escape(field_, minimum):
     A, |B| and theta, hence the valley floor V = A - |B| and the dark phase.
     The spill level is found as a minimax path (Dijkstra with the highest V
     on the path as its cost) from the minimum's cell to the outermost
-    radius; the pass is the highest cell on that path, polished by
+    radius, or with inward to the innermost one (toward the surface); the
+    pass is the highest cell on that path, polished by
     trapanalysis._newton with one negative curvature. Returns (depth_j,
     saddle, level).
     """
@@ -227,15 +228,15 @@ def dense_flood_escape(field_, minimum):
     dz -= z0 * np.round(dz / z0)
 
     i, j = int(np.argmin(np.abs(gap - (r0 - a)))), n_phi // 2
+    edge = 0 if inward else n_r - 1
     cost = np.full((n_r, n_phi), np.inf)
     parent = {}
     cost[i, j] = c = floor[i][j]
-    # among equal costs the outermost cell first: past the pass every cell
-    # costs the level, and the walk heads for the outer edge
-    heap = [(c, -i, j)]
-    while i < n_r - 1:
-        c, i, j = heapq.heappop(heap)
-        i = -i
+    # among equal costs the cell nearest the target edge first: past the
+    # pass every cell costs the level, and the walk heads for that edge
+    heap = [(c, abs(edge - i), i, j)]
+    while i != edge:
+        c, _, i, j = heapq.heappop(heap)
         if c > cost[i, j]:
             continue
         for ni, nj in ((i - 1, j), (i + 1, j), (i, (j - 1) % n_phi),
@@ -244,7 +245,7 @@ def dense_flood_escape(field_, minimum):
                 c_next = max(c, floor[ni][nj])
                 if c_next < cost[ni, nj]:
                     cost[ni, nj], parent[ni, nj] = c_next, (i, j)
-                    heapq.heappush(heap, (c_next, -ni, nj))
+                    heapq.heappush(heap, (c_next, abs(edge - ni), ni, nj))
     path = [(i, j)]
     while path[-1] in parent:
         path.append(parent[path[-1]])

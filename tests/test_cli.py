@@ -358,6 +358,17 @@ class TestReport:
         doc = json.loads(out.read_text())
         assert doc["minimum"] == doc["tau_sensitivity"]["rows"][1]["minimum"]
 
+    def test_surface_exit(self, tmp_path):
+        # the light wall toward the surface is the lowest exit here, and
+        # its saddle sets the depth and the lifetime
+        out = tmp_path / "report.json"
+        assert cli.main(["report", "--preset", "te01-he21", "--tau", "0.60",
+                         "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["depth_mk"] == pytest.approx(2.3445, rel=1e-4)
+        assert doc["barrier_direction"][0] < -0.999
+        assert doc["lifetime_s"] == pytest.approx(177.9, rel=1e-3)
+
     def test_table_output(self):
         res = run_cli("report", "--preset", "he11-he21")
         assert res.returncode == 0
@@ -488,6 +499,19 @@ class TestExitCodes:
             assert res.stderr == ""
             assert len(res.stdout.splitlines()) == 26
 
+    @pytest.mark.parametrize("command", ["grid", "dispersion"])
+    def test_resolution_above_its_bound(self, monkeypatch, capsys, command):
+        # rejected before a plane's arrays or a sweep's censuses are made
+        def unreachable(*args):
+            raise AssertionError("the resolution reached the command")
+
+        monkeypatch.setattr(cli, "_plane_points", unreachable)
+        monkeypatch.setattr(cli.modes, "dispersion_sweep", unreachable)
+        assert cli.main([command, "--resolution", "1000000"]) == 2
+        assert capsys.readouterr().err == (
+            "fibertrap: configuration error: grid.resolution = 1000000 "
+            f"exceeds {config.MAX_RESOLUTION} per axis\n")
+
     def test_wide_plane_still_runs(self, tmp_path):
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("grid.halfwidth_nm = 1e6\n")
@@ -519,24 +543,6 @@ class TestExitCodes:
     def test_unknown_preset_rejected(self):
         res = run_cli("dispersion", "--preset", "nope")
         assert res.returncode == 2
-
-
-def test_commands_load_no_scipy(tmp_path):
-    # the package imports no scipy module, so no command pays for scipy's
-    # import; scipy serves the tests only, as an oracle
-    grid = ["grid", "--plane", "z=0", "--resolution", "5",
-            "--out", str(tmp_path / "grid.csv")]
-    script = ("import sys\n"
-              "from fibertrap import cli\n"
-              "assert cli.main(['dispersion', '--resolution', '3']) == 0\n"
-              f"assert cli.main({grid!r}) == 0\n"
-              "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
-    scipy_modules = [name for name in res.stderr.split()
-                     if name == "scipy" or name.startswith("scipy.")]
-    assert scipy_modules == []
 
 
 def test_commands_load_only_what_they_compute(tmp_path):

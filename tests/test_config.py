@@ -210,6 +210,15 @@ class TestValidation:
             config.parse_config("grid.resolution = 1")
         assert err.value.key == "grid.resolution"
 
+    def test_resolution_ceiling(self):
+        # a plane's coordinate arrays grow with its square
+        with pytest.raises(ConfigError) as err:
+            config.parse_config("grid.resolution = 1000000")
+        assert err.value.key == "grid.resolution"
+        cfg = config.parse_config(
+            f"grid.resolution = {config.MAX_RESOLUTION}")
+        assert cfg.resolution == config.MAX_RESOLUTION
+
     def test_quantity_membership(self):
         with pytest.raises(ConfigError) as err:
             config.parse_config("grid.quantity = phase")

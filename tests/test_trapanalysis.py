@@ -469,6 +469,13 @@ class TestEscapeBarrier:
         with pytest.raises(NoTrapError, match="surface pad"):
             trapanalysis.escape_barrier(field_, (250.4, 0.0, 0.0))
 
+    def test_minimum_on_the_innermost_radius_raises(self, field1):
+        # the flood's first cell is already an exit: it is taken, the flood
+        # stops, and the search from 0.5 nm off the surface certifies nothing
+        a = field1.fiber.radius_nm
+        with pytest.raises(NoTrapError):
+            trapanalysis.escape_barrier(field1, (a + 0.52, 0.0, 0.0))
+
     @pytest.mark.parametrize("row", (0, 1, 2))
     @pytest.mark.parametrize("name", ("he11-te01", "he11-he21", "te01-he21"))
     def test_saddle_is_certified(self, suite, name, row):
@@ -501,7 +508,7 @@ class TestEscapeBarrier:
             # the saddle lies on the radial line through the minimum
             assert np.abs(d[1:]).max() <= 1e-6
 
-    @pytest.mark.parametrize("fault", ("bracket", "ridge", "surface"))
+    @pytest.mark.parametrize("fault", ("bracket", "ridge"))
     def test_uncertified_flood_saddle_raises(self, suite, field1, monkeypatch,
                                              fault):
         m = suite.minimum("he11-te01")
@@ -516,7 +523,7 @@ class TestEscapeBarrier:
             monkeypatch.setattr(trapanalysis, "_newton",
                                 lambda field_, point, negatives: crest)
             match = "grid tolerance"
-        elif fault == "ridge":
+        else:
             # a beat ridge no higher than the floor: escape along z is free
             valley = trapanalysis._valley
 
@@ -526,16 +533,35 @@ class TestEscapeBarrier:
 
             monkeypatch.setattr(trapanalysis, "_valley", flat)
             match = "beat ridge"
-        else:
-            # te01-he21 at tau = 0.58: the flood crosses the light wall
-            # toward the surface (8.6e-27 J above the minimum on the radial
-            # line) before any outward pass (5.3e-26 J)
-            field_ = suite.field("te01-he21")
-            field1 = replace(field_, pair=replace(field_.pair, tau=0.58))
-            m = trapanalysis.find_minimum(field1, suite.cfg("te01-he21").seed)
-            match = "toward the surface"
         with pytest.raises(NoTrapError, match=match):
             trapanalysis.escape_barrier(field1, m)
+
+    @pytest.mark.parametrize("name, tau", (
+        ("he11-te01", 0.68), ("he11-te01", 0.69), ("he11-he21", 0.78),
+        ("te01-he21", 0.58), ("te01-he21", 0.60)))
+    def test_surface_exit(self, suite, name, tau):
+        # splits whose light wall toward the surface is lower than every
+        # outward pass: the flood reaches the inner edge first, and the
+        # saddle lies on the radial line through the minimum, where that
+        # line's own maximum, sampled apart from the flood, is its height
+        cfg = replace(suite.cfg(name), tau=tau)
+        field_ = config.make_field(cfg)
+        m = trapanalysis.find_minimum(field_, cfg.seed)
+        esc = trapanalysis.escape_barrier(field_, m)
+        _, h = potential.potential_derivatives(field_, *esc.saddle)
+        assert np.sign(np.linalg.eigvalsh(h)).tolist() == [-1.0, 1.0, 1.0]
+        assert esc.direction[0] < -0.999
+        umin = potential.total_potential(field_, *m)
+        wall = trapanalysis._inner_barrier(field_, m, umin, 0.0)[0]
+        assert 0.0 <= esc.depth_j - wall <= 1e-6 * esc.depth_j
+        if (name, tau) == ("te01-he21", 0.58):
+            # the dense flood to the inner edge finds the same saddle; to
+            # the outer edge it crosses the higher outward pass
+            inner = oracles.dense_flood_escape(field_, m, inward=True)[0]
+            assert inner == pytest.approx(esc.depth_j, rel=1e-12)
+            outward = oracles.dense_flood_escape(field_, m)[0]
+            assert outward == pytest.approx(5.34e-26, rel=1e-3)
+            assert esc.depth_j == pytest.approx(8.61e-27, rel=1e-3)
 
     @pytest.mark.parametrize("bad", ("positive definite", "nan", "nan above"))
     def test_uncertified_saddle_raises(self, suite, field1, monkeypatch, bad):
