@@ -102,34 +102,26 @@ def _plane_points(cfg, fieldobj):
     """
     axis, value = config.parse_plane(cfg.plane)
     n = cfg.resolution
-    hw = cfg.halfwidth_nm
-    span = np.linspace(-hw, hw, n)
+    span = np.linspace(-cfg.halfwidth_nm, cfg.halfwidth_nm, n)[:, None]
     if axis == "z":
         if value == "trap":
             value = trapanalysis.find_minimum(fieldobj, cfg.seed)[2]
-        x = np.broadcast_to(span[:, None], (n, n))
-        y = np.broadcast_to(span[None, :], (n, n))
-        z = np.full((n, n), value)
+        x, y, z = span, span.T, value
     else:
         try:
             z0 = superposition.beat_length(fieldobj.pair)
         except ValueError as err:
             raise ConfigError(f"plane {cfg.plane}: {err}",
                               key="grid.plane") from err
-        zline = np.linspace(0.0, z0, n)
-        z = np.broadcast_to(zline[None, :], (n, n))
+        z = np.linspace(0.0, z0, n)[None, :]
         if axis == "x":
-            x = np.full((n, n), value)
-            y = np.broadcast_to(span[:, None], (n, n))
+            x, y = value, span
         elif axis == "y":
-            x = np.broadcast_to(span[:, None], (n, n))
-            y = np.full((n, n), value)
+            x, y = span, value
         else:
             # d plane: u = (x + y)/sqrt(2) fixed, d = (y - x)/sqrt(2) sweeps
-            d = span[:, None]
-            x = np.broadcast_to((value - d) / _SQRT2, (n, n))
-            y = np.broadcast_to((value + d) / _SQRT2, (n, n))
-    return (np.ravel(x).copy(), np.ravel(y).copy(), np.ravel(z).copy())
+            x, y = (value - span) / _SQRT2, (value + span) / _SQRT2
+    return tuple(np.broadcast_to(c, (n, n)).ravel() for c in (x, y, z))
 
 
 def _grid_values(cfg, fieldobj, x, y, z):

@@ -210,7 +210,11 @@ class RunConfig:
             raise ConfigError(f"dispersion.v_hi = {self.v_hi} exceeds "
                               f"V = {v_max}, the mode solver's range",
                               key="dispersion.v_hi")
-        v = modes.v_parameter(self.fiber, self.light.wavelength_nm)
+        try:
+            v = modes.v_parameter(self.fiber, self.light.wavelength_nm)
+        except OverflowError:
+            # n_core ** 2 overflows above n_core = 1.3e154: V is beyond range
+            v = math.inf
         if v > v_max:
             raise ConfigError(f"the fiber's V = {v:.4g} at this wavelength "
                               f"exceeds {v_max}, the mode solver's range",

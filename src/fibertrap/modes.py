@@ -20,11 +20,15 @@ The hybrid-mode fields reduce, outside the core, to combinations
 s = (1/u^2 + 1/w^2) / (J'_nu(u)/(u J_nu(u)) + K'_nu(w)/(w K_nu(w))),
 which is what fixes the azimuthal polarization structure of the evanescent
 field and therefore the interference pattern of two-mode superpositions.
-TE0m and TM0m are the nu = 0 case of the same field formulas (Snyder &
-Love, Optical Waveguide Theory, ch. 12), evaluated by the same kernel:
-every nu term vanishes, and the pattern angle psi = pi/2 for TE (axial
-constants Az = 0, Bz = i amp) or psi = 0 for TM (Az = i amp, Bz = 0)
-lets cos psi or sin psi select the family's components.
+Every component is a radial factor times cos or sin of chi = nu phi + psi,
+and every HE and EH mode takes the pattern angle psi = -nu phi0, so a
+ModeId's orientation phi0 turns its pattern counterclockwise by phi0:
+E(r, phi + phi0, z) at phi0 is E(r, phi, z) at 0. TE0m and TM0m are the
+nu = 0 case of the same field formulas (Snyder & Love, Optical Waveguide
+Theory, ch. 12), evaluated by the same kernel: every nu term vanishes, so
+phi0 drops out. TM is the nu = 0 case of the hybrid axial constants too
+(Az = i amp, Bz = 0, psi = 0); TE takes Az = 0, Bz = i amp and psi = pi/2,
+so that sin psi selects its components.
 
 They are also the nu = 0 case of the dispersion relation (_char), whose
 right-hand side vanishes there, leaving the TE and TM relations as its two
@@ -97,8 +101,9 @@ class LightSpec:
 class ModeId:
     """Identifies one guided mode branch: family, azimuthal order, radial index.
 
-    orientation is the azimuthal rotation angle phi0 of the mode pattern;
-    it is meaningful for hybrid modes only and ignored for TE/TM.
+    orientation is the angle phi0 (rad) by which the mode pattern is turned
+    counterclockwise about the fiber axis, for every HE and EH order; TE
+    and TM patterns do not depend on phi, so it is ignored for them.
     """
 
     family: str
@@ -295,17 +300,15 @@ def supported_modes(fiber, wavelength_nm):
 def cutoff_v(fiber, mode):
     """Cutoff V parameter of a mode branch, by bisection on existence.
 
-    The fundamental HE11 branch has no cutoff and returns 0. The search
-    brackets the smallest V at which the branch appears in the census, so
-    this is the cutoff the solver can see: the smallest V at which the
-    branch's n_eff lies _NEFF_MARGIN (1e-9) above n_clad, slightly above
-    the physical cutoff. For HE12 that is V = 3.8774, against J_1(V) = 0
-    at 3.8317 (Snyder & Love, Table 12-4); in between, the root is too
-    close to n_clad for the scan to see it.
+    The search brackets the smallest V at which the branch appears in the
+    census, so this is the cutoff the solver can see: the smallest V at
+    which the branch's n_eff lies _NEFF_MARGIN (1e-9) above n_clad,
+    slightly above the physical cutoff. For HE12 that is V = 3.8774,
+    against J_1(V) = 0 at 3.8317 (Snyder & Love, Table 12-4); in between,
+    the root is too close to n_clad for the scan to see it. HE11, which has
+    no physical cutoff, is visible from V = 0.5264 on the default fiber.
     """
     mode = parse_mode_name(mode) if isinstance(mode, str) else mode
-    if (mode.family, mode.nu, mode.m) == ("HE", 1, 1):
-        return 0.0
     n1, n2 = fiber.n_core, fiber.n_clad
 
     def present(v):
@@ -424,28 +427,23 @@ def solve_mode(fiber, wavelength_nm, mode):
 def _z_amplitudes(sol):
     """Axial-field constants (Az interior E_z, Bz interior H_z) and psi.
 
-    psi is the pattern angle in chi = nu phi + psi. The phase conventions
-    reproduce the standard quasi-linearly-polarized hybrid field expressions
-    with a real positive normalization constant: HE(nu=1) uses Az = i amp
-    with pattern angle -phi0, HE(nu=2) uses Az = -i amp with pattern angle
-    +2 phi0. TE takes psi = pi/2, so sin chi = 1 carries its components,
-    and TM takes psi = 0, so cos chi = 1 carries its.
+    psi is the pattern angle in chi = nu phi + psi: -nu phi0 for every
+    mode but TE, which takes Az = 0, Bz = i amp and psi = pi/2. The others
+    take Az = i amp, or -i amp for HE of order 2 (see the module
+    docstring), and Bz = -(beta nu s / (omega mu0)) Az, which vanishes for
+    TM (nu = 0). The phase conventions reproduce the standard
+    quasi-linearly-polarized hybrid field expressions with a real positive
+    normalization constant.
     """
     amp = sol.amplitude
     nu = sol.mode.nu
-    phi0 = sol.mode.orientation
     if sol.mode.family == "TE":
         return 0.0, 1j * amp, 0.5 * np.pi
-    if sol.mode.family == "TM":
-        return 1j * amp, 0.0, 0.0
-    if (sol.mode.family, nu) == ("HE", 2):
-        az = -1j * amp
-        psi = 2.0 * phi0
-    else:
-        az = 1j * amp
-        psi = -phi0
+    az = -1j * amp if (sol.mode.family, nu) == ("HE", 2) else 1j * amp
     bz = -(sol.beta_per_m * nu * sol.s / (sol.omega * _MU0)) * az
-    return az, bz, psi
+    # 0.0 - x, not -x: at nu = 0 psi is +0.0 whatever the sign of phi0, so
+    # TM's zero components keep their sign bits at every orientation
+    return az, bz, 0.0 - nu * sol.mode.orientation
 
 
 def _phase(sol, z_nm):

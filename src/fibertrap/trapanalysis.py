@@ -118,10 +118,11 @@ def find_minimum(field_, seed):
     Returns (r_nm, phi, z_nm). Raises NoTrapError when the modes do not
     beat, when the window holds no interior minimum (every phi column of V
     runs monotonically into the surface or out of the evanescent field),
-    when _newton does, and when the polished minimum lies outside the
-    window in r or phi.
+    when _newton does, when the polished minimum lies outside the window
+    in r or phi, and when the window holds no radius 2 nm or more off the
+    fiber surface (_scan_r_lo).
     """
-    r_lo = max(seed.r_nm[0], field_.fiber.radius_nm + 2.0)
+    r_lo = _scan_r_lo(field_, seed)
     rr = np.linspace(r_lo, seed.r_nm[1], _GRID_R)
     pp = np.linspace(seed.phi[0], seed.phi[1], _GRID_PHI)
     v, _, zs = _valley(field_, rr[:, None], pp[None, :], 0.0)
@@ -139,6 +140,21 @@ def find_minimum(field_, seed):
         if not lo <= x <= hi:
             raise NoTrapError("refined minimum left the seed region " + ax)
     return m
+
+
+def _scan_r_lo(field_, seed):
+    """Inner radius of the seed scan: the window's, kept 2 nm off the surface.
+
+    Raises NoTrapError, naming the window, when no radius of the window
+    lies beyond that.
+    """
+    a = field_.fiber.radius_nm
+    r_lo = max(seed.r_nm[0], a + 2.0)
+    if not r_lo < seed.r_nm[1]:
+        raise NoTrapError(f"the seed window r = {seed.r_nm[0]:g} to "
+                          f"{seed.r_nm[1]:g} nm has no radius 2 nm or more "
+                          f"off the fiber surface at r = {a:g} nm")
+    return r_lo
 
 
 def _valley(field_, r_nm, phi, z_ref):
@@ -660,8 +676,11 @@ def tau_sensitivity(field_, seed, base=None):
     once, so at sigma = 0 (tau0 = 0 or 1) the three rows share one search.
     base, when given, is the (minimum, EscapeResult) already found
     at tau0 (TrapReport.base) and is reused for the tau0 row; every other
-    split runs find_minimum and escape_barrier as a report does.
+    split runs find_minimum and escape_barrier as a report does. A seed
+    window with no radius off the fiber holds no trap at any split, so it
+    raises find_minimum's NoTrapError instead of flagging the rows.
     """
+    _scan_r_lo(field_, seed)
     tau0 = field_.pair.tau
     sigma = power_split_sigma(tau0)
 

@@ -5,9 +5,12 @@ Run as a script (pytest does not collect it), once per checkout:
     PYTHONPATH=src python tests/contract_outputs.py OUTDIR
 
 then compare two such runs with `diff -r OUTDIR_A OUTDIR_B` (or `cmp` file
-by file). OUTDIR is created if needed and gets 64 files:
+by file). OUTDIR is created if needed and gets 68 files:
 
 * report-PRESET.json: `report --out` for each of the three presets;
+* report-he11-he21-rotated.json: `report --out` of the he11-he21 preset
+  with HE21 turned by pair.orientation_b_rad = 0.2, whose trap moves off
+  phi = 0;
 * report-te01-he21-surface.json: `report --preset te01-he21 --tau 0.58
   --out`, a trap whose lowest exit is the light wall toward the surface;
 * report-he11-he21.txt: the readable `report` table that goes to stdout;
@@ -24,8 +27,10 @@ by file). OUTDIR is created if needed and gets 64 files:
 * error-NAME.txt: the exit status line `exit N` and then the stderr of
   each rejected invocation in ERRORS (a TM member, an order-3 member on a
   600 nm fiber, a split above 1, an overflowing grid half-width and plane
-  offset, an overflowing power and C3, and a grid resolution of 10^6 per
-  axis); their stdout is discarded.
+  offset, an overflowing power and C3, a grid resolution of 10^6 per
+  axis, HE11 below its visible cutoff on a 40 nm fiber, a core index whose
+  square overflows, and a seed window inside a 900 nm fiber); their stdout
+  is discarded.
 
 Each command runs in its own interpreter (`python -m fibertrap.cli`), one
 after another. A command that exits non-zero stops the script, except the
@@ -45,6 +50,7 @@ PRESETS = ("he11-te01", "he11-he21", "te01-he21")
 QUANTITIES = ("potential", "intensity", "field")
 PLANES = ("z=0", "z=trap", "x=0", "y=0", "d=0")
 TABLE_PRESET = "he11-he21"
+ROTATED_PRESET, ROTATED_B_RAD = "he11-he21", 0.2
 # name -> (config file text, command line after --config FILE)
 ERRORS = {
     "tm01": ("pair.mode_b = TM01\n", ("report",)),
@@ -56,6 +62,9 @@ ERRORS = {
     "power": ("light.power_mw = 1e300\n", ("report",)),
     "c3": ("atom.c3 = 1e300\n", ("report",)),
     "resolution": ("", ("grid", "--resolution", "1000000")),
+    "he11-thin": ("fiber.radius_nm = 40\n", ("report",)),
+    "index": ("fiber.n_core = 1e200\n", ("report",)),
+    "seed-inside": ("fiber.radius_nm = 900\n", ("report",)),
 }
 
 
@@ -81,6 +90,12 @@ def main(outdir):
     fibertrap("sweep-tau", "--preset", "he11-te01", "--tau", "0.001",
               "--out", out("sweep-tau-he11-te01-edge.csv"))
     with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "rotated.cfg")
+        config.save_config(dataclasses.replace(
+            config.preset(ROTATED_PRESET), orientation_b=ROTATED_B_RAD),
+            cfg_path)
+        fibertrap("report", "--config", cfg_path,
+                  "--out", out(f"report-{ROTATED_PRESET}-rotated.json"))
         for name in PRESETS:
             for quantity in QUANTITIES:
                 cfg_path = os.path.join(tmp, f"{name}-{quantity}.cfg")

@@ -512,6 +512,32 @@ class TestExitCodes:
             "fibertrap: configuration error: grid.resolution = 1000000 "
             f"exceeds {config.MAX_RESOLUTION} per axis\n")
 
+    @pytest.mark.parametrize("command", ["report", "sweep-tau", "grid"])
+    def test_seed_window_inside_the_fiber(self, tmp_path, capsys, command):
+        # the default window r = 430 to 880 nm lies inside a 900 nm fiber;
+        # grid's default plane z=trap searches it
+        cfg = tmp_path / "thick.cfg"
+        cfg.write_text("fiber.radius_nm = 900\n")
+        assert cli.main([command, "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fibertrap: no trap: the seed window r = 430 "
+                              "to 880 nm ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_core", ["1e150", "1e200"])
+    @pytest.mark.parametrize("command", ["report", "grid", "dispersion"])
+    def test_core_index_beyond_solver_range(self, tmp_path, capsys, command,
+                                            n_core):
+        cfg = tmp_path / "index.cfg"
+        cfg.write_text(f"fiber.n_core = {n_core}\n")
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fibertrap: configuration error: the fiber's "
+                              "V = ")
+        assert err.count("\n") == 1
+
     def test_wide_plane_still_runs(self, tmp_path):
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("grid.halfwidth_nm = 1e6\n")

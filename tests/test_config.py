@@ -243,6 +243,13 @@ class TestValidation:
         assert err.value.key == "fiber"
         config.parse_config("dispersion.v_hi = 8.0\nfiber.radius_nm = 1000")
 
+    @pytest.mark.parametrize("n_core", ["1e150", "1e200"])
+    def test_core_index_beyond_solver_range(self, n_core):
+        # from about 1.3e154 on, n_core ** 2 overflows before V is compared
+        with pytest.raises(ConfigError) as err:
+            config.parse_config(f"fiber.n_core = {n_core}")
+        assert err.value.key == "fiber"
+
     def test_seed_bounds_ordering(self):
         with pytest.raises(ConfigError) as err:
             config.parse_config("seed.r_lo_nm = 900\nseed.r_hi_nm = 500")

@@ -95,7 +95,14 @@ class TestVParameterAndCensus:
         assert names == {"HE11"}
 
     def test_cutoffs(self):
-        assert modes.cutoff_v(FIBER, "HE11") == 0.0
+        # HE11 has no physical cutoff; its visible one is where the census
+        # starts to list it, as for every other branch
+        v_he11 = modes.cutoff_v(FIBER, "HE11")
+        assert v_he11 == pytest.approx(0.5264, abs=1e-4)
+        for v, listed in ((v_he11 - 1e-7, False), (v_he11 + 1e-7, True)):
+            names = [row[0] for row in
+                     modes._census(v, FIBER.n_core, FIBER.n_clad)]
+            assert ("HE11" in names) == listed, v
         # TE01 and TM01 cut off together at the first zero of J0
         for name in ("TE01", "TM01"):
             assert modes.cutoff_v(FIBER, name) == pytest.approx(
@@ -109,11 +116,15 @@ class TestVParameterAndCensus:
             modes.solve_mode(FIBER, 850.5, modes.ModeId("HE", 4, 1))
 
     def test_below_cutoff_raises(self):
-        wl = 1150.0  # V = 2.30, below the TE01 cutoff
-        with pytest.raises(CutoffError) as err:
-            modes.solve_mode(FIBER, wl, "TE01")
-        assert err.value.mode_name == "TE01"
-        assert err.value.v < err.value.v_cutoff
+        # TE01 at V = 2.30, and HE11 on a 40 nm fiber at V = 0.31, below the
+        # visible cutoff that cutoff_v reports for it too
+        thin = replace(FIBER, radius_nm=40.0)
+        for fiber, wl, name in ((FIBER, 1150.0, "TE01"),
+                                (thin, 850.5, "HE11")):
+            with pytest.raises(CutoffError) as err:
+                modes.solve_mode(fiber, wl, name)
+            assert err.value.mode_name == name
+            assert err.value.v < err.value.v_cutoff
 
     def test_parse_mode_name(self):
         m = modes.parse_mode_name("HE21")
@@ -301,14 +312,38 @@ class TestExteriorProfiles:
         assert abs(self.ratio(solved["HE21"], 2, 0.0)) == pytest.approx(
             self.k_ratio(solved["HE21"], 2), rel=1e-10)
 
-    def test_orientation_rotates_pattern(self, solved):
+    def test_orientation_rotates_pattern(self):
+        # every HE and EH order turns counterclockwise by its orientation:
+        # E(r, phi + alpha, z) at alpha is E(r, phi, z) at 0, inside and
+        # outside the core, and the unit-amplitude power does not move
+        fiber = replace(FIBER, radius_nm=600.0)
         alpha = 0.83
-        rot = modes.solve_mode(FIBER, WL, modes.parse_mode_name("HE11", alpha))
-        base = solved["HE11"]
-        for phi in (0.0, 1.0, 2.5):
-            got = modes.e_field(rot, 650.0, phi + alpha, 120.0)
-            ref = modes.e_field(base, 650.0, phi, 120.0)
-            assert np.allclose(got, ref, rtol=1e-12, atol=1e-18)
+        phi = np.array([0.0, 1.0, 2.5, -2.0])
+        for name in ("HE11", "HE21", "EH11", "HE31", "HE12"):
+            base = modes.solve_mode(fiber, 850.5, name)
+            rot = modes.solve_mode(fiber, 850.5,
+                                   modes.parse_mode_name(name, alpha))
+            assert rot.unit_power_w == base.unit_power_w, name
+            for field in (modes.e_field, modes.h_field):
+                for r in (300.0, 650.0):
+                    ref = field(base, r, phi, 120.0)
+                    got = field(rot, r, phi + alpha, 120.0)
+                    assert np.allclose(got, ref, rtol=1e-12,
+                                       atol=1e-18), name
+
+    @pytest.mark.parametrize("name", ["TE01", "TM01"])
+    def test_orientation_leaves_te_and_tm_alone(self, name):
+        # nu = 0: the orientation does not reach a single field bit
+        base = modes.solve_mode(FIBER, WL, name)
+        phi = np.array([0.0, -0.0, 1.1, -2.5])
+        for alpha in (0.83, -0.83):
+            rot = modes.solve_mode(FIBER, WL, modes.parse_mode_name(name,
+                                                                    alpha))
+            assert rot.unit_power_w == base.unit_power_w
+            for field in (modes.e_field, modes.h_field):
+                for r in (300.0, 650.0):
+                    assert (field(rot, r, phi, 37.0).tobytes()
+                            == field(base, r, phi, 37.0).tobytes())
 
 
 class TestExteriorFastPath:

@@ -123,6 +123,18 @@ class TestFindMinimum:
         with pytest.raises(NoTrapError, match="in phi"):
             trapanalysis.find_minimum(field1, seed)
 
+    def test_seed_window_inside_the_surface_margin(self, field1, suite):
+        # no radius of these windows lies 2 nm or more off the 400 nm fiber,
+        # so no split can hold a trap there: tau_sensitivity raises too
+        phi = suite.cfg("he11-te01").seed.phi
+        for r_hi in (401.5, 402.0):
+            seed = trapanalysis.SeedRegion(r_nm=(300.0, r_hi), phi=phi)
+            with pytest.raises(NoTrapError, match=f"seed window r = 300 to "
+                                                  f"{r_hi:g} nm"):
+                trapanalysis.find_minimum(field1, seed)
+            with pytest.raises(NoTrapError, match="seed window"):
+                trapanalysis.tau_sensitivity(field1, seed)
+
     def test_no_minimum_at_extreme_split(self, suite):
         cfg = suite.cfg("he11-te01")
         f99 = config.make_field(replace(cfg, tau=0.99))
