@@ -7,8 +7,24 @@ shift plus surface attraction), trapanalysis (minima, depths, frequencies,
 extents, heating), and config/cli (presets, config files, command surface)
 with floatrepr (Python's float repr over numpy arrays, for the grid CSV).
 The names below cover the common workflow; the submodules stay importable
-for the rest.
+for the rest. When the package is what loads numpy, numpy's OpenBLAS runs
+on one thread (no linear algebra here is large enough to use more); a set
+OPENBLAS_NUM_THREADS, or numpy imported first, keeps the user's choice.
 """
+
+import os
+import sys
+
+# OpenBLAS sizes its thread pool once, when numpy loads it; the pool's
+# workers spin before they sleep, which costs a short run more CPU than the
+# package's 3 x 3 and 48 x 48 LAPACK calls take. The variable is removed
+# again so that child processes inherit the environment as it was.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .config import (RunConfig, load_config, make_field, preset,
                      PRESET_NAMES, save_config)

@@ -368,6 +368,8 @@ def main(argv=None):
         try:
             _emit(args.func(cfg, args), args.out)
         except NoTrapError as err:
+            if not err.split_dependent:
+                raise
             splits = " / ".join(str(config.preset(name).tau)
                                 for name in config.PRESET_NAMES)
             raise NoTrapError(f"{err} (power split tau = {cfg.tau}; "

@@ -33,7 +33,15 @@ class ConvergenceError(FibertrapError):
 
 
 class NoTrapError(FibertrapError):
-    """No interior potential minimum exists in the seeded search region."""
+    """No interior potential minimum exists in the seeded search region.
+
+    split_dependent is False for a refusal that no power split can change:
+    a seed window inside the fiber, or modes that do not beat.
+    """
+
+    def __init__(self, message, split_dependent=True):
+        super().__init__(message)
+        self.split_dependent = split_dependent
 
 
 class SaddleError(FibertrapError):

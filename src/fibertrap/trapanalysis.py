@@ -153,7 +153,8 @@ def _scan_r_lo(field_, seed):
     if not r_lo < seed.r_nm[1]:
         raise NoTrapError(f"the seed window r = {seed.r_nm[0]:g} to "
                           f"{seed.r_nm[1]:g} nm has no radius 2 nm or more "
-                          f"off the fiber surface at r = {a:g} nm")
+                          f"off the fiber surface at r = {a:g} nm",
+                          split_dependent=False)
     return r_lo
 
 
@@ -168,7 +169,7 @@ def _valley(field_, r_nm, phi, z_ref):
     try:
         z0 = superposition.beat_length(pair)
     except ValueError as err:
-        raise NoTrapError(str(err)) from None
+        raise NoTrapError(str(err), split_dependent=False) from None
     s, x = superposition.beat_terms(pair, r_nm, phi)
     kappa = field_.shift_coeff * 0.5 * _C0 * _EPS0
     amp = np.abs(x)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -525,6 +526,25 @@ class TestExitCodes:
                               "to 880 nm ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, reason", [
+        ("fiber.radius_nm = 900\n", "off the fiber surface at r = 900 nm"),
+        ("pair.mode_b = HE11\npair.orientation_b_rad = 1.5707963267948966\n",
+         "no stationary beat"),
+    ], ids=["seed-inside", "no-beat"])
+    def test_split_hint_only_where_a_split_can_help(self, tmp_path, capsys,
+                                                    text, reason):
+        # no power split moves a seed window off the fiber or makes two
+        # modes of one propagation constant beat; a split above the trap's
+        # range (test_no_trap_is_distinct) keeps the hint
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert cli.main(["report", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith(reason + "\n")
+        assert "power split tau" not in err
+        assert cli.main(["report", "--config", str(cfg), "--tau", "0.99"]) == 3
+        assert "power split tau" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_core", ["1e150", "1e200"])
     @pytest.mark.parametrize("command", ["report", "grid", "dispersion"])
     def test_core_index_beyond_solver_range(self, tmp_path, capsys, command,
@@ -609,3 +629,61 @@ def test_commands_load_only_what_they_compute(tmp_path):
                                  "fractions")
                 for name in loaded(after_grid, pkg)]
     assert unwanted == []
+
+
+BLAS_PROBE = """\
+import importlib, json, os, subprocess, sys
+before = dict(os.environ)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+child = subprocess.run(
+    [sys.executable, "-c",
+     "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+    capture_output=True, text=True, check=True)
+print(json.dumps({"unchanged": dict(os.environ) == before,
+                  "value": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "child": child.stdout.strip(), "threads": threads}))
+"""
+
+
+def blas_probe(*modules, value=None):
+    """Environment, thread count and a child's view after importing modules.
+
+    The modules are imported in order in a fresh interpreter that starts
+    with OPENBLAS_NUM_THREADS = value, or without it when value is None.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    res = subprocess.run([sys.executable, "-c", BLAS_PROBE, *modules],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+class TestBlasThreads:
+    def test_import_leaves_the_environment_as_it_was(self):
+        probe = blas_probe("fibertrap")
+        assert probe["unchanged"]
+        assert probe["value"] is None
+        assert probe["child"] == "None"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads in /proc/self/task")
+    def test_import_starts_no_blas_pool(self):
+        assert blas_probe("fibertrap")["threads"] == 1
+
+    def test_user_value_wins(self):
+        probe = blas_probe("fibertrap", value="3")
+        assert probe["unchanged"]
+        assert probe["value"] == probe["child"] == "3"
+
+    def test_numpy_imported_first_keeps_its_pool(self):
+        probe = blas_probe("numpy", "fibertrap")
+        assert probe["unchanged"]
+        assert probe["value"] is None
+        assert probe["child"] == "None"
+        # as many threads as numpy starts in a process without fibertrap
+        assert probe["threads"] == blas_probe("numpy")["threads"]
