@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class FibertrapError(Exception):
     """Base class for all package-specific errors."""
@@ -17,12 +19,20 @@ class ConfigError(FibertrapError):
 
 
 class CutoffError(FibertrapError):
-    """A requested mode does not propagate at the given V parameter."""
+    """A requested mode does not propagate at the given V parameter.
 
-    def __init__(self, mode_name, v, v_cutoff):
+    v_cutoff is the branch's cutoff V, or math.inf when the branch is still
+    absent at v_max, the largest V the mode solver covers; the message then
+    names v_max.
+    """
+
+    def __init__(self, mode_name, v, v_cutoff, v_max):
+        if math.isfinite(v_cutoff):
+            where = f"V_c = {v_cutoff:.4f}"
+        else:
+            where = f"V_c, which lies above V = {v_max}, the mode solver's range"
         super().__init__(
-            f"mode {mode_name} is below cutoff: V = {v:.4f} < V_c = {v_cutoff:.4f}"
-        )
+            f"mode {mode_name} is below cutoff: V = {v:.4f} < {where}")
         self.mode_name = mode_name
         self.v = v
         self.v_cutoff = v_cutoff

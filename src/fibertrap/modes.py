@@ -307,6 +307,9 @@ def cutoff_v(fiber, mode):
     against J_1(V) = 0 at 3.8317 (Snyder & Love, Table 12-4); in between,
     the root is too close to n_clad for the scan to see it. HE11, which has
     no physical cutoff, is visible from V = 0.5264 on the default fiber.
+    The bracket is [0.2, 6.5], widened to [6.5, numerics.J_MAX_ARG], the
+    solver's range, only for a branch absent at 6.5; a branch absent at
+    J_MAX_ARG too gives inf.
     """
     mode = parse_mode_name(mode) if isinstance(mode, str) else mode
     n1, n2 = fiber.n_core, fiber.n_clad
@@ -318,7 +321,9 @@ def cutoff_v(fiber, mode):
     if present(lo):
         return lo
     if not present(hi):
-        raise ConvergenceError(f"cutoff of {mode.name} not found below V = {hi}")
+        lo, hi = hi, numerics.J_MAX_ARG
+        if not present(hi):
+            return np.inf
     while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
         if present(mid):
@@ -409,7 +414,8 @@ def solve_mode(fiber, wavelength_nm, mode):
     v = v_parameter(fiber, wavelength_nm)
     roots = _family_roots(v, fiber.n_core, fiber.n_clad, mode.family, mode.nu)
     if len(roots) < mode.m:
-        raise CutoffError(mode.name, v, cutoff_v(fiber, mode))
+        raise CutoffError(mode.name, v, cutoff_v(fiber, mode),
+                          numerics.J_MAX_ARG)
     neff = roots[mode.m - 1]
     u, w = _uw(v, fiber.n_core, fiber.n_clad, neff)
     s = 0.0 if mode.nu == 0 else float(_hybrid_s(mode.nu, u, w))

@@ -3,15 +3,19 @@
 Every routine validates its domain and raises early; the physics modules above
 rely on these contracts instead of re-checking. Each Bessel call returns a
 range of orders from one evaluation: J_lo..J_hi (0 <= lo <= hi <= 4) and
-K_0..K_top. The Bessel kernels are numpy code over fixed polynomials, sized
-for the arguments the mode solver produces (J at |x| <= 6.5, K at x in
-(0, 45]): power series for J_0..J_4 and for K_0, K_1 at x <= 2 (Abramowitz &
-Stegun 9.1.10, 9.6.10-9.6.13), and beyond 2 a fit of e^x sqrt(x) K_0,1(x) in
-4/x - 1. Root finding is a Python port of scipy's brentq.c (Brent's method),
-which gives the same roots bit for bit, and the Gauss-Legendre rule a port
-of numpy's leggauss, which gives the same nodes and weights bit for bit. The
-series tables are built with integer arithmetic, so the package imports no
-scipy, numpy.random, numpy.polynomial or fractions module.
+K_0..K_top. The Bessel kernels are fixed polynomials, sized for the
+arguments the mode solver produces (J at |x| <= 6.5, K at x in (0, 45]):
+power series for J_0..J_4 and for K_0, K_1 at x <= 2 (Abramowitz & Stegun
+9.1.10, 9.6.10-9.6.13), and beyond 2 a fit of e^x sqrt(x) K_0,1(x) in
+4/x - 1. Each formula is written once, in one kernel per function that
+runs on a Python float or a 1-D array alike; _Polys, which evaluates the
+polynomials, is the one place that picks a float loop or numpy, so a
+scalar and an array point give the same bits. Root finding is a Python
+port of scipy's brentq.c (Brent's method), which gives the same roots bit
+for bit, and the Gauss-Legendre rule a port of numpy's leggauss, which
+gives the same nodes and weights bit for bit. The series tables are built
+with integer arithmetic, so the package imports no scipy, numpy.random,
+numpy.polynomial or fractions module.
 """
 
 import functools
@@ -36,9 +40,16 @@ class _Polys:
     """Polynomials in one variable that share it, evaluated together.
 
     rows are coefficient sequences, lowest power first, all the same length.
-    scalar(t) returns one Python float per row; into(t, out) fills out[i]
-    with row i over the array t. Both run Horner's rule with the same
-    operations in the same order, so an array point gets the scalar bits.
+    Called with t, it returns row i's value at index i: a list of Python
+    floats for a float t, a (rows, n) array for a 1-D array t. Both forms
+    run Horner's rule with the same operations in the same order, so an
+    array point gets the float's bits. This is the one place where the
+    Bessel kernels tell a float from an array. The float loop stays because
+    most Bessel calls are scalar: a preset's report makes 16 to 18 scalar J
+    and 140 to 152 scalar K calls against 6 and 26 array calls, and a
+    201-point dispersion sweep 4,291 scalar calls of each against 1,005
+    array calls; and a 1-element array call costs 5 to 10 times a float
+    call (tests/bessel_cost.py measures both).
     """
 
     def __init__(self, *rows):
@@ -46,18 +57,17 @@ class _Polys:
         # (power, row, 1), highest power first, broadcasting over the points
         self.cols = np.array(self.rows).T[:, :, np.newaxis].copy()
 
-    def scalar(self, t, rows=slice(None)):
-        out = []
-        for row in self.rows[rows]:
-            acc = row[0]
-            for c in row[1:]:
-                acc = acc * t + c
-            out.append(acc)
-        return out
-
-    def into(self, t, out, rows=slice(None)):
+    def __call__(self, t, rows=slice(None)):
+        if isinstance(t, float):
+            out = []
+            for row in self.rows[rows]:
+                acc = row[0]
+                for c in row[1:]:
+                    acc = acc * t + c
+                out.append(acc)
+            return out
         cols = self.cols[:, rows]
-        np.multiply(cols[0], t, out=out)
+        out = cols[0] * t
         out += cols[1]
         for c in cols[2:]:
             out *= t
@@ -150,27 +160,17 @@ _K_FAR = _Polys(*zip(
 ))
 
 
-def _j_scalar(x, lo, hi):
+def _j(x, lo, hi):
+    """[J_lo(x), ..., J_hi(x)] for a float or a 1-D array x."""
     h = 0.5 * x
-    sums = _J_SERIES.scalar(h * h, slice(lo, hi + 1))
-    out, hn = [], 1.0
+    sums = _J_SERIES(h * h, slice(lo, hi + 1))
+    # an np.float64 (x/2)^n makes the values of a float x np.float64 too
+    hn = np.float64(1.0)
     for n in range(hi + 1):
         if n >= lo:
-            out.append(np.float64(hn * sums[n - lo]))
+            sums[n - lo] *= hn
         hn = hn * h
-    return out
-
-
-def _j_array(x, lo, hi):
-    h = 0.5 * x.reshape(-1)
-    out = _J_SERIES.into(h * h, np.empty((hi - lo + 1, h.size)),
-                         slice(lo, hi + 1))
-    hn = 1.0
-    for n in range(hi + 1):
-        if n >= lo:
-            out[n - lo] *= hn
-        hn = hn * h
-    return list(out.reshape((hi - lo + 1,) + x.shape))
+    return list(sums)
 
 
 def bessel_j_orders(x, lo, hi):
@@ -189,55 +189,22 @@ def bessel_j_orders(x, lo, hi):
     if (abs(float(arr)) if scalar else np.abs(arr).max(initial=0.0)) > J_MAX_ARG:
         raise ValueError(f"Bessel J series covers |x| <= {J_MAX_ARG}")
     if scalar:
-        return _j_scalar(float(arr), lo, hi)
-    return _j_array(arr, lo, hi)
+        return _j(float(arr), lo, hi)
+    return [j.reshape(arr.shape) for j in _j(arr.reshape(-1), lo, hi)]
 
 
-def _k01_near_scalar(x):
-    s = _K_NEAR.scalar(0.25 * x * x)
-    lg = float(np.log(0.5 * x))
+def _k01_near(x):
+    """(K_0(x), K_1(x)) at 0 < x <= 2 by the series, x a float or 1-D array."""
+    s = _K_NEAR(0.25 * x * x)
+    lg = np.log(0.5 * x)
     return s[1] - lg * s[0], 1.0 / x + (lg * s[2] - s[3]) * (0.5 * x)
 
 
-def _k01_far_scalar(x):
-    p = _K_FAR.scalar(4.0 / x - 1.0)
-    f = float(np.exp(-x)) / math.sqrt(x)
+def _k01_far(x):
+    """(K_0(x), K_1(x)) at x > 2 by the fit, x a float or 1-D array."""
+    p = _K_FAR(4.0 / x - 1.0)
+    f = np.exp(-x) / np.sqrt(x)
     return p[0] * f, p[1] * f
-
-
-def _k01_near(x, out):
-    y = 0.25 * x
-    y *= x
-    s = _K_NEAR.into(y, np.empty((4, x.size)))
-    lg = np.log(0.5 * x)
-    np.subtract(s[1], lg * s[0], out=out[0])
-    k1 = lg * s[2]
-    k1 -= s[3]
-    k1 *= 0.5 * x
-    k1 += 1.0 / x
-    out[1] = k1
-
-
-def _k01_far(x, out):
-    t = 4.0 / x
-    t -= 1.0
-    _K_FAR.into(t, out)
-    f = np.exp(-x)
-    f /= np.sqrt(x)
-    out *= f
-
-
-def _k01_array(x, out):
-    near = x <= 2.0
-    if not near.any():
-        _k01_far(x, out)
-    elif near.all():
-        _k01_near(x, out)
-    else:
-        for branch, mask in ((_k01_near, near), (_k01_far, ~near)):
-            part = np.empty((2, np.count_nonzero(mask)))
-            branch(x[mask], part)
-            out[:, mask] = part
 
 
 def bessel_k_orders(x, top):
@@ -256,12 +223,19 @@ def bessel_k_orders(x, top):
         raise ValueError("Bessel K requires x > 0")
     if x.ndim == 0:
         x = float(x)
-        ks = [np.float64(k) for k in
-              (_k01_near_scalar(x) if x <= 2.0 else _k01_far_scalar(x))]
+        # np.log and np.exp make both values np.float64
+        ks = list((_k01_near if x <= 2.0 else _k01_far)(x))
     else:
-        ks = np.empty((2,) + x.shape)
-        _k01_array(x.reshape(-1), ks.reshape(2, -1))
-        ks = list(ks)
+        flat = x.reshape(-1)
+        near = flat <= 2.0
+        ks = np.empty((2, flat.size))
+        for kernel, mask in ((_k01_near, near), (_k01_far, ~near)):
+            if mask.all():
+                ks = kernel(flat)
+                break
+            if mask.any():
+                ks[0, mask], ks[1, mask] = kernel(flat[mask])
+        ks = [k.reshape(x.shape) for k in ks]
     for n in range(1, top):
         ks.append(ks[-1] * (2.0 * n / x) + ks[-2])
     return ks

@@ -5,7 +5,7 @@ Run as a script (pytest does not collect it), once per checkout:
     PYTHONPATH=src python tests/contract_outputs.py OUTDIR
 
 then compare two such runs with `diff -r OUTDIR_A OUTDIR_B` (or `cmp` file
-by file). OUTDIR is created if needed and gets 68 files:
+by file). OUTDIR is created if needed and gets 69 files:
 
 * report-PRESET.json: `report --out` for each of the three presets;
 * report-he11-he21-rotated.json: `report --out` of the he11-he21 preset
@@ -28,9 +28,9 @@ by file). OUTDIR is created if needed and gets 68 files:
   each rejected invocation in ERRORS (a TM member, an order-3 member on a
   600 nm fiber, a split above 1, an overflowing grid half-width and plane
   offset, an overflowing power and C3, a grid resolution of 10^6 per
-  axis, HE11 below its visible cutoff on a 40 nm fiber, a core index whose
-  square overflows, and a seed window inside a 900 nm fiber); their stdout
-  is discarded.
+  axis, HE11 below its visible cutoff on a 40 nm fiber, HE13, whose cutoff
+  lies above V = 6.5, a core index whose square overflows, and a seed
+  window inside a 900 nm fiber); their stdout is discarded.
 
 Each command runs in its own interpreter (`python -m fibertrap.cli`), one
 after another. A command that exits non-zero stops the script, except the
@@ -63,6 +63,7 @@ ERRORS = {
     "c3": ("atom.c3 = 1e300\n", ("report",)),
     "resolution": ("", ("grid", "--resolution", "1000000")),
     "he11-thin": ("fiber.radius_nm = 40\n", ("report",)),
+    "he13": ("pair.mode_b = HE13\n", ("report",)),
     "index": ("fiber.n_core = 1e200\n", ("report",)),
     "seed-inside": ("fiber.radius_nm = 900\n", ("report",)),
 }

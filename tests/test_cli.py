@@ -420,6 +420,14 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "transverse magnetic" in res.stderr
 
+    def test_mode_above_its_cutoff_range(self, tmp_path, capsys):
+        # HE13 cuts off at V = 7.04, above the first cutoff bracket's 6.5
+        cfg = tmp_path / "he13.cfg"
+        cfg.write_text("pair.mode_b = HE13\n")
+        assert cli.main(["report", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "fibertrap: configuration error: mode HE13 is below cutoff")
+
     def test_mode_named_twice_has_no_beat(self, tmp_path):
         # HE11 beside itself turned by 90 degrees: one propagation constant,
         # so a plane along z has no beat length to span; z=0 needs none

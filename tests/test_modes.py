@@ -108,6 +108,10 @@ class TestVParameterAndCensus:
             assert modes.cutoff_v(FIBER, name) == pytest.approx(
                 2.404825557695773, abs=1e-3)
         assert modes.cutoff_v(FIBER, "HE21") == pytest.approx(2.762, abs=2e-3)
+        # HE13 cuts off between 6.5 and the solver's V = 8, near the second
+        # zero of J1; TE03 beyond 8
+        assert modes.cutoff_v(FIBER, "HE13") == pytest.approx(7.0424, abs=1e-4)
+        assert modes.cutoff_v(FIBER, "TE03") == math.inf
 
     def test_order_beyond_the_census_raises(self):
         # the J series stops at order 4, so HE41 (which needs J_5) is
@@ -117,14 +121,19 @@ class TestVParameterAndCensus:
 
     def test_below_cutoff_raises(self):
         # TE01 at V = 2.30, and HE11 on a 40 nm fiber at V = 0.31, below the
-        # visible cutoff that cutoff_v reports for it too
+        # visible cutoff that cutoff_v reports for it too; HE13 cuts off at
+        # V = 7.04, above the first bracket's 6.5, and TE03 above V = 8, the
+        # solver's range, which the message names instead of a cutoff
         thin = replace(FIBER, radius_nm=40.0)
         for fiber, wl, name in ((FIBER, 1150.0, "TE01"),
-                                (thin, 850.5, "HE11")):
+                                (thin, 850.5, "HE11"),
+                                (FIBER, 850.5, "HE13"),
+                                (FIBER, 850.5, "TE03")):
             with pytest.raises(CutoffError) as err:
                 modes.solve_mode(fiber, wl, name)
             assert err.value.mode_name == name
             assert err.value.v < err.value.v_cutoff
+            assert ("above V = 8.0" in str(err.value)) == (name == "TE03")
 
     def test_parse_mode_name(self):
         m = modes.parse_mode_name("HE21")

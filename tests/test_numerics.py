@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -150,6 +150,7 @@ class TestBesselKernels:
     @given(st.lists(st.one_of(st.floats(min_value=1e-4, max_value=2.0),
                               st.floats(min_value=2.0, max_value=45.0)),
                     min_size=1, max_size=40))
+    @example([2.0, float(np.nextafter(2.0, 3.0)), 1e-4, 45.0])
     def test_k_scalar_equals_batched_bits(self, xs):
         # a batch mixing near (x <= 2) and far points runs both branches
         batched = k_orders(np.array(xs), 3)
@@ -161,11 +162,27 @@ class TestBesselKernels:
     @settings(deadline=None, max_examples=100)
     @given(st.lists(st.floats(min_value=-6.5, max_value=6.5),
                     min_size=1, max_size=40))
+    @example([0.0, 6.5, -6.5])
     def test_j_scalar_equals_batched_bits(self, xs):
         batched = j_orders(np.array(xs), 0, 4)
         for i, x in enumerate(xs):
             assert np.array([j[i] for j in batched]).tobytes() == (
                 np.array(j_orders(x, 0, 4)).tobytes())
+
+    def test_empty_and_2d_arrays(self):
+        # an empty batch gives one empty result per order; a 2-D batch,
+        # whether it takes both K branches or one, keeps its shape
+        for x in (np.empty(0), np.empty((0, 3))):
+            for vals in (j_orders(x, 1, 3), k_orders(x, 2)):
+                assert len(vals) == 3
+                assert all(v.shape == x.shape for v in vals)
+        for x in (np.array([[0.5, 1.0, 2.5], [3.0, 1.5, 7.0]]),
+                  np.array([[2.5], [7.0]])):
+            assert all(v.shape == x.shape for v in j_orders(x, 0, 4))
+            ks = k_orders(x, 3)
+            assert all(v.shape == x.shape for v in ks)
+            assert np.array(ks)[:, 1, 0].tobytes() == (
+                np.array(k_orders(x[1, 0], 3)).tobytes())
 
     def test_series_tables_match_exact_rationals(self):
         # the integer-arithmetic tables against the same coefficients built
