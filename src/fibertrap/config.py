@@ -178,9 +178,11 @@ class RunConfig:
         if self.c3 > MAX_C3:
             raise ConfigError(f"atom.c3 = {self.c3} exceeds {MAX_C3:g} J m^3",
                               key="atom.c3")
-        if self.t_init_uk <= 0.0:
-            raise ConfigError("atom.t_init_uk must be positive",
-                              key="atom.t_init_uk")
+        try:
+            thermal_state(self)
+        except ValueError as err:
+            raise ConfigError(f"atom.t_init_uk = {self.t_init_uk!r}: {err}",
+                              key="atom.t_init_uk") from None
         parse_plane(self.plane)
         if self.resolution < 2:
             raise ConfigError("grid.resolution must be at least 2 per axis",

@@ -49,7 +49,7 @@ class _Polys:
     and 140 to 152 scalar K calls against 6 and 26 array calls, and a
     201-point dispersion sweep 4,291 scalar calls of each against 1,005
     array calls; and a 1-element array call costs 5 to 10 times a float
-    call (tests/bessel_cost.py measures both).
+    call (tests/layer_cost.py measures both).
     """
 
     def __init__(self, *rows):
@@ -179,14 +179,16 @@ def bessel_j_orders(x, lo, hi):
     A scalar x gives np.float64 values, an array x arrays of its shape.
     Accurate to 1e-14 absolute for |x| <= 6.5, the range the mode solver
     uses. Raises ValueError for an order range outside 0..J_MAX_ORDER and
-    where |x| > J_MAX_ARG, beyond the series' reach.
+    where |x| > J_MAX_ARG, beyond the series' reach, or x is NaN.
     """
     if not 0 <= lo <= hi <= J_MAX_ORDER:
         raise ValueError(
             f"Bessel J orders {lo}..{hi} outside 0..{J_MAX_ORDER}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    if (abs(float(arr)) if scalar else np.abs(arr).max(initial=0.0)) > J_MAX_ARG:
+    largest = abs(float(arr)) if scalar else np.abs(arr).max(initial=0.0)
+    # negated, so that a NaN fails the test
+    if not largest <= J_MAX_ARG:
         raise ValueError(f"Bessel J series covers |x| <= {J_MAX_ARG}")
     if scalar:
         return _j(float(arr), lo, hi)
@@ -214,12 +216,12 @@ def bessel_k_orders(x, top):
     beyond, each run only on its own points. Higher orders follow the upward
     recurrence, stable here because every term is positive. A scalar x gives
     np.float64 values, an array x arrays of its shape. K diverges at 0 and is
-    undefined below, so x <= 0 raises ValueError, as does top < 1.
+    undefined below, so x <= 0 or NaN raises ValueError, as does top < 1.
     """
     if top < 1:
         raise ValueError(f"Bessel K top order {top} below 1")
     x = np.asarray(x, dtype=float)
-    if (x <= 0.0).any():
+    if not (x > 0.0).all():
         raise ValueError("Bessel K requires x > 0")
     if x.ndim == 0:
         x = float(x)

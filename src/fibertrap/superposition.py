@@ -83,6 +83,11 @@ class ModePair:
     def wavelength_nm(self):
         return self.unit_a.wavelength_nm
 
+    @property
+    def dbeta_per_nm(self):
+        """Beat wavenumber beta_a - beta_b of the composed members, in 1/nm."""
+        return self.sol_a.beta_per_nm - self.sol_b.beta_per_nm
+
 
 def _compose_member(sol, member_power_mw):
     """Normalize one pair member and apply the hybrid composition convention.
@@ -163,7 +168,7 @@ def beat_terms(pair, r_nm, phi):
 
 def beat_length(pair):
     """Beat length z0 = 2 pi / |beta_a - beta_b| in nm."""
-    dbeta = pair.sol_a.beta_per_nm - pair.sol_b.beta_per_nm
+    dbeta = pair.dbeta_per_nm
     if dbeta == 0.0:
         raise ValueError("degenerate propagation constants: no stationary beat")
     return 2.0 * np.pi / abs(dbeta)

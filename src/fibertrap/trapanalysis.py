@@ -75,13 +75,18 @@ _ORBIT_NODES = 8
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Reference atomic energy: initial kinetic energy k_B * T_init."""
+    """Reference atomic energy: initial kinetic energy k_B * T_init.
+
+    The energy must be positive: a T_init at or below 0, or so small that
+    k_B * T_init rounds to 0 J (below about 2e-295 uK), raises ValueError.
+    """
 
     t_init_uk: float
 
     def __post_init__(self):
-        if self.t_init_uk <= 0.0:
-            raise ValueError("T_init must be positive")
+        if not self.e_init > 0.0:
+            raise ValueError("T_init must be positive, with k_B T_init "
+                             "above 0 J")
 
     @property
     def e_init(self):
@@ -175,8 +180,7 @@ def _valley(field_, r_nm, phi, z_ref):
     amp = np.abs(x)
     v = kappa * (s - 2.0 * amp) + potential.vdw_potential(
         r_nm, field_.fiber, field_.atom)
-    zs = (np.angle(x) + np.pi) / (pair.sol_a.beta_per_nm
-                                  - pair.sol_b.beta_per_nm)
+    zs = (np.angle(x) + np.pi) / pair.dbeta_per_nm
     return v, 4.0 * kappa * amp, zs + z0 * np.round((z_ref - zs) / z0)
 
 
@@ -265,10 +269,11 @@ def _crossing(f1d, u0, target, lo_lim, hi_lim, sign):
     The march is geometric, steps of 1 nm growing by 1.25 out to the limit,
     so its samples are known in advance and f1d evaluates them as one
     batch; the first sample at or above target and the one before it
-    (or s = 0) bracket the root.
+    (or s = 0) bracket the root. An energy too small to move target off
+    u0 in floating point puts the turning point at the minimum, s = 0.
     """
     if u0 - target >= 0.0:
-        return None
+        return 0.0
     lim = abs(hi_lim if sign > 0 else lo_lim)
     s = []
     step = s_cur = 1.0 * sign
@@ -292,10 +297,12 @@ def turning_points(field_, minimum, energy_j):
     pair is asymmetric because the inner light wall is much steeper than the
     evanescent tail outside. The radial and azimuthal pairs are marched
     (_crossing); the axial pair is -+arccos(1 - 2 energy / W) / |dbeta|, W
-    the beat ridge of _valley, and there is none when energy >= W.
+    the beat ridge of _valley, and there is none when energy >= W. The
+    energy must be positive: energy <= 0 raises ValueError.
     """
+    if not energy_j > 0.0:
+        raise ValueError(f"turning-point energy {energy_j!r} J is not positive")
     r, p, z = minimum
-    pair = field_.pair
     u0 = potential.total_potential(field_, r, p, z)
     target = u0 + energy_j
     out = np.empty((3, 2))
@@ -308,7 +315,7 @@ def turning_points(field_, minimum, energy_j):
             ridge, row = float(_valley(field_, r, p, z)[1]), [None]
             if energy_j < ridge:
                 s = (math.acos(1.0 - 2.0 * energy_j / ridge)
-                     / abs(pair.sol_a.beta_per_nm - pair.sol_b.beta_per_nm))
+                     / abs(field_.pair.dbeta_per_nm))
                 row = [-s, s]
         if None in row:
             raise NoTrapError(
@@ -514,7 +521,7 @@ def orbit_averaged_scattering(field_, minimum, extents):
         raise ValueError("extents must be the (3, 2) signed turning points")
     pair = field_.pair
     weight, scale, unit, phase_w = _orbit_rule(turns, _ORBIT_NODES)
-    dbeta = pair.sol_a.beta_per_nm - pair.sol_b.beta_per_nm
+    dbeta = pair.dbeta_per_nm
     axial = np.exp(-1j * dbeta * (scale[2][..., None] * unit[2])) @ phase_w
     s, x = superposition.beat_terms(
         pair, r + scale[0][:, :1, None, None] * unit[0][:, None],

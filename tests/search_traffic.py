@@ -15,7 +15,8 @@ message) and the number of local Hessians the search took (its
 potential_derivatives calls, one per Newton iterate), then the minimum
 (r_nm, phi, z_nm), the depth in J and the saddle (r_nm, phi, z_nm) as exact
 reprs ("-" where there is none), so two runs can be compared with diff. A
-summary of outcome and Hessian counts goes to stderr.
+summary of outcome and Hessian counts goes to stderr. The Hessians are
+counted by layer_cost.Wrappers.
 """
 
 import collections
@@ -24,6 +25,7 @@ import sys
 
 from fibertrap import config, potential, trapanalysis
 from fibertrap.errors import NoTrapError
+from layer_cost import Wrappers
 
 DELTAS = (0.0, 0.7, 2.5)
 TAUS = tuple(0.02 + 0.04 * k for k in range(25))
@@ -40,28 +42,21 @@ def _reprs(values):
 
 
 def main():
-    hessians = [0]
-    derivatives = potential.potential_derivatives
-
-    def counted(*args, **kwargs):
-        hessians[0] += 1
-        return derivatives(*args, **kwargs)
-
     outcomes = collections.defaultdict(collections.Counter)
     most = collections.defaultdict(int)
 
     def search(what, fn, *args):
         # outcome, Hessian count and result of one search, tallied
-        hessians[0] = 0
-        try:
-            outcome, result = "ok", fn(*args)
-        except NoTrapError as err:
-            outcome, result = str(err), None
+        with Wrappers((potential, "potential_derivatives")) as wrapped:
+            try:
+                outcome, result = "ok", fn(*args)
+            except NoTrapError as err:
+                outcome, result = str(err), None
+        hessians = wrapped.calls["potential_derivatives"]
         outcomes[what][outcome] += 1
-        most[what, outcome] = max(most[what, outcome], hessians[0])
-        return outcome, hessians[0], result
+        most[what, outcome] = max(most[what, outcome], hessians)
+        return outcome, hessians, result
 
-    potential.potential_derivatives = counted
     for name in config.PRESET_NAMES:
         for delta in DELTAS:
             cfg = dataclasses.replace(config.preset(name), delta=delta)

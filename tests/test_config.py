@@ -224,6 +224,14 @@ class TestValidation:
             config.parse_config("grid.quantity = phase")
         assert err.value.key == "grid.quantity"
 
+    @pytest.mark.parametrize("t_init", ["0", "-5", "1e-300"])
+    def test_reference_energy_positive(self, t_init):
+        # 1e-300 uK is positive, but k_B T_init rounds to 0 J
+        with pytest.raises(ConfigError, match="above 0 J") as err:
+            config.parse_config(f"atom.t_init_uk = {t_init}")
+        assert err.value.key == "atom.t_init_uk"
+        assert config.parse_config("atom.t_init_uk = 1e-290").t_init_uk > 0
+
     def test_negative_c3(self):
         with pytest.raises(ConfigError) as err:
             config.parse_config("atom.c3 = -1e-49")

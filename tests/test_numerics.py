@@ -146,6 +146,17 @@ class TestBesselKernels:
         with pytest.raises(ValueError):
             modes._j_and_deriv(1, np.array([1.0, -9.0]))
 
+    @pytest.mark.parametrize("x", [math.nan, np.array(math.nan),
+                                   np.array([1.0, math.nan]),
+                                   np.array([[math.nan], [3.0]])])
+    def test_nan_rejected(self, x):
+        # NaN is outside both domains; a 0-d NaN and one NaN in a batch
+        # raise as an argument beyond the range does
+        with pytest.raises(ValueError, match="covers"):
+            j_orders(x, 0, 1)
+        with pytest.raises(ValueError, match="requires x > 0"):
+            k_orders(x, 1)
+
     @settings(deadline=None, max_examples=100)
     @given(st.lists(st.one_of(st.floats(min_value=1e-4, max_value=2.0),
                               st.floats(min_value=2.0, max_value=45.0)),

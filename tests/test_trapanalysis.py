@@ -87,6 +87,12 @@ class TestThermalState:
         with pytest.raises(ValueError):
             trapanalysis.ThermalState(t_init_uk=0.0)
 
+    @pytest.mark.parametrize("t_init", [math.nan, 1e-300])
+    def test_energy_above_zero_required(self, t_init):
+        # 1e-300 uK is positive, but k_B T_init rounds to 0 J
+        with pytest.raises(ValueError, match="above 0 J"):
+            trapanalysis.ThermalState(t_init_uk=t_init)
+
 
 class TestSeedRegion:
     def test_bounds_must_be_ordered(self):
@@ -341,6 +347,28 @@ class TestTurningPoints:
         with pytest.raises(NoTrapError):
             trapanalysis.turning_points(
                 field1, suite.minimum("he11-te01"), KB * 2e-3)
+
+    def test_vanishing_energy_turns_at_the_minimum(self, field1, suite):
+        # k_B * 1e-20 uK = 1.4e-49 J vanishes against U_min = -2.3e-28 J,
+        # so U_min + E rounds to U_min: the trap holds, every turning point
+        # is the minimum itself, and the report runs on
+        turns = trapanalysis.turning_points(
+            field1, suite.minimum("he11-te01"), KB * 1e-26)
+        assert np.abs(turns).max() == 0.0
+        report = trapanalysis.characterize_trap(
+            field1, suite.cfg("he11-te01").seed,
+            trapanalysis.ThermalState(t_init_uk=1e-20))
+        assert report.extents_nm == (0.0, 0.0, 0.0)
+        assert report.depth_mk == suite.report("he11-te01").depth_mk
+        assert 0.0 < report.scattering_rate < 1.0
+        assert math.isfinite(report.lifetime_s)
+
+    @pytest.mark.parametrize("energy", [0.0, -KB * 1e-6, math.nan])
+    def test_non_positive_energy_rejected(self, field1, suite, energy):
+        # below zero 1 - 2E/W would exceed 1, outside arccos's domain
+        with pytest.raises(ValueError, match="not positive"):
+            trapanalysis.turning_points(
+                field1, suite.minimum("he11-te01"), energy)
 
     @pytest.mark.parametrize("name", ["he11-te01", "he11-he21", "te01-he21"])
     def test_batched_march_matches_scalar_march(self, suite, name):
