@@ -10,11 +10,11 @@ Keys are typed against one table (_KEYS); unknown or duplicate keys,
 malformed values and non-finite floats (nan, inf, 1e999) are rejected with
 the offending line number. Every key has a default, so a config file only
 states what it overrides; the defaults are exactly the he11-te01 preset. All
-lengths are in nm, angles in rad; a grid half-width or plane offset above
-MAX_EXTENT_NM (1 cm) is rejected, since every evanescent field is 0 there,
-and so are a power above MAX_POWER_MW and a C3 above MAX_C3, where the
-potential would overflow, and a grid.resolution above MAX_RESOLUTION, whose
-plane would not fit in memory.
+lengths are in nm, angles in rad; a grid half-width, plane offset or seed
+radius above MAX_EXTENT_NM (1 cm) is rejected, since every evanescent field
+is 0 there, and so are a power above MAX_POWER_MW and a C3 above MAX_C3,
+where the potential would overflow, and a grid.resolution above
+MAX_RESOLUTION, whose plane would not fit in memory.
 """
 
 import math
@@ -25,9 +25,9 @@ from .errors import ConfigError
 
 _QUANTITIES = ("potential", "intensity", "field")
 _PLANE_AXES = ("x", "y", "z", "d")
-# Largest grid.halfwidth_nm and |plane offset| (nm), 1 cm: the slowest
-# evanescent tail (1/e length about 420 nm) underflows to 0 by about
-# 0.3 mm, and the van der Waals d^-3 stays finite out here.
+# Largest grid.halfwidth_nm, |plane offset| and seed.r_hi_nm (nm), 1 cm:
+# the slowest evanescent tail (1/e length about 420 nm) underflows to 0 by
+# about 0.3 mm, and the van der Waals d^-3 stays finite out here.
 MAX_EXTENT_NM = 1e7
 # Largest light.power_mw (1 kW) and atom.c3 (J m^3), far above any fiber
 # trap, yet low enough that the squared fields and the van der Waals
@@ -202,6 +202,11 @@ class RunConfig:
             raise ConfigError(f"grid.halfwidth_nm = {self.halfwidth_nm} "
                               f"exceeds {MAX_EXTENT_NM:g} nm",
                               key="grid.halfwidth_nm")
+        # seed.r_lo_nm lies below seed.r_hi_nm (SeedRegion), so this
+        # bounds both
+        if self.seed.r_nm[1] > MAX_EXTENT_NM:
+            raise ConfigError(f"seed.r_hi_nm = {self.seed.r_nm[1]} exceeds "
+                              f"{MAX_EXTENT_NM:g} nm", key="seed.r_hi_nm")
         if not 0.0 < self.v_lo <= self.v_hi:
             raise ConfigError("dispersion range must satisfy 0 < v_lo <= v_hi",
                               key="dispersion.v_lo")

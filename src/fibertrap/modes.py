@@ -461,11 +461,21 @@ def _phase(sol, z_nm):
 def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
     """E or H cylindrical components (three arrays) on one side of the core.
 
-    Inside, the fields are built from J_nu(h r) with the axial constants
-    (Az, Bz); outside, from K_nu(q r) with those constants scaled by
-    J_nu(u)/K_nu(w) so the axial fields are continuous at r = a. The
-    transverse components follow from the axial ones through 1/h^2 inside
-    and -1/q^2 outside; pre carries that sign flip. TE and TM are the
+    Inside, the fields are built from f = J_nu(x), x = h r, with the axial
+    constants (Az, Bz); outside, from f = K_nu(x), x = q r, with those
+    constants scaled by J_nu(u)/K_nu(w) so the axial fields are continuous
+    at r = a. The transverse components follow from the axial ones through
+    1/h^2 inside and -1/q^2 outside; pre = -i or +i carries that sign flip.
+    One formula gives both fields,
+
+        ((c1 f' + c2 f/x) t1, (d1 f/x + d2 f') t2, a f t1),
+        c1 = pre (beta/k) a,   c2 = pre (omega mu/k) nu b,
+        d1 = sign (beta/k) nu a,   d2 = sign (omega mu/k) b,
+
+    k = h or q per m, with one coefficient table (c1, c2, d1, d2) per field
+    and side. E takes a = Az, b = Bz, mu = mu0, (t1, t2) = (cos chi, sin chi)
+    and sign = -pre; H is E with Az and Bz swapped, eps0 n^2 for mu0, cos and
+    sin swapped and sign = pre (Snyder & Love, ch. 12). TE and TM are the
     nu = 0 case: every nu term vanishes and cos or sin of chi = psi picks
     their components.
 
@@ -476,52 +486,43 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
 
     With jacobian (E outside the core only) the result is (e, de_dr,
     de_dphi, d2e_dr2, d2e_drdphi): the three components and their first
-    and second derivatives per nm of r and per rad of phi, from the same K
-    values, constants and cos/sin of chi = nu phi + psi. K'' follows from
-    the modified Bessel equation and K''' from its derivative.
+    and second derivatives per nm of r and per rad of phi, from the same
+    table, radial factors and cos/sin of chi = nu phi + psi. K'' follows
+    from the modified Bessel equation and K''' from its derivative. The
+    axial products keep the order q Az K', q q Az K'' and -nu Az K sin chi
+    rather than reusing Az K: the last digits of the Newton-polished minimum
+    follow these bits.
     """
     nu = sol.mode.nu
-    omega = sol.omega
-    beta_m = sol.beta_per_m
     az, bz, psi = _z_amplitudes(sol)
     if outside:
         x = sol.q_per_nm * r
         f, fd = _k_and_deriv(nu, x)
-        k_m = sol.q_per_nm * 1e9
-        eps = _EPS0 * sol.fiber.n_clad ** 2
-        pre = 1j
+        k_m, n, pre = sol.q_per_nm * 1e9, sol.fiber.n_clad, 1j
         az, bz = az * sol.j_u / sol.k_w, bz * sol.j_u / sol.k_w
     else:
         x = sol.h_per_nm * r
         f, fd = _j_and_deriv(nu, x)
-        k_m = sol.h_per_nm * 1e9
-        eps = _EPS0 * sol.fiber.n_core ** 2
-        pre = -1j
+        k_m, n, pre = sol.h_per_nm * 1e9, sol.fiber.n_core, -1j
     fox = f / x
     # TE/TM have no phi dependence: a scalar chi spares the array cos/sin
     chi = nu * phi + psi if nu else psi
     cc, ss = np.cos(chi), np.sin(chi)
-    if want_h:
-        return (pre * ((beta_m / k_m) * bz * fd
-                       + (omega * eps / k_m) * nu * az * fox) * ss,
-                pre * ((beta_m / k_m) * nu * bz * fox
-                       + (omega * eps / k_m) * az * fd) * cc,
-                bz * f * ss)
-    e = (pre * ((beta_m / k_m) * az * fd
-                + (omega * _MU0 / k_m) * nu * bz * fox) * cc,
-         -pre * ((beta_m / k_m) * nu * az * fox
-                 + (omega * _MU0 / k_m) * bz * fd) * ss,
-         az * f * cc)
+    a, b, mu, t1, t2, sign = ((bz, az, _EPS0 * n ** 2, ss, cc, pre) if want_h
+                              else (az, bz, _MU0, cc, ss, -pre))
+    bk, wk = sol.beta_per_m / k_m, sol.omega * mu / k_m
+    c1, c2 = pre * bk * a, pre * (wk * nu) * b
+    d1, d2 = sign * (bk * nu) * a, sign * wk * b
+
+    def radial(g, g_ox):
+        # transverse radial factors at f' -> g and f/x -> g_ox
+        return c1 * g + c2 * g_ox, d1 * g_ox + d2 * g
+
+    fr, fp = radial(fd, fox)
+    e = (fr * t1, fp * t2, a * f * t1)
     if not jacobian:
         return e
     q = sol.q_per_nm
-    # E_r = (c1 K' + c2 K/x) cos chi and E_phi = (d1 K/x + d2 K') sin chi;
-    # the derivatives keep this factor order, on which the last digits of
-    # the Newton-polished minimum depend
-    c1 = 1j * (beta_m / k_m) * az
-    c2 = 1j * (omega * _MU0 * nu / k_m) * bz
-    d1 = -1j * (beta_m * nu / k_m) * az
-    d2 = -1j * (omega * _MU0 / k_m) * bz
     # modified Bessel equation: K'' = (1 + nu^2/x^2) K - K'/x, and by its
     # derivative K''' = (1 + nu^2/x^2) K' - 2 nu^2 K/x^3 - (K'' - K'/x)/x
     fdd = (1.0 + (nu / x) ** 2) * f - fd / x
@@ -529,17 +530,13 @@ def _side_fields(sol, r, phi, want_h, outside, jacobian=False):
             - (fdd - fd / x) / x)
     fox_d = fd / x - f / x ** 2
     fox_dd = (fdd - 2.0 * fox_d) / x
-    # radial factors of dE/dr, ahead of cos or sin chi
-    gr, gp = q * (c1 * fdd + c2 * fox_d), q * (d1 * fox_d + d2 * fdd)
-    gz = q * az * fd
-    de_dphi = (-nu * (c1 * fd + c2 * fox) * ss,
-               nu * (d1 * fox + d2 * fd) * cc,
-               -nu * az * f * ss)
-    d2e_dr2 = (q * q * (c1 * fddd + c2 * fox_dd) * cc,
-               q * q * (d1 * fox_dd + d2 * fddd) * ss,
-               q * q * az * fdd * cc)
-    return (e, (gr * cc, gp * ss, gz * cc), de_dphi, d2e_dr2,
-            (-nu * gr * ss, nu * gp * cc, -nu * gz * ss))
+    # radial factors of dE/dr and d2E/dr2, ahead of cos or sin chi
+    g1 = (*(q * g for g in radial(fdd, fox_d)), q * az * fd)
+    g2 = (*(q * q * g for g in radial(fddd, fox_dd)), q * q * az * fdd)
+    return (e, (g1[0] * cc, g1[1] * ss, g1[2] * cc),
+            (-nu * fr * ss, nu * fp * cc, -nu * az * f * ss),
+            (g2[0] * cc, g2[1] * ss, g2[2] * cc),
+            (-nu * g1[0] * ss, nu * g1[1] * cc, -nu * g1[2] * ss))
 
 
 def transverse_fields(sol, r_nm, phi, want_h=False):
@@ -597,34 +594,28 @@ def h_field(sol, r_nm, phi, z_nm):
 
 
 def e_field_exterior_jacobian(sol, r_nm, phi, z_nm):
-    """Electric field and its first and second derivatives outside the core.
+    """Electric field and its first two derivatives at one exterior point.
 
-    Returns (e, de, d2e): e is e_field's value (trailing axis of 3
-    cylindrical components), from the same exterior kernel; de[..., i, :]
-    and d2e[..., i, j, :] are its derivatives along coordinates i and j of
+    r_nm, phi and z_nm are one point (a batch raises TypeError). Returns
+    (e, de, d2e) of shapes (3,), (3, 3) and (3, 3, 3): e is e_field's
+    value, from the same exterior kernel, in cylindrical components;
+    de[i] and d2e[i, j] are its derivatives along coordinates i and j of
     (r, phi, z), per nm of r and z and per rad of phi. d2/dphi2 is a factor
     of -nu^2 and d/dz one of -i beta. Valid only for r > a (raises
-    ValueError otherwise). As in e_field, E(r, phi, z) = E_perp(r, phi)
-    e^{-i beta z}: the transverse part and its derivatives are evaluated
-    with r and phi on their own shapes, broadcast, and multiplied by the
-    phase.
+    ValueError otherwise).
     """
-    r = np.asarray(r_nm, dtype=float)
-    if np.any(r <= sol.fiber.radius_nm):
+    # np.float64: far out, x ** 3 overflows to inf with a warning, as in
+    # the array kernels, instead of raising OverflowError
+    r, phi, z = np.float64(float(r_nm)), float(phi), float(z_nm)
+    if r <= sol.fiber.radius_nm:
         raise ValueError("exterior jacobian requires r > fiber radius")
-    phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast_shapes(r.shape, phi.shape)
-    phase = _phase(sol, z_nm)
-    e, dr, dphi, drr, drphi = (
-        np.stack([np.broadcast_to(val, shape) for val in vals],
-                 axis=-1) * phase for vals in
-        _side_fields(sol, r, phi, False, True, jacobian=True))
+    phase = np.exp(-1j * sol.beta_per_nm * z)
+    e, dr, dphi, drr, drphi = (np.array(vals) * phase for vals in
+                               _side_fields(sol, r, phi, False, True, True))
     kz = -1j * sol.beta_per_nm
-    de = np.stack([dr, dphi, kz * e], axis=-2)
-    d2e = np.stack([np.stack([drr, drphi, kz * dr], axis=-2),
-                    np.stack([drphi, -sol.mode.nu ** 2 * e, kz * dphi],
-                             axis=-2),
-                    kz * de], axis=-3)
+    de = np.array([dr, dphi, kz * e])
+    d2e = np.array([[drr, drphi, kz * dr],
+                    [drphi, -sol.mode.nu ** 2 * e, kz * dphi], kz * de])
     return e, de, d2e
 
 

@@ -164,36 +164,36 @@ def local_scattering_rate(field_, r_nm, phi, z_nm):
 
 
 def potential_derivatives(field_, r_nm, phi, z_nm):
-    """Analytic gradient and Hessian of the total potential outside the core.
+    """Analytic gradient and Hessian of the total potential at one point.
 
-    Returns (gradient, hessian) in the local (r-hat, arc, z-hat) frame, the
-    arc taken at the point's own r: trailing axis (d/dr, (1/r) d/dphi, d/dz)
-    in J/nm, and trailing axes (3, 3) in J/nm^2 with 1/r per arc index. At a
-    stationary point this is the Hessian in Cartesian displacements.
+    r_nm, phi and z_nm are one point outside the core (a batch raises
+    TypeError). Returns (gradient, hessian) of shapes (3,) and (3, 3) in
+    the local (r-hat, arc, z-hat) frame, the arc taken at the point's own
+    r: (d/dr, (1/r) d/dphi, d/dz) in J/nm, and J/nm^2 with 1/r per arc
+    index. At a stationary point this is the Hessian in Cartesian
+    displacements.
     """
     pair = field_.pair
-    ja = modes.e_field_exterior_jacobian(pair.sol_a, r_nm, phi, z_nm)
-    jb = modes.e_field_exterior_jacobian(pair.sol_b, r_nm, phi, z_nm)
+    # as in e_field_exterior_jacobian, gap ** 4 overflows to inf far out
+    r = np.float64(float(r_nm))
+    ja = modes.e_field_exterior_jacobian(pair.sol_a, r, phi, z_nm)
+    jb = modes.e_field_exterior_jacobian(pair.sol_b, r, phi, z_nm)
     phase = np.exp(1j * pair.delta)
     e, de, d2e = (phase * a + b for a, b in zip(ja, jb))
 
     # I = (c eps0 / 2) sum |E_k|^2, so dI = c eps0 Re[conj(E_k) dE_k] and
     # d2I = c eps0 Re[conj(dE_k) dE_k + conj(E_k) d2E_k]
     scale = _C0 * _EPS0
-    ce = np.conj(e)[..., np.newaxis, :]
-    di = scale * np.sum(np.real(ce * de), axis=-1)
-    d2i = scale * np.sum(np.real(
-        np.conj(de)[..., :, np.newaxis, :] * de[..., np.newaxis, :, :]
-        + ce[..., np.newaxis, :, :] * d2e), axis=-1)
+    di = scale * np.sum(np.real(np.conj(e) * de), axis=-1)
+    d2i = scale * np.sum(np.real(np.conj(de)[:, np.newaxis] * de
+                                 + np.conj(e) * d2e), axis=-1)
 
-    r = np.asarray(r_nm, dtype=float)
-    metric = np.stack(np.broadcast_arrays(1.0, r, 1.0), axis=-1)
+    metric = np.array([1.0, r, 1.0])
     coeff = field_.shift_coeff
     grad = coeff * (di / metric)
-    hess = coeff * (d2i / (metric[..., :, np.newaxis]
-                           * metric[..., np.newaxis, :]))
+    hess = coeff * (d2i / np.outer(metric, metric))
     # van der Waals -C3/gap^3 depends on r alone
     gap_m = (r - field_.fiber.radius_nm) * 1e-9
-    grad[..., 0] += 3.0 * field_.atom.c3 / gap_m ** 4 * 1e-9
-    hess[..., 0, 0] -= 12.0 * field_.atom.c3 / gap_m ** 5 * 1e-18
+    grad[0] += 3.0 * field_.atom.c3 / gap_m ** 4 * 1e-9
+    hess[0, 0] -= 12.0 * field_.atom.c3 / gap_m ** 5 * 1e-18
     return grad, hess

@@ -5,7 +5,7 @@ Run as a script (pytest does not collect it), once per checkout:
     PYTHONPATH=src python tests/contract_outputs.py OUTDIR
 
 then compare two such runs with `diff -r OUTDIR_A OUTDIR_B` (or `cmp` file
-by file). OUTDIR is created if needed and gets 69 files:
+by file). OUTDIR is created if needed and gets 72 files:
 
 * report-PRESET.json: `report --out` for each of the three presets;
 * report-he11-he21-rotated.json: `report --out` of the he11-he21 preset
@@ -29,8 +29,12 @@ by file). OUTDIR is created if needed and gets 69 files:
   600 nm fiber, a split above 1, an overflowing grid half-width and plane
   offset, an overflowing power and C3, a grid resolution of 10^6 per
   axis, HE11 below its visible cutoff on a 40 nm fiber, HE13, whose cutoff
-  lies above V = 6.5, a core index whose square overflows, and a seed
-  window inside a 900 nm fiber); their stdout is discarded.
+  lies above V = 6.5, a core index whose square overflows, a seed window
+  inside a 900 nm fiber, and a seed radius of 1e300 nm); their stdout is
+  discarded;
+* search-traffic.txt and search-traffic-summary.txt: the stdout and stderr
+  of tests/search_traffic.py, the outcome, Hessian count, minimum and
+  saddle of 252 searches.
 
 Each command runs in its own interpreter (`python -m fibertrap.cli`), one
 after another. A command that exits non-zero stops the script, except the
@@ -66,7 +70,10 @@ ERRORS = {
     "he13": ("pair.mode_b = HE13\n", ("report",)),
     "index": ("fiber.n_core = 1e200\n", ("report",)),
     "seed-inside": ("fiber.radius_nm = 900\n", ("report",)),
+    "seed-far": ("seed.r_hi_nm = 1e300\n", ("report",)),
 }
+TRAFFIC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "search_traffic.py")
 
 
 def fibertrap(*args, stdout=None, stderr=None, check=True):
@@ -115,6 +122,10 @@ def main(outdir):
                             stderr=subprocess.PIPE, check=False)
             with open(out(f"error-{name}.txt"), "wb") as fh:
                 fh.write(b"exit %d\n" % res.returncode + res.stderr)
+    with open(out("search-traffic.txt"), "wb") as fh, \
+            open(out("search-traffic-summary.txt"), "wb") as summary:
+        subprocess.run([sys.executable, TRAFFIC], stdout=fh, stderr=summary,
+                       check=True)
     fibertrap("dispersion", "--resolution", "20",
               "--out", out("dispersion.csv"))
     fibertrap("dispersion", "--out", out("dispersion-default.csv"))

@@ -34,7 +34,8 @@ import tempfile
 import time
 from dataclasses import replace
 
-from fibertrap import cli, config, floatrepr, modes, numerics, trapanalysis
+from fibertrap import (cli, config, floatrepr, modes, numerics, potential,
+                       trapanalysis)
 
 import numpy as np
 
@@ -271,7 +272,9 @@ def stages():
     field build, the minimum search from the seed box, the escape flood
     from that minimum (also split into its valley-floor grid and the rest
     of the flood loop), the turning points and orbit-averaged scattering
-    rate at the reference energy, the trap frequencies, the whole
+    rate at the reference energy, the trap frequencies, one
+    potential_derivatives call at the minimum (the analytic gradient and
+    Hessian that each Newton iterate and the frequencies take), the whole
     characterize_trap, tau_sensitivity as `report` runs it, and the power
     quadrature of each mode. The Bessel points are counted in one more run,
     so that the times carry no wrapper on the kernels.
@@ -297,6 +300,8 @@ def stages():
                     field_, minimum, turns),
             "trap_frequencies": lambda: trapanalysis.trap_frequencies(
                 field_, minimum, field_.atom.mass_kg),
+            "potential_derivatives": lambda: potential.potential_derivatives(
+                field_, *minimum),
             "characterize_trap": lambda: trapanalysis.characterize_trap(
                 field_, cfg.seed, state),
             "tau_sensitivity": lambda: trapanalysis.tau_sensitivity(

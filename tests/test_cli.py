@@ -478,6 +478,25 @@ class TestExitCodes:
         assert "RuntimeWarning" not in res.stderr
         assert "exceeds 1e+07 nm" in res.stderr
 
+    @pytest.mark.parametrize("command", [
+        ("report",), ("sweep-tau",),
+        ("grid", "--plane", "z=trap", "--resolution", "3")],
+        ids=["report", "sweep-tau", "grid"])
+    def test_far_seed_radius(self, tmp_path, command):
+        # the van der Waals d^3 and the Jacobian's x^3 overflow out there;
+        # at the bound the command runs its search without a warning
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("seed.r_hi_nm = 1e300\n")
+        res = run_cli(*command, "--config", str(cfg))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("fibertrap: configuration error: seed.r_hi_nm "
+                              "= 1e+300 exceeds 1e+07 nm\n")
+        cfg.write_text(f"seed.r_hi_nm = {config.MAX_EXTENT_NM!r}\n")
+        res = run_cli(*command, "--config", str(cfg))
+        assert res.returncode in (0, 3)
+        assert "Warning" not in res.stderr
+
     @pytest.mark.parametrize("key", ["light.power_mw", "atom.c3"])
     def test_overflowing_strength(self, tmp_path, key):
         # the squared member fields and the van der Waals C3 / d^3 overflow

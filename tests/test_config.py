@@ -191,6 +191,17 @@ class TestValidation:
             f"grid.halfwidth_nm = {config.MAX_EXTENT_NM!r}")
         assert cfg.halfwidth_nm == config.MAX_EXTENT_NM
 
+    @pytest.mark.parametrize("r_hi", [1e100, 1e300])
+    def test_seed_radius_bound(self, r_hi):
+        # the van der Waals d^3 and the Jacobian's x^3 overflow out there
+        with pytest.raises(ConfigError) as err:
+            config.parse_config(f"seed.r_hi_nm = {r_hi!r}")
+        assert err.value.key == "seed.r_hi_nm"
+        assert str(err.value).endswith(f"exceeds {config.MAX_EXTENT_NM:g} nm")
+        cfg = config.parse_config(
+            f"seed.r_hi_nm = {config.MAX_EXTENT_NM!r}")
+        assert cfg.seed.r_nm[1] == config.MAX_EXTENT_NM
+
     @pytest.mark.parametrize("key, bound", [
         ("light.power_mw", config.MAX_POWER_MW), ("atom.c3", config.MAX_C3)])
     def test_strength_bound(self, key, bound):

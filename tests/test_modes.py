@@ -284,10 +284,10 @@ class TestExteriorProfiles:
                 assert all(v.tobytes() == vals[0].tobytes() for v in vals)
                 for k in range(3):
                     assert (vals[0][k] == 0.0) == (k in absent), (r, k)
-        _, de, d2e = modes.e_field_exterior_jacobian(sol, 700.0,
-                                                     np.array(phis), 0.0)
-        assert np.all(de[:, 1] == 0.0)
-        assert np.all(d2e[:, 1] == 0.0) and np.all(d2e[:, :, 1] == 0.0)
+        for phi in phis:
+            _, de, d2e = modes.e_field_exterior_jacobian(sol, 700.0, phi, 0.0)
+            assert np.all(de[1] == 0.0)
+            assert np.all(d2e[1] == 0.0) and np.all(d2e[:, 1] == 0.0)
 
     def test_te01_profile(self, solved):
         sol = solved["TE01"]
@@ -410,13 +410,15 @@ class TestOpenOperands:
             got = fn(sol, *opened)
             assert got.shape == (13, 7, 5, 3)
             assert np.array_equal(got, fn(sol, *full))
-        opened, full = self.operands(
-            np.linspace(1.01, 3.0, 9) * FIBER.radius_nm)
-        got = modes.e_field_exterior_jacobian(sol, *opened)
-        want = modes.e_field_exterior_jacobian(sol, *full)
-        assert [g.shape for g in got] == [(9, 7, 5, 3), (9, 7, 5, 3, 3),
-                                          (9, 7, 5, 3, 3, 3)]
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # the exterior Jacobian takes one point: at each point of the
+        # opened exterior grid, its value is the open-operand field's
+        r = np.linspace(1.01, 3.0, 9) * FIBER.radius_nm
+        want = modes.e_field(sol, *self.operands(r)[0])
+        for i, j, k in np.ndindex(want.shape[:3]):
+            got = modes.e_field_exterior_jacobian(sol, r[i], self.PHI[j],
+                                                  self.Z[k])
+            assert [g.shape for g in got] == [(3,), (3, 3), (3, 3, 3)]
+            assert np.array_equal(got[0], want[i, j, k])
 
     @pytest.mark.parametrize("side", ["interior", "exterior", "mixed"])
     @pytest.mark.parametrize("name", ["HE11", "TE01", "TM01", "HE21"])
@@ -447,13 +449,16 @@ class TestOpenOperands:
                 got = fn(sol, r, phi, z)
                 assert got.shape == (4, 6, 3)
                 assert np.array_equal(got, fn(sol, *full))
+            # the exterior Jacobian takes one point: at each point, its
+            # value is the field's on the operands r, phi and z
             outside = (r + 300.0, phi, z)
-            got = modes.e_field_exterior_jacobian(sol, *outside)
-            want = modes.e_field_exterior_jacobian(
-                sol, *np.broadcast_arrays(*outside))
-            assert [g.shape for g in got] == [(4, 6, 3), (4, 6, 3, 3),
-                                              (4, 6, 3, 3, 3)]
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            want = modes.e_field(sol, *outside)
+            points = np.broadcast_arrays(*outside)
+            for idx in np.ndindex(z.shape):
+                got = modes.e_field_exterior_jacobian(
+                    sol, *(x[idx] for x in points))
+                assert [g.shape for g in got] == [(3,), (3, 3), (3, 3, 3)]
+                assert np.array_equal(got[0], want[idx])
 
 
 class TestBoundaryContinuity:
@@ -596,12 +601,14 @@ class TestFieldEvaluation:
         point = np.array([620.0, 0.9, 40.0])
         e, de, d2e = modes.e_field_exterior_jacobian(sol, *point)
         assert np.array_equal(e, modes.e_field(sol, *point))
-        rs = np.linspace(410.0, 1400.0, 9)[:, None]
+        assert [g.shape for g in (e, de, d2e)] == [(3,), (3, 3), (3, 3, 3)]
+        rs = np.linspace(410.0, 1400.0, 9)
         phis = np.linspace(-np.pi, np.pi, 5)
-        batch = modes.e_field_exterior_jacobian(sol, rs, phis, point[2])
-        assert [b.shape for b in batch] == [(9, 5, 3), (9, 5, 3, 3),
-                                            (9, 5, 3, 3, 3)]
-        assert np.array_equal(batch[0], modes.e_field(sol, rs, phis, point[2]))
+        want = modes.e_field(sol, rs[:, None], phis, point[2])
+        for i, j in np.ndindex(want.shape[:2]):
+            got = modes.e_field_exterior_jacobian(sol, rs[i], phis[j],
+                                                  point[2])
+            assert np.array_equal(got[0], want[i, j])
         h = 1e-4
         for i, step in enumerate(np.diag([h, h, h])):
             # first derivatives against central differences of the field,
@@ -642,6 +649,14 @@ class TestFieldEvaluation:
     def test_jacobian_requires_exterior_point(self, solved):
         with pytest.raises(ValueError):
             modes.e_field_exterior_jacobian(solved["HE11"], 300.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("batched", ["r", "phi", "z"])
+    def test_jacobian_takes_one_point(self, solved, batched):
+        # float() of a two-point coordinate raises
+        point = {"r": 620.0, "phi": 0.9, "z": 40.0}
+        point[batched] = np.array([point[batched], point[batched] + 1.0])
+        with pytest.raises(TypeError):
+            modes.e_field_exterior_jacobian(solved["HE11"], *point.values())
 
 
 class TestSpecValidation:

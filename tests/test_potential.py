@@ -148,6 +148,15 @@ class TestPotentialField:
         assert got[0] == want[0] and got[2] == want[2]
         assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("batched", ["r", "phi", "z"])
+    def test_derivatives_take_one_point(self, suite, batched):
+        # float() of a two-point coordinate raises
+        point = {"r": 520.0, "phi": 0.8, "z": 130.0}
+        point[batched] = np.array([point[batched], point[batched] + 1.0])
+        with pytest.raises(TypeError):
+            potential.potential_derivatives(suite.field("he11-te01"),
+                                            *point.values())
+
     def test_gradient_matches_finite_differences(self, suite):
         f = suite.field("he11-te01")
         h = 1e-3
